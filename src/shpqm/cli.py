@@ -95,14 +95,13 @@ def cmd_constants(args):
 
 
 def cmd_verify(args):
-    samples = args.samples if args.samples is not None else 1000
-    if samples <= 0:
+    if args.samples <= 0:
         raise ConfigError("sample count must be positive")
-    report = verification.run_all(seed=args.seed, samples=samples)
+    report = verification.run_all(seed=args.seed, samples=args.samples)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
-        "samples": samples,
+        "samples": args.samples,
         "suites": {
             name: [
                 {**r.to_dict(),
@@ -151,7 +150,8 @@ def cmd_wigner(args):
     else:
         n = minkowski.N0
     a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
-    d = little_group.wigner_d(a, _unit(minkowski.apply(sl2c.spinor_map(a), n)))
+    d = little_group.wigner_d(
+        a, minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(a), n)))
     angle, axis = little_group.su2_angle_axis(d)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -169,10 +169,6 @@ def cmd_wigner(args):
     return 0
 
 
-def _unit(v):
-    return v / np.sqrt(-minkowski.dot(v, v))
-
-
 def _interference_csv(result):
     buf = io.StringIO()
     buf.write("delta_t_fs,probability,envelope,interference_term\n")
@@ -183,8 +179,6 @@ def _interference_csv(result):
 
 
 def cmd_interference(args):
-    if args.config is None:
-        raise ConfigError("interference requires --config")
     cfg = load_config(args.config)
     emission = interference.EmissionConfig(
         e1_ev=cfg_get(cfg, "e1_ev"),
@@ -241,8 +235,6 @@ def _quantum_csv(packet):
 
 
 def cmd_evolve(args):
-    if args.config is None:
-        raise ConfigError("evolve requires --config")
     cfg = load_config(args.config)
     mode = cfg_get(cfg, "mode", cast=str)
     if mode == "classical":
@@ -282,38 +274,35 @@ def build_parser():
                     "evolution demos.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=None)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the identity suites")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify = command("verify", cmd_verify, "run the identity suites")
+    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--samples", type=int, default=1000)
 
-    p_wigner = sub.add_parser("wigner",
-                              help="induced rotation of two composed boosts")
-    common(p_wigner)
+    p_wigner = command("wigner", cmd_wigner,
+                       "induced rotation of two composed boosts")
     p_wigner.add_argument("--boost1", required=True, help="axis:rapidity")
     p_wigner.add_argument("--boost2", required=True, help="axis:rapidity")
     p_wigner.add_argument("--n", default=None,
                           help="foliation vector t,x,y,z (default rest)")
-    p_wigner.set_defaults(func=cmd_wigner)
 
-    p_itf = sub.add_parser("interference",
-                           help="two-electron coincidence scan")
-    common(p_itf)
-    p_itf.set_defaults(func=cmd_interference)
+    p_itf = command("interference", cmd_interference,
+                    "two-electron coincidence scan")
+    p_itf.add_argument("--config", required=True, help="key=value config file")
+    p_itf.add_argument("--samples", type=int, default=None,
+                       help="scan samples (default: config 'samples', else 4001)")
+    p_itf.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p_ev = sub.add_parser("evolve", help="classical or quantum evolution dump")
-    common(p_ev)
-    p_ev.set_defaults(func=cmd_evolve)
+    p_ev = command("evolve", cmd_evolve, "classical or quantum evolution dump")
+    p_ev.add_argument("--config", required=True, help="key=value config file")
+    p_ev.add_argument("--format", choices=("csv",), default="csv")
 
-    p_const = sub.add_parser("constants", help="print physical constants")
-    common(p_const)
-    p_const.set_defaults(func=cmd_constants)
+    command("constants", cmd_constants, "print physical constants")
 
     return parser
 

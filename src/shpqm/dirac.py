@@ -75,7 +75,7 @@ def sigma(mu, nu):
 
 def k_vec(mu, n):
     """K^mu = Sigma^{mu nu} n_nu."""
-    return np.einsum("nab,n->ab", _SIGMA_ALL[mu], minkowski.lower(n))
+    return k_all(n)[mu]
 
 
 def k_all(n):
@@ -97,8 +97,7 @@ def gamma_n(mu, n):
 
 def sigma_n(mu, nu, n):
     """Covariant Pauli matrix Sigma_n^{mu nu} = Sigma^{mu nu} + K^mu n^nu - K^nu n^mu."""
-    n = np.asarray(n, dtype=float)
-    return sigma(mu, nu) + n[nu] * k_vec(mu, n) - n[mu] * k_vec(nu, n)
+    return sigma_n_all(n)[mu, nu]
 
 
 def sigma_n_all(n):
@@ -179,10 +178,6 @@ class FieldTensor:
         ])
         return cls(f, charge, mass)
 
-    def f_upper(self):
-        g = minkowski.METRIC
-        return g @ self.f_lower @ g
-
     def projected_lower(self, n):
         """F projected into the foliation subspace on both indices."""
         n = np.asarray(n, dtype=float)
@@ -229,8 +224,7 @@ def projections(p, n):
         raise ValueError("p.n = 0: energy-sign projection undefined")
     s = pn / abs(pn)
     energy = (0.5 * (1.0 - s) * ID4, 0.5 * (1.0 + s) * ID4)
-    p_dot_k = np.einsum("mab,m->ab", k_all(n), minkowski.lower(p))
-    hel_op = 2.0j * GAMMA5 @ p_dot_k / np.sqrt(norm2)
+    hel_op = helicity_operator(p, n)
     helicity = (0.5 * (ID4 + hel_op), 0.5 * (ID4 - hel_op))
     return {"cone": cone, "energy": energy, "helicity": helicity}
 
@@ -291,8 +285,8 @@ def assemble_spinor(pair):
     |psi|^2 + |phi|^2 identically (see the convention notes in README).
     """
     boost = sl2c.canonical_boost(pair.n)
-    first = boost.inv().matrix @ pair.psi
-    second = boost.matrix @ pair.phi   # second-rep boost inverse equals L(n)
+    first = sl2c.inv(boost) @ pair.psi
+    second = boost @ pair.phi   # second-rep boost inverse equals L(n)
     stacked = np.concatenate([first, second])
     return FourSpinor(ASSEMBLY @ stacked, pair.n)
 
@@ -305,11 +299,9 @@ def sector_norm(spinor):
 
 
 def s_lambda(a):
-    """4x4 spinor representation S(Lambda) of a first-rep SL(2,C) element."""
-    if a.rep != "first":
-        raise ValueError("s_lambda expects a first-representation element")
-    bar = sl2c.second_rep(a).matrix
-    blockdiag = np.block([[bar, _Z], [_Z, a.matrix]])
+    """4x4 spinor representation S(Lambda) of an SL(2,C) element."""
+    bar = sl2c.second_rep(a)
+    blockdiag = np.block([[bar, _Z], [_Z, a]])
     return ASSEMBLY @ blockdiag @ ASSEMBLY.conj().T
 
 
@@ -318,7 +310,6 @@ def transform_pair(pair, a):
     from . import little_group
 
     lam = sl2c.spinor_map(a)
-    n_new = minkowski.apply(lam, pair.n)
-    n_new = n_new / np.sqrt(-minkowski.dot(n_new, n_new))
+    n_new = minkowski.unit_timelike(minkowski.apply(lam, pair.n))
     d = little_group.wigner_d(a, n_new)
     return TwoSpinorPair(d @ pair.psi, d @ pair.phi, n_new)

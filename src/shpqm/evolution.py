@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import minkowski
-from .constants import HBAR_EV_FS
 
 
 class StepRejectionError(RuntimeError):
@@ -263,11 +262,6 @@ def time_energy_uncertainty(packet):
     t_mean = float(np.sum(pt * t))
     dt = float(np.sqrt(np.sum(pt * (t - t_mean) ** 2)))
     return dt, de, dt * de
-
-
-def gaussian_time_width_to_energy_ev(dt_fs):
-    """Energy spread (eV) of a minimum-uncertainty packet of width dt (fs)."""
-    return HBAR_EV_FS / (2.0 * dt_fs)
 
 
 def two_body_free_evolve(packet_a, packet_b, dtau):

@@ -13,12 +13,12 @@ hbar = 0.6582119569 eV fs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import minkowski, spin_coupling
-from .constants import H_EV_FS, HBAR_EV_FS
+from . import spin_coupling
+from .constants import HBAR_EV_FS, energy_spread_for_time_width, fringe_period_fs
 
 
 class AliasingError(ValueError):
@@ -34,23 +34,12 @@ class EmissionConfig:
     t_emit1_fs: float
     t_emit2_fs: float
     sigma_t_fs: float
-    k1_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    k2_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    mass_ev: float = 510998.95
-    n: np.ndarray = field(default_factory=lambda: minkowski.N0.copy())
 
     def __post_init__(self):
         if self.sigma_t_fs <= 0:
             raise ValueError("pulse width must be positive")
         if self.e1_ev <= 0 or self.e2_ev <= 0:
             raise ValueError("energies must be positive")
-        for name in ("k1_dir", "k2_dir"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be a unit 3-vector")
-            object.__setattr__(self, name, v)
-        minkowski.check_unit_timelike_future(np.asarray(self.n, dtype=float))
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
 
     @property
     def delta_e_ev(self):
@@ -61,7 +50,8 @@ class EmissionConfig:
         return self.t_emit2_fs - self.t_emit1_fs
 
     def spin_singlet(self):
-        return spin_coupling.singlet(self.n)
+        """The spin singlet on the rest fiber."""
+        return spin_coupling.singlet()
 
 
 def envelope(t_fs, center_fs, sigma_fs):
@@ -144,13 +134,6 @@ def coincidence_probability_quadrature(config, dt_fs, span=12.0, num=4001):
     return float(np.trapezoid(vals, t_mean))
 
 
-def predicted_period_fs(delta_e_ev):
-    """Fringe period h / |dE| in fs; infinite when dE = 0."""
-    if delta_e_ev == 0:
-        return np.inf
-    return H_EV_FS / abs(delta_e_ev)
-
-
 @dataclass(frozen=True)
 class InterferenceResult:
     dt_grid_fs: np.ndarray
@@ -197,7 +180,7 @@ def scan_interference(config, dt_min_fs, dt_max_fs, samples):
         raise ValueError("need an increasing dt range and samples >= 2")
     grid = np.linspace(dt_min_fs, dt_max_fs, samples)
     step = grid[1] - grid[0]
-    expected = predicted_period_fs(config.delta_e_ev)
+    expected = fringe_period_fs(config.delta_e_ev)
     flat = not np.isfinite(expected)
     if not flat and expected / step < 16:
         raise AliasingError(
@@ -229,7 +212,7 @@ def feasibility_report(config):
     threshold does not follow from the stated uncertainty formula.
     """
     spacing = abs(config.emission_spacing_fs)
-    computed = np.inf if spacing == 0 else HBAR_EV_FS / (2.0 * spacing)
+    computed = np.inf if spacing == 0 else energy_spread_for_time_width(spacing)
     quoted_threshold_ev = 1e-3
     quoted_linewidth_ev = 1e-6
     return {

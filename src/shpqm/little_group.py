@@ -32,12 +32,14 @@ def wigner_d(a, n):
     """Little-group rotation L(n)^{-1} A L(Lambda^{-1} n) for unit timelike n.
 
     Satisfies the cocycle D(A1 A2, n) = D(A1, n) D(A2, Lambda1^{-1} n).
+    The SU(2) tolerance is relative to max(1, max|Lambda|), the size of the
+    boosts whose round-off D carries.
     """
     minkowski.check_unit_timelike_future(n)
     lam = sl2c.spinor_map(a)
-    n_back = minkowski.apply(minkowski.inverse(lam), n)
-    d = (sl2c.canonical_boost(n).inv() @ a @ sl2c.canonical_boost(n_back)).matrix
-    return check_su2(d)
+    n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam), n))
+    d = sl2c.inv(sl2c.canonical_boost(n)) @ a @ sl2c.canonical_boost(n_back)
+    return check_su2(d, SU2_TOL * max(1.0, float(np.max(np.abs(lam)))))
 
 
 def momentum_wigner_d(a, p, m, rel_tol=1e-6):
@@ -47,9 +49,8 @@ def momentum_wigner_d(a, p, m, rel_tol=1e-6):
     mass2 = -minkowski.dot(p, p)
     if p[0] <= 0 or abs(mass2 - m * m) > rel_tol * m * m:
         raise ValueError(f"momentum off shell: -p.p = {mass2!r}, m^2 = {m * m!r}")
-    n = np.asarray(p, dtype=float) / m
-    n = n / np.sqrt(-minkowski.dot(n, n))  # absorb residual off-shellness
-    return wigner_d(a, n)
+    # normalizing absorbs the residual off-shellness
+    return wigner_d(a, minkowski.unit_timelike(np.asarray(p, dtype=float) / m))
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ def induced_transform(state, a):
     """Lorentz-transform a packet state: n, centers by the vector map, spin
     coefficients by the little-group rotation at the transformed fiber."""
     lam = sl2c.spinor_map(a)
-    n_new = minkowski.apply(lam, state.n)
-    n_new = n_new / np.sqrt(-minkowski.dot(n_new, n_new))
+    n_new = minkowski.unit_timelike(minkowski.apply(lam, state.n))
     d = wigner_d(a, n_new)
     return replace(
         state,

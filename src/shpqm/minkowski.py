@@ -79,7 +79,9 @@ def classify(v):
 
 
 def is_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
-    return n[0] > 0 and abs(dot(n, n) + 1.0) <= tol
+    """n0 > 0 and n.n = -1 within tol relative to max(1, n0^2), the size of
+    the terms that cancel in n.n."""
+    return n[0] > 0 and abs(dot(n, n) + 1.0) <= tol * max(1.0, n[0] ** 2)
 
 
 def check_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
@@ -88,16 +90,32 @@ def check_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
                          f"with n.n = {dot(n, n)}")
 
 
+def unit_timelike(v):
+    """v / sqrt(-v.v): the unit vector along a finite timelike v."""
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"four-vector components must be finite, got {v!r}")
+    norm2 = -dot(v, v)
+    if not norm2 > 0.0:
+        raise ValueError(f"expected a timelike vector, got {v!r} with v.v = {-norm2}")
+    return v / np.sqrt(norm2)
+
+
 def check_proper_lorentz(lam, tol=LORENTZ_TOL):
-    """Raise unless lam^T g lam = g, det lam = +1 and lam[0,0] >= 1."""
+    """Raise unless lam^T g lam = g, det lam = +1 and lam[0,0] >= 1.
+
+    The metric tolerance is relative to s = max(1, max|lam|)^2, the size of
+    the products in lam^T g lam, and the determinant tolerance to s^2.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (4, 4):
         raise ValueError("Lorentz matrix must be 4x4")
+    scale = max(1.0, float(np.max(np.abs(lam)))) ** 2
     dev = np.max(np.abs(lam.T @ METRIC @ lam - METRIC))
-    if dev > tol:
+    if not dev <= tol * scale:
         raise ValueError(f"not a Lorentz matrix: metric deviation {dev:.3e}")
     det = np.linalg.det(lam)
-    if abs(det - 1.0) > tol * 10:
+    if abs(det - 1.0) > tol * 10 * scale**2:
         raise ValueError(f"not proper: det = {det!r}")
     if lam[0, 0] < 1.0 - tol:
         raise ValueError(f"not orthochronous: lam[0,0] = {lam[0, 0]!r}")

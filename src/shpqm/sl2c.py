@@ -1,18 +1,17 @@
 """SL(2,C) double cover of the Lorentz group.
 
-Convention: a first-representation element A acts on the Hermitian matrix
+Elements are plain complex (2, 2) arrays with unit determinant.  Convention:
+a first-representation element A acts on the Hermitian matrix
 X(n) = n0*I + n.sigma built from *contravariant* components as
 
     A X(n) A^dagger = X(Lambda n),
 
 which fixes the vector-level map Lambda = spinor_map(A).  The second
 fundamental representation uses X_bar(n) = n0*I - n.sigma and the element
-(A^dagger)^{-1}.
+(A^dagger)^{-1} = second_rep(A).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,38 +27,24 @@ PAULI = np.stack([SIGMA0, SIGMA1, SIGMA2, SIGMA3])
 PAULI.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SL2CElement:
-    """2x2 complex unit-determinant matrix with a representation tag."""
-
-    matrix: np.ndarray
-    rep: str = "first"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("SL(2,C) element must be 2x2")
-        det = np.linalg.det(m)
-        if abs(det - 1.0) > DET_TOL:
-            raise ValueError(f"determinant {det!r} not 1 within {DET_TOL}")
-        if self.rep not in ("first", "second"):
-            raise ValueError(f"unknown rep tag {self.rep!r}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __matmul__(self, other):
-        if self.rep != other.rep:
-            raise ValueError("cannot compose elements of different representations")
-        return SL2CElement(self.matrix @ other.matrix, self.rep)
-
-    def inv(self):
-        m = self.matrix
-        adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-        return SL2CElement(adj / np.linalg.det(m), self.rep)
+def check_sl2c(a):
+    """Return a as a complex 2x2 array; raise unless it is finite with unit
+    determinant within DET_TOL relative to max(1, max|a|)^2."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (2, 2):
+        raise ValueError("SL(2,C) element must be 2x2")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("SL(2,C) element must be finite")
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    tol = DET_TOL * max(1.0, float(np.max(np.abs(a)))) ** 2
+    if abs(det - 1.0) > tol:
+        raise ValueError(f"determinant {det!r} not 1 within {tol:.3e}")
+    return a
 
 
-IDENTITY = SL2CElement(np.eye(2))
+def inv(a):
+    """Inverse of a unit-determinant element: its adjugate."""
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
 
 
 def hermitian_form(v):
@@ -68,73 +53,51 @@ def hermitian_form(v):
     return v[0] * SIGMA0 + v[1] * SIGMA1 + v[2] * SIGMA2 + v[3] * SIGMA3
 
 
-def hermitian_form_bar(v):
-    """Second-representation form X_bar(v) = v0*I - v.sigma."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * SIGMA0 - v[1] * SIGMA1 - v[2] * SIGMA2 - v[3] * SIGMA3
-
-
 def vector_from_form(x):
     """Inverse of hermitian_form: v^mu = (1/2) tr(sigma_mu X)."""
-    return np.array([0.5 * np.trace(s @ x).real for s in PAULI])
-
-
-def _require_first(a):
-    if a.rep != "first":
-        raise ValueError("operation requires a first-representation element; "
-                         "convert with second_rep only after mapping")
+    return 0.5 * np.einsum("mab,ba->m", PAULI, x).real
 
 
 def spinor_map(a):
-    """Vector-level Lorentz matrix induced by a first-rep SL(2,C) element.
-
-    Built column-wise from the action on basis vectors; validated as proper
-    orthochronous before returning.
-    """
-    _require_first(a)
-    m = a.matrix
-    cols = [vector_from_form(m @ s @ m.conj().T) for s in PAULI]
-    lam = np.column_stack(cols)
+    """Vector-level Lorentz matrix of an SL(2,C) element,
+    Lambda^mu_nu = (1/2) tr(sigma_mu A sigma_nu A^dagger); validated as proper
+    orthochronous before returning."""
+    a = check_sl2c(a)
+    lam = 0.5 * np.einsum("mab,bc,ncd,ad->mn", PAULI, a, PAULI, a.conj()).real
     return minkowski.check_proper_lorentz(lam, tol=1e-10)
 
 
 def canonical_boost(n):
     """Positive-definite Hermitian L(n) with spinor_map(L(n)) N0 = n.
 
-    Principal square root of X(n), via closed-form eigendecomposition of the
-    2x2 Hermitian matrix.
+    Principal square root of X(n) in closed form: X(n) has unit determinant
+    and trace 2 n0, so L(n) = (I + X(n)) / sqrt(2 (1 + n0)).
     """
     minkowski.check_unit_timelike_future(n)
-    vals, vecs = np.linalg.eigh(hermitian_form(n))
-    if np.any(vals <= 0.0):
-        raise ValueError("X(n) not positive definite; n is not future-timelike")
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return SL2CElement(root)
+    return (SIGMA0 + hermitian_form(n)) / np.sqrt(2.0 * (1.0 + n[0]))
 
 
 def second_rep(a):
     """Map to the second fundamental representation, (A^dagger)^{-1}."""
-    _require_first(a)
-    m = np.linalg.inv(a.matrix.conj().T)
-    return SL2CElement(m, rep="second")
+    return inv(check_sl2c(a).conj().T)
 
 
 def sl2c_rotation(axis, angle):
     """exp(-i angle/2 sigma.axis): SU(2) rotation about a spatial axis."""
     ax = minkowski.axis_vector(axis)
     s = ax[0] * SIGMA1 + ax[1] * SIGMA2 + ax[2] * SIGMA3
-    return SL2CElement(np.cos(angle / 2) * SIGMA0 - 1.0j * np.sin(angle / 2) * s)
+    return np.cos(angle / 2) * SIGMA0 - 1.0j * np.sin(angle / 2) * s
 
 
 def sl2c_boost(axis, rapidity):
     """exp(rapidity/2 sigma.axis): Hermitian boost along a spatial axis."""
     ax = minkowski.axis_vector(axis)
     s = ax[0] * SIGMA1 + ax[1] * SIGMA2 + ax[2] * SIGMA3
-    return SL2CElement(np.cosh(rapidity / 2) * SIGMA0 + np.sinh(rapidity / 2) * s)
+    return np.cosh(rapidity / 2) * SIGMA0 + np.sinh(rapidity / 2) * s
 
 
 def random_sl2c(rng, max_rapidity=3.0):
-    """Seeded random first-rep element: rotation times bounded boost."""
+    """Seeded random element: rotation times bounded boost."""
     rot_axis = rng.normal(size=3)
     rot_axis /= np.linalg.norm(rot_axis)
     boost_axis = rng.normal(size=3)

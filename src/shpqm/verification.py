@@ -46,10 +46,6 @@ def _mdev(x):
     return float(np.max(np.abs(x)))
 
 
-def _unit_n(v):
-    return v / np.sqrt(-minkowski.dot(v, v))
-
-
 def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
     """Core operator identities over random (p, n, Lambda)."""
     rng = np.random.default_rng(seed)
@@ -113,7 +109,7 @@ def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
         lam_inv = minkowski.inverse(lam)
         s = dirac.s_lambda(a)
         s_inv = np.linalg.inv(s)
-        n_new = _unit_n(minkowski.apply(lam, n))
+        n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
         conj = np.einsum("ab,mnbc,cd->mnad", s_inv,
                          dirac.sigma_n_all(n_new), s)
         back = np.einsum("mnad,lm,sn->lsad", conj, lam_inv, lam_inv)
@@ -181,7 +177,7 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
                       _mdev(d @ d.conj().T - np.eye(2)),
                       abs(np.linalg.det(d) - 1.0))
         lam1 = sl2c.spinor_map(a1)
-        n_back = _unit_n(minkowski.apply(minkowski.inverse(lam1), n))
+        n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam1), n))
         lhs = little_group.wigner_d(a1 @ a2, n)
         rhs = little_group.wigner_d(a1, n) @ little_group.wigner_d(a2, n_back)
         dev_cocycle = max(dev_cocycle, _mdev(lhs - rhs))
@@ -189,11 +185,10 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
         axis = ("x", "y", "z")[rng.integers(0, 3)]
         w1, w2 = rng.uniform(-1.5, 1.5, size=2)
         b = sl2c.sl2c_boost(axis, w1) @ sl2c.sl2c_boost(axis, w2)
+        n_b = minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(b),
+                                                      minkowski.N0))
         dev_collinear = max(
-            dev_collinear,
-            _mdev(little_group.wigner_d(
-                b, _unit_n(minkowski.apply(sl2c.spinor_map(b),
-                                           minkowski.N0))) - np.eye(2)))
+            dev_collinear, _mdev(little_group.wigner_d(b, n_b) - np.eye(2)))
     return [
         IdentityResult("wigner_su2", "induced rotation is in SU(2)",
                        samples, dev_su2, max(tolerance, 1e-10)),
@@ -272,7 +267,7 @@ def coupling_suite(seed=42, samples=200, tolerance=1e-10):
     for _ in range(samples):
         n = minkowski.random_unit_timelike(rng, 1.5)
         a = sl2c.random_sl2c(rng, 1.0)
-        d = little_group.wigner_d(a, _unit_n(
+        d = little_group.wigner_d(a, minkowski.unit_timelike(
             minkowski.apply(sl2c.spinor_map(a), n)))
         s = spin_coupling.singlet(n)
         rot = spin_coupling.rotate_two(s, d)

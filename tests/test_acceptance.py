@@ -108,7 +108,7 @@ def test_criterion_5_spin_coupling(capfd):
     # pi rotation about the fiber y-axis equals minus the exchange on the
     # interchange-relevant (total magnetic number zero) product states
     rng = np.random.default_rng(9)
-    d = sc._rep_matrix(0.5, sl2c.sl2c_rotation("y", np.pi).matrix)
+    d = sc._rep_matrix(0.5, sl2c.sl2c_rotation("y", np.pi))
     for _ in range(200):
         ph1, ph2 = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
         up = sc.spin_half(ph1, 0)

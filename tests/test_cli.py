@@ -83,6 +83,17 @@ def test_verify_zero_samples_is_config_error():
     assert run_cli(["verify", "--samples", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "csv"],
+    ["constants", "--seed", "3"],
+])
+def test_flag_a_command_does_not_honour_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_wigner_collinear_angle_zero(tmp_path):
     out = tmp_path / "w.json"
     assert run_cli(["wigner", "--boost1", "z:0.8", "--boost2", "z:0.5",

@@ -190,8 +190,3 @@ def test_separated_gaussians_widen_time_spread():
         dt, de, prod = ev.time_energy_uncertainty(shifted)
         assert prod > 0.5
         assert dt > sep / 2.0 * 0.9
-
-
-def test_energy_width_conversion():
-    assert ev.gaussian_time_width_to_energy_ev(0.75) == pytest.approx(
-        0.4388, abs=2e-4)

@@ -19,8 +19,6 @@ def test_config_validation():
         reference_config(sigma_t_fs=0.0)
     with pytest.raises(ValueError):
         reference_config(e1_ev=-1.0)
-    with pytest.raises(ValueError):
-        reference_config(k1_dir=np.array([1.0, 1.0, 0.0]))
 
 
 def test_amplitude_is_symmetric():

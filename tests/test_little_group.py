@@ -25,7 +25,7 @@ def test_rotation_at_rest_fiber_is_itself():
     for _ in range(50):
         u = sl2c.sl2c_rotation(("x", "y", "z")[rng.integers(0, 3)],
                                rng.uniform(-3, 3))
-        assert np.allclose(lg.wigner_d(u, mk.N0), u.matrix, atol=1e-12)
+        assert np.allclose(lg.wigner_d(u, mk.N0), u, atol=1e-12)
 
 
 def test_collinear_boosts_give_identity():
@@ -72,6 +72,22 @@ def test_orthogonal_boost_angle_matches_polar_oracle():
         n = unit(mk.apply(lam, mk.N0))
         angle, _ = lg.su2_angle_axis(lg.wigner_d(a, n))
         assert angle == pytest.approx(polar_rotation_angle(lam), abs=1e-9)
+
+
+def test_perpendicular_boosts_match_thomas_wigner_angle():
+    # closed form for boosts along perpendicular axes, at the boosted fiber:
+    # tan(theta/2) = tanh(w1/2) tanh(w2/2), up to rapidity 6 per boost
+    pairs = (("x", "y"), ("y", "z"), ("z", "x"),
+             ("y", "x"), ("z", "y"), ("x", "z"))
+    grid = np.linspace(0.0, 6.0, 13)
+    for ax1, ax2 in pairs:
+        for w1 in grid:
+            for w2 in grid:
+                a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
+                n = unit(mk.apply(sl2c.spinor_map(a), mk.N0))
+                angle, _ = lg.su2_angle_axis(lg.wigner_d(a, n))
+                want = 2.0 * np.arctan(np.tanh(w1 / 2) * np.tanh(w2 / 2))
+                assert abs(angle - want) <= 1e-10, (ax1, ax2, w1, w2)
 
 
 def test_momentum_wigner_d_matches_fiber_form():

@@ -7,9 +7,29 @@ from shpqm import minkowski as mk, sl2c
 
 
 def test_element_requires_unit_determinant():
+    for bad in (2.0 * np.eye(2), np.eye(3), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError):
+            sl2c.spinor_map(bad)
+        with pytest.raises(ValueError):
+            sl2c.second_rep(bad)
+    sl2c.check_sl2c(np.eye(2))
+
+
+def test_guards_reject_small_errors_at_rapidity_5():
+    # the tolerances scale with the entries, but a 1e-6 relative error in
+    # one entry or in the determinant still fails at rapidity 5
+    lam = mk.boost("x", 5.0)
+    mk.check_proper_lorentz(lam)
+    lam[0, 1] *= 1.0 + 1e-6
     with pytest.raises(ValueError):
-        sl2c.SL2CElement(2.0 * np.eye(2))
-    sl2c.SL2CElement(np.eye(2))
+        mk.check_proper_lorentz(lam)
+    a = sl2c.sl2c_boost("x", 5.0)
+    sl2c.spinor_map(a)
+    a = a * np.sqrt(1.0 + 1e-6)   # det 1 + 1e-6
+    with pytest.raises(ValueError):
+        sl2c.spinor_map(a)
+    with pytest.raises(ValueError):
+        sl2c.second_rep(a)
 
 
 def test_spinor_map_on_generators():
@@ -29,7 +49,7 @@ def test_spinor_map_is_homomorphism():
 
 
 def test_spinor_map_kernel_is_plus_minus_identity():
-    minus = sl2c.SL2CElement(-np.eye(2))
+    minus = -np.eye(2)
     assert np.allclose(sl2c.spinor_map(minus), np.eye(4), atol=1e-14)
 
 
@@ -50,7 +70,7 @@ def test_conjugation_action_matches_map():
     for _ in range(100):
         a = sl2c.random_sl2c(rng)
         v = mk.random_four_vector(rng, 2.0)
-        lhs = a.matrix @ sl2c.hermitian_form(v) @ a.matrix.conj().T
+        lhs = a @ sl2c.hermitian_form(v) @ a.conj().T
         rhs = sl2c.hermitian_form(mk.apply(sl2c.spinor_map(a), v))
         assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -62,8 +82,8 @@ def test_defining_relation_covariant_form():
         a = sl2c.random_sl2c(rng)
         n = mk.random_four_vector(rng, 2.0)
         nl = mk.lower(n)
-        lhs = a.matrix.conj().T @ sum(
-            nl[i] * sl2c.PAULI[i] for i in range(4)) @ a.matrix
+        lhs = a.conj().T @ sum(
+            nl[i] * sl2c.PAULI[i] for i in range(4)) @ a
         back = mk.apply(mk.inverse(sl2c.spinor_map(a)), n)
         backl = mk.lower(back)
         rhs = sum(backl[i] * sl2c.PAULI[i] for i in range(4))
@@ -75,15 +95,18 @@ def test_canonical_boost_properties():
     for _ in range(100):
         n = mk.random_unit_timelike(rng)
         boost = sl2c.canonical_boost(n)
-        m = boost.matrix
         # positive Hermitian with unit determinant
-        assert np.allclose(m, m.conj().T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(m) > 0)
+        assert np.allclose(boost, boost.conj().T, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(boost) > 0)
         assert np.allclose(mk.apply(sl2c.spinor_map(boost), mk.N0), n,
                            atol=1e-12)
         # matches the 4x4 symmetric boost through the spinor map
         assert np.allclose(sl2c.spinor_map(boost), mk.pure_boost(n),
                            atol=1e-10)
+        # principal square root of X(n) by eigendecomposition (reference)
+        vals, vecs = np.linalg.eigh(sl2c.hermitian_form(n))
+        assert np.allclose(boost, (vecs * np.sqrt(vals)) @ vecs.conj().T,
+                           atol=1e-12)
 
 
 def test_second_rep_is_homomorphism():
@@ -92,7 +115,7 @@ def test_second_rep_is_homomorphism():
         a, b = sl2c.random_sl2c(rng), sl2c.random_sl2c(rng)
         lhs = sl2c.second_rep(a @ b)
         rhs = sl2c.second_rep(a) @ sl2c.second_rep(b)
-        assert np.allclose(lhs.matrix, rhs.matrix, atol=1e-10)
+        assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_second_rep_fixes_su2():
@@ -100,4 +123,4 @@ def test_second_rep_fixes_su2():
     for _ in range(50):
         u = sl2c.sl2c_rotation(("x", "y", "z")[rng.integers(0, 3)],
                                rng.uniform(-3, 3))
-        assert np.allclose(sl2c.second_rep(u).matrix, u.matrix, atol=1e-12)
+        assert np.allclose(sl2c.second_rep(u), u, atol=1e-12)

@@ -153,7 +153,7 @@ def test_pi_rotation_equals_minus_exchange_on_m_zero():
     zero total-magnetic-number subspace."""
     rng = np.random.default_rng(3)
     ry = sl2c.sl2c_rotation("y", np.pi)
-    d = sc._rep_matrix(0.5, ry.matrix)
+    d = sc._rep_matrix(0.5, ry)
     for _ in range(100):
         # random product state of one up and one down spin (M = 0)
         ph1, ph2 = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
