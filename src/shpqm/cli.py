@@ -125,6 +125,8 @@ def _parse_boost(text):
         raise ConfigError(f"boost spec {text!r}: expected axis:rapidity") from exc
     if axis not in ("x", "y", "z"):
         raise ConfigError(f"boost axis must be x, y, or z, got {axis!r}")
+    if not np.isfinite(rapidity):
+        raise ConfigError(f"boost spec {text!r}: rapidity must be finite")
     return axis, rapidity
 
 
@@ -150,8 +152,11 @@ def cmd_wigner(args):
     else:
         n = minkowski.N0
     a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
-    d = little_group.wigner_d(
-        a, minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(a), n)))
+    try:
+        d = little_group.wigner_d(
+            a, minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(a), n)))
+    except ValueError as exc:   # e.g. rapidities beyond the supported range
+        raise ConfigError(f"induced rotation: {exc}") from exc
     angle, axis = little_group.su2_angle_axis(d)
     payload = {
         "schema_version": SCHEMA_VERSION,

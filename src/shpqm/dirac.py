@@ -10,6 +10,10 @@ which makes (gamma.n)^2 = +1 for unit timelike n and (gamma5)^2 = +1.  Both
 signs are deliberate: they are forced by K_L^2 = (p.n)^2 and by idempotence
 of the light-cone and helicity projections, and they are reported as
 convention flags by the verification suites.
+
+The operator kernels are batch-first: n and p are (..., 4) arrays and the
+operators they build carry the same leading sample axes ahead of their
+matrix axes; single (4,) vectors go through the same code.
 """
 
 from __future__ import annotations
@@ -59,13 +63,14 @@ def gamma5():
 
 def gamma_dot(v):
     """gamma.v = gamma^mu v_mu (covariant contraction)."""
-    v = np.asarray(v, dtype=float)
-    return -v[0] * GAMMA[0] + v[1] * GAMMA[1] + v[2] * GAMMA[2] + v[3] * GAMMA[3]
+    return np.einsum("...m,mab->...ab", minkowski.lower(v), GAMMA)
 
 
 _SIGMA_ALL = np.stack([[0.25j * (GAMMA[m] @ GAMMA[n] - GAMMA[n] @ GAMMA[m])
                         for n in range(4)] for m in range(4)])
 _SIGMA_ALL.setflags(write=False)
+# K^mu = Sigma^{mu nu} n_nu as one matrix product: row nu holds Sigma^{. nu}
+_SIGMA_BY_NU = _SIGMA_ALL.transpose(1, 0, 2, 3).reshape(4, 64)
 
 
 def sigma(mu, nu):
@@ -75,49 +80,56 @@ def sigma(mu, nu):
 
 def k_vec(mu, n):
     """K^mu = Sigma^{mu nu} n_nu."""
-    return k_all(n)[mu]
+    return k_all(n)[..., mu, :, :]
 
 
 def k_all(n):
-    """All four K^mu stacked, shape (4, 4, 4)."""
-    return np.einsum("mnab,n->mab", _SIGMA_ALL, minkowski.lower(n))
+    """All four K^mu stacked, shape (..., 4, 4, 4)."""
+    lowered = minkowski.lower(n)
+    return (lowered @ _SIGMA_BY_NU).reshape(lowered.shape[:-1] + (4, 4, 4))
 
 
 def projector_pi(n):
     """pi^{lambda mu} = g^{lambda mu} + n^lambda n^mu."""
     n = np.asarray(n, dtype=float)
-    return minkowski.METRIC + np.outer(n, n)
+    return minkowski.METRIC + n[..., :, None] * n[..., None, :]
 
 
 def gamma_n(mu, n):
-    """Projected gamma matrix gamma_lambda pi^{lambda mu} = gamma^mu + (gamma.n) n^mu."""
+    """Projected gamma matrix gamma_lambda pi^{lambda mu} = gamma^mu + (gamma.n) n^mu.
+
+    mu is an index, or an index array with the leading shape of n.
+    """
     n = np.asarray(n, dtype=float)
-    return GAMMA[mu] + n[mu] * gamma_dot(n)
+    n_mu = np.take_along_axis(n, np.asarray(mu)[..., None], axis=-1)
+    return GAMMA[mu] + n_mu[..., None] * gamma_dot(n)
 
 
 def sigma_n(mu, nu, n):
     """Covariant Pauli matrix Sigma_n^{mu nu} = Sigma^{mu nu} + K^mu n^nu - K^nu n^mu."""
-    return sigma_n_all(n)[mu, nu]
+    return sigma_n_all(n)[..., mu, nu, :, :]
 
 
 def sigma_n_all(n):
-    """All Sigma_n^{mu nu} stacked, shape (4, 4, 4, 4)."""
+    """All Sigma_n^{mu nu} stacked, shape (..., 4, 4, 4, 4)."""
     n = np.asarray(n, dtype=float)
-    k = k_all(n)
-    return (_SIGMA_ALL
-            + np.einsum("mab,n->mnab", k, n)
-            - np.einsum("nab,m->mnab", k, n))
+    k_n = k_all(n)[..., :, None, :, :] * n[..., None, :, None, None]   # K^mu n^nu
+    return _SIGMA_ALL + k_n - np.swapaxes(k_n, -4, -3)
+
+
+def _p_dot_k(p, n):
+    """p.K = K^mu p_mu."""
+    return np.einsum("...mab,...m->...ab", k_all(n), minkowski.lower(p))
 
 
 def k_l(p, n):
     """Longitudinal (sector-Hermitian) part of gamma.p, -(p.n)(gamma.n)."""
-    return -minkowski.dot(p, n) * gamma_dot(n)
+    return -minkowski.inner(p, n)[..., None, None] * gamma_dot(n)
 
 
 def k_t(p, n):
     """Transverse part, -2i gamma5 (p.K)(gamma.n)."""
-    p_dot_k = np.einsum("mab,m->ab", k_all(n), minkowski.lower(p))
-    return -2.0j * GAMMA5 @ p_dot_k @ gamma_dot(n)
+    return -2.0j * GAMMA5 @ _p_dot_k(p, n) @ gamma_dot(n)
 
 
 def k_l_symmetrized(p, n):
@@ -213,16 +225,14 @@ def projections(p, n):
 
     Returns a dict with keys 'cone', 'energy', 'helicity', each a (P+, P-) pair.
     """
-    minkowski.check_unit_timelike_future(n)
-    pn = minkowski.dot(p, n)
-    norm2 = minkowski.dot(p, p) + pn * pn
-    if norm2 <= 0:
-        raise ValueError("p^2 + (p.n)^2 must be positive for the helicity pair")
+    n = minkowski.check_unit_timelike_future(n)
+    pn = minkowski.inner(p, n)
+    minkowski.require(minkowski.inner(p, p) + pn * pn > 0,
+                      lambda i: "p^2 + (p.n)^2 must be positive for the helicity pair")
+    minkowski.require(pn != 0.0, lambda i: "p.n = 0: energy-sign projection undefined")
     gn = gamma_dot(n)
     cone = (0.5 * (ID4 - gn), 0.5 * (ID4 + gn))
-    if pn == 0.0:
-        raise ValueError("p.n = 0: energy-sign projection undefined")
-    s = pn / abs(pn)
+    s = np.sign(pn)[..., None, None]
     energy = (0.5 * (1.0 - s) * ID4, 0.5 * (1.0 + s) * ID4)
     hel_op = helicity_operator(p, n)
     helicity = (0.5 * (ID4 + hel_op), 0.5 * (ID4 - hel_op))
@@ -231,17 +241,16 @@ def projections(p, n):
 
 def helicity_operator(p, n):
     """The operator inside the helicity projection, 2i gamma5 K.p / sqrt(p^2+(p.n)^2)."""
-    pn = minkowski.dot(p, n)
-    norm2 = minkowski.dot(p, p) + pn * pn
-    p_dot_k = np.einsum("mab,m->ab", k_all(n), minkowski.lower(p))
-    return 2.0j * GAMMA5 @ p_dot_k / np.sqrt(norm2)
+    pn = minkowski.inner(p, n)
+    norm2 = minkowski.inner(p, p) + pn * pn
+    return 2.0j * GAMMA5 @ _p_dot_k(p, n) / np.sqrt(norm2)[..., None, None]
 
 
 def sector_metric(n):
     """eta with <psi|phi>_n = psi^dagger eta phi: -+ gamma^0 (gamma.n) for n in
     the future/past light cone.  Reduces to the identity at the rest frame."""
-    sign = -1.0 if n[0] > 0 else 1.0
-    return sign * GAMMA[0] @ gamma_dot(n)
+    sign = 1.0 - 2.0 * (minkowski.components(n)[0] > 0)
+    return np.asarray(sign)[..., None, None] * (GAMMA[0] @ gamma_dot(n))
 
 
 def is_sector_hermitian(op, n, tol=1e-10):
@@ -277,31 +286,38 @@ class FourSpinor:
         object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
 
 
+def _matvec(m, v):
+    """Matrix times vector over leading sample axes."""
+    return (m @ v[..., None])[..., 0]
+
+
 def assemble_spinor(pair):
     """Build the four-spinor from the pair via the block assembly matrix.
 
     The boost factors enter inverted relative to the canonical_boost
     orientation; this is the form for which the sector norm equals
     |psi|^2 + |phi|^2 identically (see the convention notes in README).
+    Pairs may carry leading sample axes on psi, phi and n.
     """
     boost = sl2c.canonical_boost(pair.n)
-    first = sl2c.inv(boost) @ pair.psi
-    second = boost @ pair.phi   # second-rep boost inverse equals L(n)
-    stacked = np.concatenate([first, second])
-    return FourSpinor(ASSEMBLY @ stacked, pair.n)
+    first = _matvec(sl2c.inv(boost), pair.psi)
+    second = _matvec(boost, pair.phi)   # second-rep boost inverse equals L(n)
+    stacked = np.concatenate([first, second], axis=-1)
+    return FourSpinor(stacked @ ASSEMBLY.T, pair.n)
 
 
 def sector_norm(spinor):
     """Invariant norm -+ psibar (gamma.n) psi; positive on the future cone."""
     c = spinor.components
-    val = c.conj() @ sector_metric(spinor.n) @ c
-    return float(val.real)
+    return (c.conj() * _matvec(sector_metric(spinor.n), c)).sum(axis=-1).real
 
 
 def s_lambda(a):
-    """4x4 spinor representation S(Lambda) of an SL(2,C) element."""
+    """4x4 spinor representation S(Lambda) of SL(2,C) elements."""
     bar = sl2c.second_rep(a)
-    blockdiag = np.block([[bar, _Z], [_Z, a]])
+    blockdiag = np.zeros(bar.shape[:-2] + (4, 4), dtype=complex)
+    blockdiag[..., :2, :2] = bar
+    blockdiag[..., 2:, 2:] = a
     return ASSEMBLY @ blockdiag @ ASSEMBLY.conj().T
 
 
@@ -312,4 +328,4 @@ def transform_pair(pair, a):
     lam = sl2c.spinor_map(a)
     n_new = minkowski.unit_timelike(minkowski.apply(lam, pair.n))
     d = little_group.wigner_d(a, n_new)
-    return TwoSpinorPair(d @ pair.psi, d @ pair.phi, n_new)
+    return TwoSpinorPair(_matvec(d, pair.psi), _matvec(d, pair.phi), n_new)

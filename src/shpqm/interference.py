@@ -154,11 +154,17 @@ class InterferenceResult:
 
 def _fourier_period(dt_grid, oscillatory, pad=16):
     """Dominant period of a real signal via zero-padded DFT with parabolic
-    refinement of the peak bin."""
+    refinement of the peak bin.
+
+    The signal is padded to the first power of two at or above pad times its
+    length: a length with a large prime factor sends the FFT down a slow path
+    that also needs several times the memory.
+    """
     step = dt_grid[1] - dt_grid[0]
     sig = oscillatory - np.mean(oscillatory)
-    spec = np.abs(np.fft.rfft(sig, n=pad * len(sig)))
-    freqs = np.fft.rfftfreq(pad * len(sig), d=step)
+    size = 1 << (pad * len(sig) - 1).bit_length()
+    spec = np.abs(np.fft.rfft(sig, n=size))
+    freqs = np.fft.rfftfreq(size, d=step)
     k = int(np.argmax(spec[1:])) + 1
     if 1 <= k < len(spec) - 1:
         y0, y1, y2 = spec[k - 1], spec[k], spec[k + 1]

@@ -20,11 +20,14 @@ SU2_TOL = 1e-10
 
 
 def check_su2(d, tol=SU2_TOL):
+    """Return d as a complex (..., 2, 2) array; raise unless every element is
+    unitary with unit determinant within tol (a number or one per sample)."""
     d = np.asarray(d, dtype=complex)
-    dev_u = np.max(np.abs(d.conj().T @ d - np.eye(2)))
-    dev_det = abs(np.linalg.det(d) - 1.0)
-    if dev_u > tol or dev_det > tol:
-        raise ValueError(f"not SU(2): unitarity dev {dev_u:.3e}, det dev {dev_det:.3e}")
+    dev_u = np.abs(np.swapaxes(d.conj(), -1, -2) @ d - sl2c.SIGMA0).max(axis=(-2, -1))
+    dev_det = np.abs(sl2c.det(d) - 1.0)
+    minkowski.require((dev_u <= tol) & (dev_det <= tol),
+                      lambda i: f"not SU(2): unitarity dev {dev_u[i]:.3e}, "
+                                f"det dev {dev_det[i]:.3e}")
     return d
 
 
@@ -33,13 +36,14 @@ def wigner_d(a, n):
 
     Satisfies the cocycle D(A1 A2, n) = D(A1, n) D(A2, Lambda1^{-1} n).
     The SU(2) tolerance is relative to max(1, max|Lambda|), the size of the
-    boosts whose round-off D carries.
+    boosts whose round-off D carries.  a (..., 2, 2) and n (..., 4) broadcast
+    over their leading sample axes.
     """
-    minkowski.check_unit_timelike_future(n)
+    n = minkowski.check_unit_timelike_future(n)
     lam = sl2c.spinor_map(a)
     n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam), n))
     d = sl2c.inv(sl2c.canonical_boost(n)) @ a @ sl2c.canonical_boost(n_back)
-    return check_su2(d, SU2_TOL * max(1.0, float(np.max(np.abs(lam)))))
+    return check_su2(d, SU2_TOL * np.maximum(1.0, np.abs(lam).max(axis=(-2, -1))))
 
 
 def momentum_wigner_d(a, p, m, rel_tol=1e-6):

@@ -3,6 +3,11 @@ orthochronous Lorentz matrices.
 
 Vectors are plain numpy arrays of 4 contravariant components (t, x, y, z).
 The metric is a fixed constant, never configurable.
+
+The kernels are batch-first: a vector is a (..., 4) array and a Lorentz
+matrix a (..., 4, 4) array, where the leading axes index samples and
+broadcast against each other; a single (4,) or (4, 4) array goes through the
+same code.  Checks hold per sample and name the first failing one.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ import numpy as np
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.setflags(write=False)
+_SIGNS = np.diag(METRIC).copy()
+_SIGNS.setflags(write=False)
+_SIGNS_OUTER = np.outer(_SIGNS, _SIGNS)      # g_mu g_nu, for g lam^T g
+_SIGNS_OUTER.setflags(write=False)
 
 N0 = np.array([1.0, 0.0, 0.0, 0.0])
 N0.setflags(write=False)
@@ -40,34 +49,70 @@ def four_vector(t, x=0.0, y=0.0, z=0.0):
     return v
 
 
+def require(ok, message):
+    """Raise ValueError unless every sample passes a check.
+
+    ok holds one flag per sample (a single flag for an unbatched input);
+    message(i) describes the first failing sample, with i its index tuple
+    into ok, and a batched error starts by naming that sample.
+    """
+    ok = np.asarray(ok)
+    if not (ok.all() if ok.ndim else ok):
+        i = tuple(int(k) for k in np.unravel_index(np.argmin(ok), ok.shape))
+        where = f"sample {i[0] if len(i) == 1 else i}: " if i else ""
+        raise ValueError(where + message(i))
+
+
 def axis_vector(axis):
-    """Unit spatial 3-vector from 'x'/'y'/'z' or an arbitrary 3-sequence."""
+    """Unit spatial 3-vector from 'x'/'y'/'z' or a (..., 3) array of
+    nonzero 3-vectors."""
     if isinstance(axis, str):
         try:
             return _AXES[axis].copy()
         except KeyError:
             raise ValueError(f"unknown axis {axis!r}") from None
     a = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(a)
-    if a.shape != (3,) or norm == 0.0:
+    if a.shape[-1:] != (3,):
         raise ValueError("axis must be a nonzero 3-vector")
-    return a / norm
+    norm = np.sqrt((a * a).sum(axis=-1))
+    require(norm > 0.0, lambda i: "axis must be a nonzero 3-vector")
+    return a / norm[..., None]
 
 
 def dot(a, b):
-    """Invariant product -a0*b0 + a.b (spatial)."""
+    """Invariant product -a0*b0 + a.b (spatial) of two single four-vectors,
+    as a float; `inner` is the batched product."""
     return float(-a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
+
+
+def inner(a, b):
+    """Invariant product over the last axis of (..., 4) arrays."""
+    return (np.asarray(a, dtype=float) * b) @ _SIGNS
+
+
+def components(v):
+    """The components (t, x, y, z) of (..., 4) arrays: numbers for a single
+    vector, arrays of the sample shape for a batch."""
+    c = np.asarray(v, dtype=float)
+    c = c.transpose(-1, *range(c.ndim - 1))
+    return c[0], c[1], c[2], c[3]
+
+
+def within(dev, tol, scale):
+    """Per sample, dev <= tol * max(1, scale).  Spelled out because on a
+    single sample np.maximum costs more than the rest of a check."""
+    return (dev <= tol) | (dev <= tol * scale)
 
 
 def lower(v):
     """Covariant components g_{mu nu} v^nu."""
-    return METRIC @ np.asarray(v, dtype=float)
+    return np.asarray(v, dtype=float) * _SIGNS
 
 
 def classify(v):
     """Causal class of v; lightlike within 1e-12 relative to max component^2.
 
-    The zero vector is classified as lightlike.
+    The zero vector is classified as lightlike.  Single vectors only.
     """
     s = dot(v, v)
     scale = float(np.max(np.abs(v))) ** 2
@@ -79,57 +124,67 @@ def classify(v):
 
 
 def is_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
-    """n0 > 0 and n.n = -1 within tol relative to max(1, n0^2), the size of
-    the terms that cancel in n.n."""
-    return n[0] > 0 and abs(dot(n, n) + 1.0) <= tol * max(1.0, n[0] ** 2)
+    """Per sample: n0 > 0 and n.n = -1 within tol relative to max(1, n0^2),
+    the size of the terms that cancel in n.n."""
+    t, x, y, z = components(n)
+    t2 = t * t
+    return (t > 0) & within(abs(-t2 + x * x + y * y + z * z + 1.0), tol, t2)
 
 
 def check_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
-    if not is_unit_timelike_future(n, tol):
-        raise ValueError(f"expected unit future-timelike vector, got {n!r} "
-                         f"with n.n = {dot(n, n)}")
+    """Return n as a float array; raise unless every sample is unit
+    future-timelike."""
+    n = np.asarray(n, dtype=float)
+    require(is_unit_timelike_future(n, tol),
+            lambda i: f"expected unit future-timelike vector, got {n[i]!r} "
+                      f"with n.n = {inner(n[i], n[i])}")
+    return n
 
 
 def unit_timelike(v):
-    """v / sqrt(-v.v): the unit vector along a finite timelike v."""
+    """v / sqrt(-v.v): the unit vector along each finite timelike v."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"four-vector components must be finite, got {v!r}")
-    norm2 = -dot(v, v)
-    if not norm2 > 0.0:
-        raise ValueError(f"expected a timelike vector, got {v!r} with v.v = {-norm2}")
-    return v / np.sqrt(norm2)
+    t, x, y, z = components(v)
+    norm2 = t * t - x * x - y * y - z * z
+    # a non-finite component makes norm2 inf or nan
+    require(np.isfinite(norm2) & (norm2 > 0.0), lambda i: (
+        f"expected a timelike vector, got {v[i]!r} with v.v = {-norm2[i]}"
+        if np.isfinite(v[i]).all() else
+        f"four-vector components must be finite, got {v[i]!r}"))
+    return v / np.sqrt(norm2)[..., None]
 
 
 def check_proper_lorentz(lam, tol=LORENTZ_TOL):
-    """Raise unless lam^T g lam = g, det lam = +1 and lam[0,0] >= 1.
+    """Return lam as a float array; raise unless, per sample,
+    lam^T g lam = g, det lam = +1 and lam[0,0] >= 1.
 
     The metric tolerance is relative to s = max(1, max|lam|)^2, the size of
     the products in lam^T g lam, and the determinant tolerance to s^2.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (4, 4):
+    if lam.shape[-2:] != (4, 4):
         raise ValueError("Lorentz matrix must be 4x4")
-    scale = max(1.0, float(np.max(np.abs(lam)))) ** 2
-    dev = np.max(np.abs(lam.T @ METRIC @ lam - METRIC))
-    if not dev <= tol * scale:
-        raise ValueError(f"not a Lorentz matrix: metric deviation {dev:.3e}")
+    size2 = abs(lam).max(axis=(-2, -1)) ** 2
+    dev = abs(np.swapaxes(lam, -1, -2) * _SIGNS @ lam - METRIC).max(axis=(-2, -1))
     det = np.linalg.det(lam)
-    if abs(det - 1.0) > tol * 10 * scale**2:
-        raise ValueError(f"not proper: det = {det!r}")
-    if lam[0, 0] < 1.0 - tol:
-        raise ValueError(f"not orthochronous: lam[0,0] = {lam[0, 0]!r}")
+    metric_ok = within(dev, tol, size2)
+    proper = within(abs(det - 1.0), tol * 10, size2 * size2)
+    orthochronous = lam[..., 0, 0] >= 1.0 - tol
+    require(metric_ok & proper & orthochronous, lambda i: (
+        f"not a Lorentz matrix: metric deviation {dev[i]:.3e}" if not metric_ok[i] else
+        f"not proper: det = {det[i]!r}" if not proper[i] else
+        f"not orthochronous: lam[0,0] = {lam[i][0, 0]!r}"))
     return lam
 
 
 def apply(lam, v):
-    """Transform a contravariant four-vector."""
-    return np.asarray(lam) @ np.asarray(v, dtype=float)
+    """Transform contravariant four-vectors: lam (..., 4, 4) on v (..., 4)."""
+    return (lam @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def inverse(lam):
     """Inverse of a Lorentz matrix, g lam^T g (exact up to round-off)."""
-    return METRIC @ np.asarray(lam).T @ METRIC
+    return np.swapaxes(lam, -1, -2) * _SIGNS_OUTER
 
 
 def rotation(axis, angle):
@@ -190,12 +245,16 @@ def random_proper_lorentz(seed, max_rapidity=3.0):
     return check_proper_lorentz(lam, tol=1e-11)
 
 
+def rest_boosted(axis, rapidity):
+    """N0 boosted by the given rapidity along axis: (cosh w, sinh w axis)."""
+    w = np.asarray(rapidity, dtype=float)[..., None]
+    return np.concatenate([np.cosh(w), np.sinh(w) * axis_vector(axis)], axis=-1)
+
+
 def random_unit_timelike(rng, max_rapidity=3.0):
     """Random unit future-timelike vector, n = boost applied to N0."""
     axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    w = rng.uniform(0.0, max_rapidity)
-    return four_vector(np.cosh(w), *(np.sinh(w) * axis))
+    return rest_boosted(axis, rng.uniform(0.0, max_rapidity))
 
 
 def random_four_vector(rng, scale=1.0):

@@ -9,6 +9,10 @@ X(n) = n0*I + n.sigma built from *contravariant* components as
 which fixes the vector-level map Lambda = spinor_map(A).  The second
 fundamental representation uses X_bar(n) = n0*I - n.sigma and the element
 (A^dagger)^{-1} = second_rep(A).
+
+The kernels are batch-first: an element is a (..., 2, 2) array and a vector
+a (..., 4) array, where the leading axes index samples; a single (2, 2) or
+(4,) array goes through the same code.
 """
 
 from __future__ import annotations
@@ -25,37 +29,54 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([SIGMA0, SIGMA1, SIGMA2, SIGMA3])
 PAULI.setflags(write=False)
+_PAULI_ROWS = PAULI.reshape(4, 4)            # row mu: sigma_mu flattened
+# Lambda^mu_nu = (1/2) tr(sigma_mu A sigma_nu A^dag)
+#              = sum_{abcd} (1/2) sigma_mu[a, b] sigma_nu[c, d] A[b, c] conj(A[a, d]),
+# one matrix product of this (16, 16) table with the products A[b, c] conj(A[a, d])
+_SPINOR_MAP = 0.5 * np.einsum("mab,ncd->bcadmn", PAULI, PAULI).reshape(16, 16)
+_SPINOR_MAP.setflags(write=False)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_DET_SIGNS = np.array([1.0, -1.0])
+
+
+def det(a):
+    """Closed-form determinant of (..., 2, 2) arrays, a00 a11 - a01 a10."""
+    return (a[..., 0, :] * a[..., 1, ::-1]) @ _DET_SIGNS
 
 
 def check_sl2c(a):
-    """Return a as a complex 2x2 array; raise unless it is finite with unit
-    determinant within DET_TOL relative to max(1, max|a|)^2."""
+    """Return a as a complex (..., 2, 2) array; raise unless every element is
+    finite with unit determinant within DET_TOL relative to max(1, max|a|)^2."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
+    if a.shape[-2:] != (2, 2):
         raise ValueError("SL(2,C) element must be 2x2")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("SL(2,C) element must be finite")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    tol = DET_TOL * max(1.0, float(np.max(np.abs(a)))) ** 2
-    if abs(det - 1.0) > tol:
-        raise ValueError(f"determinant {det!r} not 1 within {tol:.3e}")
+    size = abs(a).max(axis=(-2, -1))       # inf or nan for a non-finite element
+    det_a = det(a)
+    ok = np.isfinite(size) & minkowski.within(abs(det_a - 1.0), DET_TOL, size * size)
+    minkowski.require(ok, lambda i: (
+        f"determinant {det_a[i]!r} not 1 within {DET_TOL * max(1.0, size[i]) ** 2:.3e}"
+        if np.isfinite(size[i]) else "SL(2,C) element must be finite"))
     return a
 
 
 def inv(a):
-    """Inverse of a unit-determinant element: its adjugate."""
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    """Inverse of unit-determinant elements: their adjugates."""
+    return np.swapaxes(a[..., ::-1, ::-1], -1, -2) * _ADJUGATE_SIGNS
+
+
+def _pauli_combination(c):
+    """c0*I + c1*sigma1 + c2*sigma2 + c3*sigma3 for (..., 4) coefficients."""
+    return (c @ _PAULI_ROWS).reshape(c.shape[:-1] + (2, 2))
 
 
 def hermitian_form(v):
     """X(v) = v0*I + v.sigma from contravariant components."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * SIGMA0 + v[1] * SIGMA1 + v[2] * SIGMA2 + v[3] * SIGMA3
+    return _pauli_combination(np.asarray(v, dtype=float))
 
 
 def vector_from_form(x):
     """Inverse of hermitian_form: v^mu = (1/2) tr(sigma_mu X)."""
-    return 0.5 * np.einsum("mab,ba->m", PAULI, x).real
+    return 0.5 * np.einsum("mab,...ba->...m", PAULI, x).real
 
 
 def spinor_map(a):
@@ -63,8 +84,9 @@ def spinor_map(a):
     Lambda^mu_nu = (1/2) tr(sigma_mu A sigma_nu A^dagger); validated as proper
     orthochronous before returning."""
     a = check_sl2c(a)
-    lam = 0.5 * np.einsum("mab,bc,ncd,ad->mn", PAULI, a, PAULI, a.conj()).real
-    return minkowski.check_proper_lorentz(lam, tol=1e-10)
+    products = a[..., :, :, None, None] * a.conj()[..., None, None, :, :]
+    lam = (products.reshape(a.shape[:-2] + (16,)) @ _SPINOR_MAP).real
+    return minkowski.check_proper_lorentz(lam.reshape(a.shape[:-2] + (4, 4)), tol=1e-10)
 
 
 def canonical_boost(n):
@@ -73,35 +95,31 @@ def canonical_boost(n):
     Principal square root of X(n) in closed form: X(n) has unit determinant
     and trace 2 n0, so L(n) = (I + X(n)) / sqrt(2 (1 + n0)).
     """
-    minkowski.check_unit_timelike_future(n)
-    return (SIGMA0 + hermitian_form(n)) / np.sqrt(2.0 * (1.0 + n[0]))
+    n = minkowski.check_unit_timelike_future(n)
+    n0 = minkowski.components(n)[0]
+    return hermitian_form(n + minkowski.N0) / np.sqrt(2.0 * (1.0 + n0))[..., None, None]
 
 
 def second_rep(a):
     """Map to the second fundamental representation, (A^dagger)^{-1}."""
-    return inv(check_sl2c(a).conj().T)
+    return inv(np.swapaxes(check_sl2c(a).conj(), -1, -2))
 
 
 def sl2c_rotation(axis, angle):
     """exp(-i angle/2 sigma.axis): SU(2) rotation about a spatial axis."""
-    ax = minkowski.axis_vector(axis)
-    s = ax[0] * SIGMA1 + ax[1] * SIGMA2 + ax[2] * SIGMA3
-    return np.cos(angle / 2) * SIGMA0 - 1.0j * np.sin(angle / 2) * s
+    half = np.asarray(angle, dtype=float)[..., None] / 2
+    return _pauli_combination(np.concatenate(
+        [np.cos(half), -1.0j * np.sin(half) * minkowski.axis_vector(axis)], axis=-1))
 
 
 def sl2c_boost(axis, rapidity):
-    """exp(rapidity/2 sigma.axis): Hermitian boost along a spatial axis."""
-    ax = minkowski.axis_vector(axis)
-    s = ax[0] * SIGMA1 + ax[1] * SIGMA2 + ax[2] * SIGMA3
-    return np.cosh(rapidity / 2) * SIGMA0 + np.sinh(rapidity / 2) * s
+    """exp(rapidity/2 sigma.axis): Hermitian boost along a spatial axis, the
+    form X of N0 boosted by half the rapidity."""
+    return hermitian_form(minkowski.rest_boosted(axis, np.asarray(rapidity, dtype=float) / 2))
 
 
 def random_sl2c(rng, max_rapidity=3.0):
     """Seeded random element: rotation times bounded boost."""
-    rot_axis = rng.normal(size=3)
-    rot_axis /= np.linalg.norm(rot_axis)
-    boost_axis = rng.normal(size=3)
-    boost_axis /= np.linalg.norm(boost_axis)
-    rot = sl2c_rotation(rot_axis, rng.uniform(0.0, 2 * np.pi))
-    bst = sl2c_boost(boost_axis, rng.uniform(0.0, max_rapidity))
-    return rot @ bst
+    rot_axis, boost_axis = rng.normal(size=3), rng.normal(size=3)
+    angle, rapidity = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.0, max_rapidity)
+    return sl2c_rotation(rot_axis, angle) @ sl2c_boost(boost_axis, rapidity)

@@ -138,7 +138,10 @@ def spin_half(up_amp, down_amp, n=None, tau=0.0):
 
 @dataclass(frozen=True)
 class TwoBodySpinState:
-    """Two-spin state on a common fiber; coefficients indexed by (m1, m2)."""
+    """Two-spin state on a common fiber; coefficients indexed by (m1, m2).
+
+    The coefficients may carry leading sample axes, one state per sample.
+    """
 
     j1: float
     j2: float
@@ -149,16 +152,18 @@ class TwoBodySpinState:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != (_two_j(self.j1) + 1, _two_j(self.j2) + 1):
+        if c.shape[-2:] != (_two_j(self.j1) + 1, _two_j(self.j2) + 1):
             raise ValueError("coefficient matrix shape must be (2j1+1, 2j2+1)")
-        if abs(np.linalg.norm(c) - 1.0) > 1e-10:
-            raise ValueError("two-body coefficients must be normalized")
+        norm = np.linalg.norm(c, axis=(-2, -1))
+        minkowski.require(abs(norm - 1.0) <= 1e-10,
+                          lambda i: "two-body coefficients must be normalized")
         if self.symmetry_tag not in ("none", "symmetric", "antisymmetric"):
             raise ValueError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag != "none":
             if self.j1 != self.j2:
                 raise ValueError("exchange symmetry requires j1 = j2")
-            want = c.T if self.symmetry_tag == "symmetric" else -c.T
+            c_t = np.swapaxes(c, -1, -2)
+            want = c_t if self.symmetry_tag == "symmetric" else -c_t
             if np.max(np.abs(c - want)) > 1e-9:
                 raise ValueError(f"coefficients are not {self.symmetry_tag}")
         minkowski.check_unit_timelike_future(self.n)
@@ -241,11 +246,14 @@ def total_spin_decompose(state):
 
 
 def rotate_two(state, d):
-    """Apply the same SU(2)-representation rotation to both factors."""
+    """Apply the same SU(2)-representation rotation to both factors.
+
+    d may be a (..., 2, 2) batch; the result then holds one state per sample.
+    """
     dj1 = _rep_matrix(state.j1, d)
     dj2 = _rep_matrix(state.j2, d)
     return TwoBodySpinState(state.j1, state.j2,
-                            dj1 @ state.coefficients @ dj2.T,
+                            dj1 @ state.coefficients @ np.swapaxes(dj2, -1, -2),
                             state.n, state.tau, "none")
 
 
@@ -253,7 +261,7 @@ def _rep_matrix(j, d):
     """Spin-j representation matrix of an SU(2) element given for j = 1/2."""
     if abs(j - 0.5) < 1e-12:
         # basis order here is m = -1/2, +1/2; the 2x2 input is (+, -) ordered
-        return np.array([[d[1, 1], d[1, 0]], [d[0, 1], d[0, 0]]])
+        return np.asarray(d)[..., ::-1, ::-1]
     raise NotImplementedError("rotations implemented for spin-1/2 factors")
 
 

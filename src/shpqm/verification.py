@@ -1,18 +1,25 @@
 """Randomized identity suites over the operator algebra and representations.
 
-Each suite draws seeded random inputs, measures the maximum deviation of a
-family of matrix identities, and reports pass/fail against a tolerance.
-Informational checks record known sign discrepancies of commonly quoted
-closed forms without affecting the overall status.
+Each sampled suite draws seeded random inputs sample by sample, in the order
+the scalar samplers (`minkowski.random_unit_timelike`, `sl2c.random_sl2c`)
+draw them, builds the matrices as batches over a leading sample axis, and
+measures the deviation of a family of matrix identities per sample.  A result
+reports the largest deviation, the sample it occurred at, and pass/fail
+against a tolerance.  Informational checks record known sign discrepancies of
+commonly quoted closed forms without affecting the overall status.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dirac, little_group, minkowski, sl2c, spin_coupling
+
+# Samples drawn and evaluated together: bounds the (chunk, 4, 4, 4, 4)
+# temporaries of the operator suite to a few hundred kB.
+CHUNK = 50
 
 
 @dataclass(frozen=True)
@@ -24,6 +31,7 @@ class IdentityResult:
     tolerance: float
     informational: bool = False
     convention_flags: tuple = ()
+    worst_sample: int | None = None   # index of max_deviation; None if unsampled
 
     @property
     def passed(self):
@@ -39,6 +47,7 @@ class IdentityResult:
             "passed": bool(self.passed),
             "informational": self.informational,
             "convention_flags": list(self.convention_flags),
+            "worst_sample": self.worst_sample,
         }
 
 
@@ -46,82 +55,128 @@ def _mdev(x):
     return float(np.max(np.abs(x)))
 
 
+def _sample_mdev(x):
+    """Largest |entry| of each sample of a batch."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def _sampled(identity, description, deviations, tolerance, **kwargs):
+    """Result over per-sample deviations, naming the worst sample."""
+    worst = int(np.argmax(deviations))
+    return IdentityResult(identity, description, len(deviations),
+                          float(deviations[worst]), tolerance,
+                          worst_sample=worst, **kwargs)
+
+
+def _draw_n(rng):
+    """The draws of minkowski.random_unit_timelike(rng, 1.5): axis, rapidity."""
+    return rng.normal(size=3), rng.uniform(0.0, 1.5)
+
+
+def _draw_element(rng):
+    """The draws of sl2c.random_sl2c(rng, 1.0): rotation axis, boost axis,
+    angle, rapidity."""
+    return (rng.normal(size=3), rng.normal(size=3),
+            rng.uniform(0.0, 2 * np.pi), rng.uniform(0.0, 1.0))
+
+
+def _element(rot_axis, boost_axis, angle, rapidity):
+    """The random_sl2c elements of the _draw_element draws."""
+    return sl2c.sl2c_rotation(rot_axis, angle) @ sl2c.sl2c_boost(boost_axis, rapidity)
+
+
+def _per_sample(rng, samples, draw, evaluate):
+    """Per-sample values of a family of identities.
+
+    draw(rng) makes the random draws of one sample; evaluate(*columns) takes
+    those of CHUNK samples, each value stacked over the samples, and returns
+    {identity: value per sample}.  Drawing sample by sample keeps the rng
+    stream, and so the samples, of a loop that builds one sample at a time;
+    taking CHUNK samples at a time bounds the memory.
+    """
+    if samples < 1:
+        raise ValueError("sample count must be positive")
+    parts = []
+    for start in range(0, samples, CHUNK):
+        rows = [draw(rng) for _ in range(min(CHUNK, samples - start))]
+        parts.append(evaluate(*(np.array(column) for column in zip(*rows))))
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
+    """Per-sample deviations of the operator identities on one chunk."""
+    n = minkowski.rest_boosted(n_axis, n_w)
+    a = _element(*element)
+    (mu, nu), (ls, sg) = mu_nu.T, ls_sg.T
+    idx = np.arange(len(n))
+    eye = np.eye(4)
+    pn, pp = minkowski.inner(p, n), minkowski.inner(p, p)
+    kl, kt = dirac.k_l(p, n), dirac.k_t(p, n)
+    klkl, ktkt = kl @ kl, kt @ kt
+    dev = {}
+    dev["k_squares"] = np.maximum.reduce([
+        _sample_mdev(klkl - (pn**2)[:, None, None] * eye),
+        _sample_mdev(ktkt - (pp + pn**2)[:, None, None] * eye),
+        _sample_mdev(ktkt - klkl - pp[:, None, None] * eye)])
+    dev["k_commute_free"] = _sample_mdev(kt @ kl - kl @ kt)
+    nl = minkowski.lower(n)
+    kal = dirac.k_all(n)
+    sna = dirac.sigma_n_all(n)
+    dev["k_n_orthogonal"] = _sample_mdev(np.einsum("...mab,...m->...ab", kal, nl))
+    dev["sigma_n_n_orthogonal"] = _sample_mdev(np.einsum("...mnab,...m->...nab", sna, nl))
+    gm, gn = dirac.gamma_n(mu, n), dirac.gamma_n(nu, n)
+    s_mn = sna[idx, mu, nu]
+    dev["sigma_n_projected_commutator"] = _sample_mdev(s_mn - 0.25j * (gm @ gn - gn @ gm))
+    pi = dirac.projector_pi(n)
+
+    def pi_at(i, j):
+        return pi[idx, i, j][:, None, None]
+
+    k_mu, k_nu, k_la = kal[idx, mu], kal[idx, nu], kal[idx, la]
+    dev["kk_commutator"] = _sample_mdev(k_mu @ k_nu - k_nu @ k_mu + 1j * s_mn)
+    dev["sigma_k_commutator"] = _sample_mdev(
+        s_mn @ k_la - k_la @ s_mn + 1j * (pi_at(nu, la) * k_mu - pi_at(mu, la) * k_nu))
+    s_ls = sna[idx, ls, sg]
+    comm = s_mn @ s_ls - s_ls @ s_mn
+    closed = -1j * (pi_at(nu, ls) * sna[idx, mu, sg] + pi_at(mu, sg) * sna[idx, nu, ls]
+                    - pi_at(mu, ls) * sna[idx, nu, sg] - pi_at(nu, sg) * sna[idx, mu, ls])
+    dev["sigma_sigma_commutator"] = _sample_mdev(comm - closed)
+    # covariance under a random group element
+    lam = sl2c.spinor_map(a)
+    lam_inv = minkowski.inverse(lam)
+    s = dirac.s_lambda(a)
+    s_inv = np.linalg.inv(s)
+    n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
+    conj = s_inv[:, None, None] @ dirac.sigma_n_all(n_new) @ s[:, None, None]
+    back = np.einsum("...mnad,...lm,...sn->...lsad", conj, lam_inv, lam_inv,
+                     optimize=True)
+    dev["covariance"] = _sample_mdev(back - sna)
+    # projections: idempotent, mutually orthogonal, complete by pair; only
+    # on samples away from p.n = 0 and p^2 + (p.n)^2 = 0
+    away = (abs(pn) > 0.2) & (pp + pn**2 > 0.2)
+    dev["projections"] = np.zeros(len(n))
+    if away.any():
+        proj = dirac.projections(p[away], n[away])
+        dev["projections"][away] = np.maximum.reduce([
+            _sample_mdev(x) for plus, minus in proj.values()
+            for x in (plus @ plus - plus, minus @ minus - minus, plus @ minus,
+                      plus + minus - eye)])
+    return dev
+
+
 def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
     """Core operator identities over random (p, n, Lambda)."""
     rng = np.random.default_rng(seed)
-    devs = {
-        "k_squares": 0.0,
-        "k_commute_free": 0.0,
-        "k_n_orthogonal": 0.0,
-        "sigma_n_n_orthogonal": 0.0,
-        "sigma_n_projected_commutator": 0.0,
-        "kk_commutator": 0.0,
-        "sigma_k_commutator": 0.0,
-        "sigma_sigma_commutator": 0.0,
-        "covariance": 0.0,
-        "projections": 0.0,
-    }
-    for _ in range(samples):
-        n = minkowski.random_unit_timelike(rng, 1.5)
-        p = minkowski.random_four_vector(rng, 2.0)
-        pn = minkowski.dot(p, n)
-        pp = minkowski.dot(p, p)
-        kl, kt = dirac.k_l(p, n), dirac.k_t(p, n)
-        eye = np.eye(4)
-        devs["k_squares"] = max(
-            devs["k_squares"],
-            _mdev(kl @ kl - pn**2 * eye),
-            _mdev(kt @ kt - (pp + pn**2) * eye),
-            _mdev(kt @ kt - kl @ kl - pp * eye))
-        devs["k_commute_free"] = max(devs["k_commute_free"],
-                                     _mdev(kt @ kl - kl @ kt))
-        nl = minkowski.lower(n)
-        kal = dirac.k_all(n)
-        sna = dirac.sigma_n_all(n)
-        devs["k_n_orthogonal"] = max(devs["k_n_orthogonal"],
-                                     _mdev(np.einsum("mab,m->ab", kal, nl)))
-        devs["sigma_n_n_orthogonal"] = max(
-            devs["sigma_n_n_orthogonal"],
-            _mdev(np.einsum("mnab,m->nab", sna, nl)))
-        mu, nu = rng.integers(0, 4, size=2)
-        gm, gn = dirac.gamma_n(mu, n), dirac.gamma_n(nu, n)
-        devs["sigma_n_projected_commutator"] = max(
-            devs["sigma_n_projected_commutator"],
-            _mdev(sna[mu, nu] - 0.25j * (gm @ gn - gn @ gm)))
-        pi = dirac.projector_pi(n)
-        la = rng.integers(0, 4)
-        devs["kk_commutator"] = max(
-            devs["kk_commutator"],
-            _mdev(kal[mu] @ kal[nu] - kal[nu] @ kal[mu] + 1j * sna[mu, nu]))
-        devs["sigma_k_commutator"] = max(
-            devs["sigma_k_commutator"],
-            _mdev(sna[mu, nu] @ kal[la] - kal[la] @ sna[mu, nu]
-                  + 1j * (pi[nu, la] * kal[mu] - pi[mu, la] * kal[nu])))
-        ls, sg = rng.integers(0, 4, size=2)
-        comm = sna[mu, nu] @ sna[ls, sg] - sna[ls, sg] @ sna[mu, nu]
-        closed = -1j * (pi[nu, ls] * sna[mu, sg] + pi[mu, sg] * sna[nu, ls]
-                        - pi[mu, ls] * sna[nu, sg] - pi[nu, sg] * sna[mu, ls])
-        devs["sigma_sigma_commutator"] = max(
-            devs["sigma_sigma_commutator"], _mdev(comm - closed))
-        # covariance under a random group element
-        a = sl2c.random_sl2c(rng, 1.0)
-        lam = sl2c.spinor_map(a)
-        lam_inv = minkowski.inverse(lam)
-        s = dirac.s_lambda(a)
-        s_inv = np.linalg.inv(s)
-        n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
-        conj = np.einsum("ab,mnbc,cd->mnad", s_inv,
-                         dirac.sigma_n_all(n_new), s)
-        back = np.einsum("mnad,lm,sn->lsad", conj, lam_inv, lam_inv)
-        devs["covariance"] = max(devs["covariance"], _mdev(back - sna))
-        # projections: idempotent, mutually orthogonal, complete by pair
-        if abs(pn) > 0.2 and pp + pn**2 > 0.2:
-            proj = dirac.projections(p, n)
-            for plus, minus in proj.values():
-                devs["projections"] = max(
-                    devs["projections"],
-                    _mdev(plus @ plus - plus), _mdev(minus @ minus - minus),
-                    _mdev(plus @ minus), _mdev(plus + minus - eye))
+
+    def draw(r):
+        n_draws = _draw_n(r)
+        p = r.normal(scale=2.0, size=4)       # minkowski.random_four_vector(r, 2.0)
+        mu_nu = r.integers(0, 4, size=2)
+        la = r.integers(0, 4)
+        ls_sg = r.integers(0, 4, size=2)
+        return (*n_draws, p, mu_nu, la, ls_sg, *_draw_element(r))
+
+    devs = _per_sample(rng, samples, draw, _operator_deviations)
     descriptions = {
         "k_squares": "squares of the longitudinal/transverse operators",
         "k_commute_free": "free-case commutation of K_T and K_L",
@@ -137,10 +192,9 @@ def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
                        "orthogonal, complete",
     }
     results = [
-        IdentityResult(name, descriptions[name], samples, dev, tolerance,
-                       convention_flags=dirac.CONVENTION_FLAGS
-                       if name == "k_squares" else ())
-        for name, dev in devs.items()
+        _sampled(name, description, devs[name], tolerance,
+                 convention_flags=dirac.CONVENTION_FLAGS if name == "k_squares" else ())
+        for name, description in descriptions.items()
     ]
     # informational: commonly quoted variant of the spin-spin closure with
     # two signs flipped; recorded for reference, excluded from pass/fail
@@ -148,18 +202,15 @@ def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
     n = minkowski.random_unit_timelike(rng2, 1.5)
     pi = dirac.projector_pi(n)
     sna = dirac.sigma_n_all(n)
-    dev_alt = 0.0
-    for _ in range(50):
-        mu, nu, ls, sg = rng2.integers(0, 4, size=4)
-        comm = sna[mu, nu] @ sna[ls, sg] - sna[ls, sg] @ sna[mu, nu]
-        alt = -1j * (pi[nu, ls] * sna[mu, sg] + pi[sg, mu] * sna[ls, nu]
-                     - pi[mu, ls] * sna[nu, sg] - pi[sg, nu] * sna[ls, mu])
-        dev_alt = max(dev_alt, _mdev(comm - alt))
-    results.append(IdentityResult(
+    mu, nu, ls, sg = np.array([rng2.integers(0, 4, size=4) for _ in range(50)]).T
+    comm = sna[mu, nu] @ sna[ls, sg] - sna[ls, sg] @ sna[mu, nu]
+    alt = -1j * (pi[nu, ls, None, None] * sna[mu, sg] + pi[sg, mu, None, None] * sna[ls, nu]
+                 - pi[mu, ls, None, None] * sna[nu, sg] - pi[sg, nu, None, None] * sna[ls, mu])
+    results.append(_sampled(
         "sigma_sigma_commutator_quoted_variant",
         "alternative sign pattern sometimes quoted for the spin closure "
         "(does not hold; kept for reference)",
-        50, dev_alt, tolerance, informational=True))
+        _sample_mdev(comm - alt), tolerance, informational=True))
     return results
 
 
@@ -167,37 +218,36 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
     """Unitarity, cocycle composition, and special cases of the induced
     rotation."""
     rng = np.random.default_rng(seed)
-    dev_su2 = dev_cocycle = dev_collinear = 0.0
-    for _ in range(samples):
-        n = minkowski.random_unit_timelike(rng, 1.5)
-        a1 = sl2c.random_sl2c(rng, 1.0)
-        a2 = sl2c.random_sl2c(rng, 1.0)
+
+    def draw(r):
+        return (*_draw_n(r), *_draw_element(r), *_draw_element(r),
+                r.integers(0, 3), r.uniform(-1.5, 1.5, size=2))
+
+    def deviations(n_axis, n_w, *rest):
+        n = minkowski.rest_boosted(n_axis, n_w)
+        a1, a2 = _element(*rest[0:4]), _element(*rest[4:8])
+        axis, w = np.eye(3)[rest[8]], rest[9]      # collinear boosts along x, y or z
         d = little_group.wigner_d(a1, n)
-        dev_su2 = max(dev_su2,
-                      _mdev(d @ d.conj().T - np.eye(2)),
-                      abs(np.linalg.det(d) - 1.0))
+        su2 = np.maximum(_sample_mdev(d @ np.swapaxes(d.conj(), -1, -2) - np.eye(2)),
+                         abs(sl2c.det(d) - 1.0))
         lam1 = sl2c.spinor_map(a1)
         n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam1), n))
         lhs = little_group.wigner_d(a1 @ a2, n)
-        rhs = little_group.wigner_d(a1, n) @ little_group.wigner_d(a2, n_back)
-        dev_cocycle = max(dev_cocycle, _mdev(lhs - rhs))
+        rhs = d @ little_group.wigner_d(a2, n_back)
         # collinear boosts compose without rotation at the rest fiber
-        axis = ("x", "y", "z")[rng.integers(0, 3)]
-        w1, w2 = rng.uniform(-1.5, 1.5, size=2)
-        b = sl2c.sl2c_boost(axis, w1) @ sl2c.sl2c_boost(axis, w2)
-        n_b = minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(b),
-                                                      minkowski.N0))
-        dev_collinear = max(
-            dev_collinear, _mdev(little_group.wigner_d(b, n_b) - np.eye(2)))
+        b = sl2c.sl2c_boost(axis, w[:, 0]) @ sl2c.sl2c_boost(axis, w[:, 1])
+        n_b = minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(b), minkowski.N0))
+        return {"su2": su2, "cocycle": _sample_mdev(lhs - rhs),
+                "collinear": _sample_mdev(little_group.wigner_d(b, n_b) - np.eye(2))}
+
+    devs = _per_sample(rng, samples, draw, deviations)
     return [
-        IdentityResult("wigner_su2", "induced rotation is in SU(2)",
-                       samples, dev_su2, max(tolerance, 1e-10)),
-        IdentityResult("wigner_cocycle",
-                       "composition law of the induced rotation",
-                       samples, dev_cocycle, tolerance),
-        IdentityResult("collinear_boosts",
-                       "collinear boosts induce no rotation",
-                       samples, dev_collinear, tolerance),
+        _sampled("wigner_su2", "induced rotation is in SU(2)",
+                 devs["su2"], max(tolerance, 1e-10)),
+        _sampled("wigner_cocycle", "composition law of the induced rotation",
+                 devs["cocycle"], tolerance),
+        _sampled("collinear_boosts", "collinear boosts induce no rotation",
+                 devs["collinear"], tolerance),
     ]
 
 
@@ -228,25 +278,28 @@ def rest_frame_suite(tolerance=1e-12):
 def norm_suite(seed=42, samples=1000, tolerance=1e-10):
     """Sector norm equality and Lorentz invariance."""
     rng = np.random.default_rng(seed)
-    dev_eq = dev_inv = 0.0
-    for _ in range(samples):
-        n = minkowski.random_unit_timelike(rng, 1.5)
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        pair = dirac.TwoSpinorPair(psi, phi, n)
-        spinor = dirac.assemble_spinor(pair)
-        ref = float(np.vdot(psi, psi).real + np.vdot(phi, phi).real)
-        dev_eq = max(dev_eq, abs(dirac.sector_norm(spinor) - ref))
-        a = sl2c.random_sl2c(rng, 1.0)
-        moved = dirac.assemble_spinor(dirac.transform_pair(pair, a))
-        dev_inv = max(dev_inv, abs(dirac.sector_norm(moved) - ref))
+
+    def draw(r):
+        n_draws = _draw_n(r)
+        psi = r.normal(size=2) + 1j * r.normal(size=2)
+        phi = r.normal(size=2) + 1j * r.normal(size=2)
+        return (*n_draws, psi, phi, *_draw_element(r))
+
+    def deviations(n_axis, n_w, psi, phi, *element):
+        pair = dirac.TwoSpinorPair(psi, phi, minkowski.rest_boosted(n_axis, n_w))
+        ref = (np.einsum("...a,...a->...", psi.conj(), psi).real
+               + np.einsum("...a,...a->...", phi.conj(), phi).real)
+        moved = dirac.assemble_spinor(dirac.transform_pair(pair, _element(*element)))
+        return {"equality": abs(dirac.sector_norm(dirac.assemble_spinor(pair)) - ref),
+                "invariance": abs(dirac.sector_norm(moved) - ref)}
+
+    devs = _per_sample(rng, samples, draw, deviations)
     return [
-        IdentityResult("sector_norm_equality",
-                       "sector norm equals the sum of two-spinor norms",
-                       samples, dev_eq, tolerance),
-        IdentityResult("sector_norm_invariance",
-                       "sector norm is Lorentz invariant",
-                       samples, dev_inv, tolerance),
+        _sampled("sector_norm_equality",
+                 "sector norm equals the sum of two-spinor norms",
+                 devs["equality"], tolerance),
+        _sampled("sector_norm_invariance", "sector norm is Lorentz invariant",
+                 devs["invariance"], tolerance),
     ]
 
 
@@ -263,24 +316,24 @@ def coupling_suite(seed=42, samples=200, tolerance=1e-10):
             bj += 1.0
         u = np.array(cols)
         dev_orth = max(dev_orth, _mdev(u @ u.T - np.eye(len(cols))))
-    dev_singlet = 0.0
-    for _ in range(samples):
-        n = minkowski.random_unit_timelike(rng, 1.5)
-        a = sl2c.random_sl2c(rng, 1.0)
+
+    def deviations(n_axis, n_w, *element):
+        n, a = minkowski.rest_boosted(n_axis, n_w), _element(*element)
         d = little_group.wigner_d(a, minkowski.unit_timelike(
             minkowski.apply(sl2c.spinor_map(a), n)))
         s = spin_coupling.singlet(n)
         rot = spin_coupling.rotate_two(s, d)
-        overlap = np.einsum("ik,ik->", rot.coefficients.conj(),
-                            s.coefficients)
-        dev_singlet = max(dev_singlet, abs(abs(overlap) - 1.0))
+        overlap = np.einsum("...ik,...ik->...", rot.coefficients.conj(), s.coefficients)
+        return {"singlet": abs(abs(overlap) - 1.0)}
+
+    devs = _per_sample(rng, samples, lambda r: (*_draw_n(r), *_draw_element(r)), deviations)
     return [
         IdentityResult("cg_orthogonality",
                        "Clebsch-Gordan change of basis is orthogonal",
                        4, dev_orth, 1e-12),
-        IdentityResult("singlet_invariance",
-                       "the singlet is invariant under the induced rotation "
-                       "up to a unit phase", samples, dev_singlet, tolerance),
+        _sampled("singlet_invariance",
+                 "the singlet is invariant under the induced rotation "
+                 "up to a unit phase", devs["singlet"], tolerance),
     ]
 
 

@@ -1,0 +1,155 @@
+"""Batch-first kernels: one call on a leading sample axis equals a loop of
+single calls, and a check on a batch names the first bad sample."""
+
+import numpy as np
+import pytest
+
+from shpqm import dirac, little_group as lg, minkowski as mk, sl2c
+
+N = 1000
+BAD = 617          # the sample each corruption test spoils
+
+
+@pytest.fixture(scope="module")
+def batch():
+    rng = np.random.default_rng(11)
+    a = (sl2c.sl2c_rotation(rng.normal(size=(N, 3)), rng.uniform(0.0, 2 * np.pi, N))
+         @ sl2c.sl2c_boost(rng.normal(size=(N, 3)), rng.uniform(0.0, 1.0, N)))
+    n = mk.rest_boosted(rng.normal(size=(N, 3)), rng.uniform(0.0, 1.5, N))
+    v = rng.normal(scale=2.0, size=(N, 4))
+    psi = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
+    phi = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
+    lam = sl2c.spinor_map(a)
+    d = lg.wigner_d(a, n)
+    timelike = n + 0.1 * v * np.array([0.0, 1.0, 1.0, 1.0])
+    timelike[:, 0] += 1.0
+    return {"a": a, "n": n, "v": v, "psi": psi, "phi": phi, "lam": lam, "d": d,
+            "timelike": timelike}
+
+
+def _assemble(psi, phi, n):
+    return dirac.assemble_spinor(dirac.TwoSpinorPair(psi, phi, n)).components
+
+
+def _sector_norm(psi, phi, n):
+    return dirac.sector_norm(dirac.assemble_spinor(dirac.TwoSpinorPair(psi, phi, n)))
+
+
+def _transform_pair(psi, phi, n, a):
+    pair = dirac.transform_pair(dirac.TwoSpinorPair(psi, phi, n), a)
+    return np.concatenate([pair.psi, pair.phi, pair.n], axis=-1)
+
+
+def _rotation(v, n):
+    return sl2c.sl2c_rotation(v[..., 1:], n[..., 0])
+
+
+def _boost(v, n):
+    return sl2c.sl2c_boost(v[..., 1:], n[..., 1])
+
+
+# kernel, names of its batched arguments
+KERNELS = [
+    (sl2c.spinor_map, ("a",)),
+    (sl2c.check_sl2c, ("a",)),
+    (sl2c.canonical_boost, ("n",)),
+    (sl2c.hermitian_form, ("v",)),
+    (sl2c.inv, ("a",)),
+    (sl2c.second_rep, ("a",)),
+    (sl2c.det, ("a",)),
+    (mk.check_proper_lorentz, ("lam",)),
+    (mk.unit_timelike, ("timelike",)),
+    (mk.check_unit_timelike_future, ("n",)),
+    (mk.apply, ("lam", "v")),
+    (mk.inverse, ("lam",)),
+    (mk.inner, ("v", "n")),
+    (lg.wigner_d, ("a", "n")),
+    (lg.check_su2, ("d",)),
+    (dirac.k_all, ("n",)),
+    (dirac.sigma_n_all, ("n",)),
+    (dirac.gamma_dot, ("v",)),
+    (dirac.projector_pi, ("n",)),
+    (dirac.s_lambda, ("a",)),
+    (dirac.k_l, ("v", "n")),
+    (dirac.k_t, ("v", "n")),
+    (dirac.sector_metric, ("n",)),
+    (_assemble, ("psi", "phi", "n")),
+    (_sector_norm, ("psi", "phi", "n")),
+    (_transform_pair, ("psi", "phi", "n", "a")),
+    (_rotation, ("v", "n")),
+    (_boost, ("v", "n")),
+]
+
+
+@pytest.mark.parametrize("kernel, names", KERNELS, ids=[k.__name__ for k, _ in KERNELS])
+def test_batch_equals_loop_of_single_calls(batch, kernel, names):
+    args = [batch[name] for name in names]
+    batched = kernel(*args)
+    looped = np.array([kernel(*sample) for sample in zip(*args)])
+    assert batched.shape == looped.shape
+    scale = max(1.0, float(np.max(np.abs(looped))))
+    assert np.max(np.abs(batched - looped)) <= 1e-14 * scale
+
+
+def test_batch_broadcasts_a_single_operand(batch):
+    # one fiber for every element, and one element for every fiber
+    a, n = batch["a"][:50], batch["n"][:50]
+    assert np.allclose(lg.wigner_d(a, n[7]), [lg.wigner_d(x, n[7]) for x in a],
+                       rtol=0, atol=1e-14)
+    assert np.allclose(lg.wigner_d(a[7], n), [lg.wigner_d(a[7], y) for y in n],
+                       rtol=0, atol=1e-14)
+
+
+def _spoiled(x, value_at_bad):
+    x = x.copy()
+    x[BAD] = value_at_bad(x[BAD])
+    return x
+
+
+CORRUPTIONS = [
+    ("det_not_one", lambda b: (sl2c.spinor_map, _spoiled(b["a"], lambda a: 1.001 * a))),
+    ("det_not_one_check", lambda b: (sl2c.check_sl2c, _spoiled(b["a"], lambda a: 1.001 * a))),
+    ("nan_element", lambda b: (sl2c.second_rep, _spoiled(b["a"], lambda a: a * np.nan))),
+    ("det_not_one_s_lambda", lambda b: (dirac.s_lambda, _spoiled(b["a"], lambda a: 2.0 * a))),
+    ("non_lorentz", lambda b: (mk.check_proper_lorentz,
+                               _spoiled(b["lam"], lambda m: m + 1e-6 * np.eye(4)))),
+    ("improper", lambda b: (mk.check_proper_lorentz,
+                            _spoiled(b["lam"], lambda m: m @ np.diag([1.0, -1.0, 1.0, 1.0])))),
+    ("not_orthochronous", lambda b: (mk.check_proper_lorentz, _spoiled(b["lam"], lambda m: -m))),
+    ("non_su2", lambda b: (lg.check_su2, _spoiled(b["d"], lambda d: d + 1e-6))),
+    ("nan_vector", lambda b: (mk.unit_timelike,
+                              _spoiled(b["timelike"], lambda v: v * np.array([1, np.nan, 1, 1])))),
+    ("spacelike_vector", lambda b: (mk.unit_timelike,
+                                    _spoiled(b["timelike"], lambda v: np.array([0.1, 1, 0, 0])))),
+    ("spacelike_fiber", lambda b: (sl2c.canonical_boost,
+                                   _spoiled(b["n"], lambda n: np.array([0.5, 1, 0, 0])))),
+    ("past_fiber", lambda b: (mk.check_unit_timelike_future, _spoiled(b["n"], lambda n: -n))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in CORRUPTIONS], ids=[i for i, _ in CORRUPTIONS])
+def test_batch_check_names_the_bad_sample(batch, make):
+    kernel, spoiled = make(batch)
+    with pytest.raises(ValueError, match=rf"^sample {BAD}: "):
+        kernel(spoiled)
+
+
+def test_wigner_d_names_the_bad_sample(batch):
+    a = _spoiled(batch["a"], lambda x: 1.001 * x)
+    with pytest.raises(ValueError, match=rf"^sample {BAD}: determinant"):
+        lg.wigner_d(a, batch["n"])
+    n = _spoiled(batch["n"], lambda y: np.array([0.5, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=rf"^sample {BAD}: expected unit future-timelike"):
+        lg.wigner_d(batch["a"], n)
+
+
+def test_multi_axis_batch_names_the_index_tuple(batch):
+    a = batch["a"][:12].reshape(3, 4, 2, 2).copy()
+    a[2, 1] *= 1.001
+    with pytest.raises(ValueError, match=r"^sample \(2, 1\): determinant"):
+        sl2c.check_sl2c(a)
+
+
+def test_single_input_error_has_no_sample_prefix():
+    with pytest.raises(ValueError, match=r"^determinant"):
+        sl2c.check_sl2c(2.0 * np.eye(2))

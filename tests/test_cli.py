@@ -77,6 +77,10 @@ def test_verify_passes_and_exit_zero(tmp_path):
     info = [r for suite in data["suites"].values() for r in suite
             if r["informational"]]
     assert info and any(not r["passed"] for r in info)
+    # sampled identities name the sample of their largest deviation
+    worst = {r["identity"]: r["worst_sample"] for suite in data["suites"].values()
+             for r in suite}
+    assert worst["rest_su2_closure"] is None and 0 <= worst["wigner_cocycle"] < 50
 
 
 def test_verify_zero_samples_is_config_error():
@@ -121,6 +125,20 @@ def test_wigner_orthogonal_matches_oracle(tmp_path):
 def test_wigner_bad_spec_exits_2():
     assert run_cli(["wigner", "--boost1", "q:1.0", "--boost2", "y:1.0"]) == 2
     assert run_cli(["wigner", "--boost1", "x:abc", "--boost2", "y:1.0"]) == 2
+
+
+@pytest.mark.parametrize("boosts", [
+    ["--boost1", "x:nan", "--boost2", "y:1"],
+    ["--boost1", "x:inf", "--boost2", "y:1"],
+    # beyond the supported rapidity range the SU(2) check of the induced
+    # rotation raises (rapidity 7 still gives the Thomas-Wigner angle)
+    ["--boost1", "x:8", "--boost2", "y:8"],
+])
+def test_wigner_domain_error_exits_2_with_one_line(boosts, capsys):
+    assert run_cli(["wigner", *boosts]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_interference_json_summary(tmp_path):

@@ -1,10 +1,14 @@
 """Tests for the two-electron unequal-time interference computation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from shpqm import interference as itf, spin_coupling as sc
+from shpqm import cli, interference as itf, spin_coupling as sc
 from shpqm.constants import H_EV_FS, HBAR_EV_FS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def reference_config(**overrides):
@@ -151,6 +155,26 @@ def test_fourier_peak_matches_energy_difference():
     bin_width = 1.0 / (len(res.dt_grid_fs) * step)
     freq = 1.0 / res.fringe_period_fs
     assert abs(freq - 4.2 / H_EV_FS) <= bin_width
+
+
+@pytest.mark.parametrize("source, rel_tol", [
+    # the estimate on these short shipped scans is biased by the subtracted
+    # mean (3.6e-6) and by the envelope cut off at +-2 fs (1.3e-5)
+    ("interference_example.cfg", 5e-6),
+    ("interference_wide_split.cfg", 2e-5),
+    (None, 1e-6),
+])
+def test_extracted_period_matches_prediction(source, rel_tol):
+    if source is None:        # a benchmark-sized scan of 400001 samples
+        cfg, lo, hi, samples = itf.EmissionConfig(30.0, 38.0, 0.1, 0.6, 0.7), -4.7, 4.7, 400001
+    else:
+        values = cli.load_config(CONFIGS / source)
+        cfg = itf.EmissionConfig(*(float(values[k]) for k in (
+            "e1_ev", "e2_ev", "t_emit1_fs", "t_emit2_fs", "sigma_t_fs")))
+        lo, hi = float(values["dt_min_fs"]), float(values["dt_max_fs"])
+        samples = int(values["samples"])
+    res = itf.scan_interference(cfg, lo, hi, samples)
+    assert res.fringe_period_fs == pytest.approx(res.predicted_period_fs, rel=rel_tol)
 
 
 def test_feasibility_report_contents():

@@ -1,0 +1,162 @@
+"""Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
+
+    python tools/kernel_timings.py --out BENCH_3.json change=src parent=../parent/src
+
+Each LABEL=SRC argument names a directory holding a `shpqm` package; with
+none, the package of this repository is timed as `change`.  All checkouts are
+loaded side by side in one interpreter (each under its own module name), and
+every figure is taken by alternating between them, a short block of calls at
+a time, and keeping each one's best block: the speed of a shared machine
+drifts by tens of percent within seconds, and alternating exposes the
+checkouts to the same drift.
+
+For each kernel it times one call on N = 1, 100 and 10,000 samples: a single
+(2, 2) or (4,) input at N = 1, one batched call on a leading sample axis
+otherwise.  A kernel that rejects a batched input (code from before the
+kernels were batch-first) is timed as a Python loop of N single calls, and
+the entry says so.  Then it times each verification suite as `run_all` calls
+it at 1000 samples.  Uses only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+SIZES = (1, 100, 10_000)
+SUITE_SAMPLES = 1000
+KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
+           "dirac.sigma_n_all", "dirac.s_lambda")
+
+
+def load(src, alias):
+    """Import the shpqm package under `src` as the module `alias`."""
+    init = Path(src) / "shpqm" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{alias}.cli")     # imports every module
+    return package
+
+
+def best_seconds(calls, repeats, number):
+    """{label: best over `repeats` of the mean time of `number` calls}, the
+    labels' blocks alternating."""
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(repeats):
+        for label, fn in calls.items():
+            t0 = perf_counter()
+            for _ in range(number):
+                fn()
+            best[label] = min(best[label], (perf_counter() - t0) / number)
+    return best
+
+
+def kernel_inputs(package, count, seed=0):
+    """`count` SL(2,C) elements and unit timelike vectors, stacked."""
+    rng = np.random.default_rng(seed)
+    a = np.array([package.sl2c.random_sl2c(rng, 1.0) for _ in range(count)])
+    n = np.array([package.minkowski.random_unit_timelike(rng, 1.5) for _ in range(count)])
+    return a, n
+
+
+def kernel(package, name, a, n):
+    """A kernel of `package` with its arguments for the inputs a, n."""
+    module, fn = name.split(".")
+    args = {"spinor_map": (a,), "canonical_boost": (n,), "wigner_d": (a, n),
+            "sigma_n_all": (n,), "s_lambda": (a,)}[fn]
+    return getattr(getattr(package, module), fn), args
+
+
+def accepts_batch(fn, args, size):
+    try:
+        return np.shape(fn(*args))[:1] == (size,)
+    except (ValueError, IndexError, TypeError):
+        return False
+
+
+def kernel_table(packages, inputs):
+    table = {label: {name: {} for name in KERNELS} for label in packages}
+    for size in SIZES:
+        for name in KERNELS:
+            calls, modes = {}, {}
+            for label, package in packages.items():
+                fn, args = kernel(package, name, *(x[:size] for x in inputs))
+                if size == 1:
+                    single = tuple(x[0] for x in args)
+                    calls[label], modes[label] = (lambda f=fn, s=single: f(*s)), "single"
+                elif accepts_batch(fn, args, size):
+                    calls[label], modes[label] = (lambda f=fn, s=args: f(*s)), "batched"
+                else:
+                    calls[label] = lambda f=fn, s=args: [f(*x) for x in zip(*s)]
+                    modes[label] = "loop of single calls"
+            number = 1000 if size == 1 else max(1, 10_000 // size)
+            repeats = 15 if size == 1 else 5
+            if any(mode.startswith("loop") for mode in modes.values()):
+                number, repeats = 1, 3
+            for label, seconds in best_seconds(calls, repeats, number).items():
+                us = seconds * 1e6
+                table[label][name][f"N={size}"] = {
+                    "us_per_call": round(us, 3), "us_per_sample": round(us / size, 4),
+                    "mode": modes[label]}
+    return table
+
+
+def suite_table(packages):
+    table = {label: {} for label in packages}
+    for name in next(iter(packages.values())).verification.SUITES:
+        if name == "rest_frame":
+            kwargs = {}
+        elif name == "coupling":     # run_all's share for this suite
+            kwargs = {"seed": 42, "samples": max(10, SUITE_SAMPLES // 5)}
+        else:
+            kwargs = {"seed": 42, "samples": SUITE_SAMPLES}
+        calls = {label: (lambda f=p.verification.SUITES[name]: f(**kwargs))
+                 for label, p in packages.items()}
+        for label, seconds in best_seconds(calls, 3, 1).items():
+            table[label][name] = {"seconds": round(seconds, 5),
+                                  "samples": kwargs.get("samples", 0)}
+    calls = {label: (lambda p=p: p.verification.run_all(42, SUITE_SAMPLES))
+             for label, p in packages.items()}
+    for label, seconds in best_seconds(calls, 3, 1).items():
+        table[label]["run_all"] = {"seconds": round(seconds, 5), "samples": SUITE_SAMPLES}
+    return table
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
+                        help="checkouts to time (default: change=<this repository>/src)")
+    parser.add_argument("--out", default="BENCH_3.json", help="JSON file to write")
+    args = parser.parse_args(argv)
+
+    repo_src = Path(__file__).resolve().parents[1] / "src"
+    checkouts = dict(item.split("=", 1) for item in args.checkouts or [f"change={repo_src}"])
+    packages = {label: load(src, f"shpqm_{label}") for label, src in checkouts.items()}
+    inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
+    kernels, suites = kernel_table(packages, inputs), suite_table(packages)
+    data = {"environment": {
+        "nproc": os.cpu_count(), "python": platform.python_version(),
+        "numpy": np.__version__, "machine": platform.machine(),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        "method": "checkouts loaded side by side; best block, blocks alternating"}}
+    for label in packages:
+        data[label] = {"kernels": kernels[label], "suites_s": suites[label]}
+    Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(data, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
