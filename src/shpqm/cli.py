@@ -73,24 +73,34 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _json_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_ready(obj):
+    """obj with every float written as fmt(x), through dicts, lists, tuples
+    and arrays."""
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return fmt(obj)
+    return obj
+
+
+def _write_json(path, payload):
+    _write_text(path, json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_constants(args):
     out = {
         "schema_version": SCHEMA_VERSION,
-        "hbar_ev_fs": fmt(constants.HBAR_EV_FS),
-        "h_ev_fs": fmt(constants.H_EV_FS),
-        "electron_mass_ev": fmt(constants.ELECTRON_MASS_EV),
+        "hbar_ev_fs": constants.HBAR_EV_FS,
+        "h_ev_fs": constants.H_EV_FS,
+        "electron_mass_ev": constants.ELECTRON_MASS_EV,
         "examples": {
-            "energy_spread_for_0.75_fs_ev":
-                fmt(constants.energy_spread_for_time_width(0.75)),
-            "fringe_period_for_4.2_ev_fs":
-                fmt(constants.fringe_period_fs(4.2)),
+            "energy_spread_for_0.75_fs_ev": constants.energy_spread_for_time_width(0.75),
+            "fringe_period_for_4.2_ev_fs": constants.fringe_period_fs(4.2),
         },
     }
-    _write_text(args.out, _json_dumps(out))
+    _write_json(args.out, out)
     return 0
 
 
@@ -102,18 +112,11 @@ def cmd_verify(args):
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
         "samples": args.samples,
-        "suites": {
-            name: [
-                {**r.to_dict(),
-                 "max_deviation": fmt(r.max_deviation),
-                 "tolerance": fmt(r.tolerance)}
-                for r in results
-            ]
-            for name, results in report.items()
-        },
+        "suites": {name: [r.to_dict() for r in results]
+                   for name, results in report.items()},
         "all_passed": verification.all_passed(report),
     }
-    _write_text(args.out, _json_dumps(payload))
+    _write_json(args.out, payload)
     return 0 if payload["all_passed"] else 1
 
 
@@ -153,24 +156,19 @@ def cmd_wigner(args):
         n = minkowski.N0
     a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
     try:
-        d = little_group.wigner_d(
-            a, minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(a), n)))
+        d = little_group.transport(a, n)[2]
     except ValueError as exc:   # e.g. rapidities beyond the supported range
         raise ConfigError(f"induced rotation: {exc}") from exc
     angle, axis = little_group.su2_angle_axis(d)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "boost1": {"axis": ax1, "rapidity": fmt(w1)},
-        "boost2": {"axis": ax2, "rapidity": fmt(w2)},
-        "n": [fmt(v) for v in n],
-        "rotation": {
-            "matrix_real": [[fmt(v) for v in row] for row in d.real],
-            "matrix_imag": [[fmt(v) for v in row] for row in d.imag],
-            "angle": fmt(angle),
-            "axis": [fmt(v) for v in axis],
-        },
+        "boost1": {"axis": ax1, "rapidity": w1},
+        "boost2": {"axis": ax2, "rapidity": w2},
+        "n": n,
+        "rotation": {"matrix_real": d.real, "matrix_imag": d.imag,
+                     "angle": angle, "axis": axis},
     }
-    _write_text(args.out, _json_dumps(payload))
+    _write_json(args.out, payload)
     return 0
 
 
@@ -208,16 +206,13 @@ def cmd_interference(args):
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "fringe_period_fs": fmt(result.fringe_period_fs),
-            "predicted_period_fs": fmt(result.predicted_period_fs),
-            "visibility": fmt(result.visibility),
+            "fringe_period_fs": result.fringe_period_fs,
+            "predicted_period_fs": result.predicted_period_fs,
+            "visibility": result.visibility,
             "flat_oscillation": result.flat_oscillation,
-            "feasibility": {
-                k: (fmt(v) if isinstance(v, float) else v)
-                for k, v in feasibility.items()
-            },
+            "feasibility": feasibility,
         }
-        _write_text(args.out, _json_dumps(payload))
+        _write_json(args.out, payload)
     return 0
 
 

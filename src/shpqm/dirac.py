@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import minkowski, sl2c
+from . import little_group, minkowski, sl2c
 
 _S0, _S1, _S2, _S3 = sl2c.SIGMA0, sl2c.SIGMA1, sl2c.SIGMA2, sl2c.SIGMA3
 _Z = np.zeros((2, 2), dtype=complex)
@@ -76,11 +76,6 @@ _SIGMA_BY_NU = _SIGMA_ALL.transpose(1, 0, 2, 3).reshape(4, 64)
 def sigma(mu, nu):
     """Spin generator (i/4) [gamma^mu, gamma^nu]."""
     return _SIGMA_ALL[mu, nu]
-
-
-def k_vec(mu, n):
-    """K^mu = Sigma^{mu nu} n_nu."""
-    return k_all(n)[..., mu, :, :]
 
 
 def k_all(n):
@@ -323,9 +318,5 @@ def s_lambda(a):
 
 def transform_pair(pair, a):
     """Wigner-rotate both 2-spinors onto the transformed fiber."""
-    from . import little_group
-
-    lam = sl2c.spinor_map(a)
-    n_new = minkowski.unit_timelike(minkowski.apply(lam, pair.n))
-    d = little_group.wigner_d(a, n_new)
+    _, n_new, d = little_group.transport(a, pair.n)
     return TwoSpinorPair(_matvec(d, pair.psi), _matvec(d, pair.phi), n_new)

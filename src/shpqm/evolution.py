@@ -77,7 +77,7 @@ class PotentialModel:
         return -2.0 * self.potential_prime(minkowski.dot(x, x)) * x
 
 
-def classical_step(state, model, dtau, check=True):
+def classical_step(state, model, dtau):
     """One fixed-step RK4 update of Hamilton's equations."""
     if dtau <= 0:
         raise ValueError("dtau must be positive")
@@ -93,22 +93,21 @@ def classical_step(state, model, dtau, check=True):
     x1 = x0 + dtau / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
     p1 = p0 + dtau / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
     out = PhasePoint(x1, p1, state.tau + dtau)
-    if check:
-        k_old = model.hamiltonian(x0, p0)
-        k_new = model.hamiltonian(x1, p1)
-        scale = max(abs(k_old), 1.0)
-        if abs(k_new - k_old) > 1e-6 * scale:
-            raise StepRejectionError(
-                f"hamiltonian drifted by {abs(k_new - k_old):.3e} in one step"
-                f" (scale {scale:.3e}); reduce dtau")
+    k_old = model.hamiltonian(x0, p0)
+    k_new = model.hamiltonian(x1, p1)
+    scale = max(abs(k_old), 1.0)
+    if abs(k_new - k_old) > 1e-6 * scale:
+        raise StepRejectionError(
+            f"hamiltonian drifted by {abs(k_new - k_old):.3e} in one step"
+            f" (scale {scale:.3e}); reduce dtau")
     return out
 
 
-def classical_integrate(state, model, dtau, steps, check=True):
+def classical_integrate(state, model, dtau, steps):
     """Integrate and return the trajectory as a list of PhasePoints."""
     traj = [state]
     for _ in range(steps):
-        state = classical_step(state, model, dtau, check=check)
+        state = classical_step(state, model, dtau)
         traj.append(state)
     return traj
 

@@ -6,6 +6,8 @@ is the *transformed* fiber label, so a state at n_old picks up
 D(Lambda, Lambda n_old) = L(Lambda n_old)^{-1} Lambda L(n_old) acting on its
 spin coefficient column.  With that orientation successive transformations
 compose as a single one (cocycle identity, see wigner_d docstring).
+transport(A, n_old) is the one place that moves a label and builds that
+rotation.
 """
 
 from __future__ import annotations
@@ -40,7 +42,21 @@ def wigner_d(a, n):
     over their leading sample axes.
     """
     n = minkowski.check_unit_timelike_future(n)
+    return _rotation(a, sl2c.spinor_map(a), n)
+
+
+def transport(a, n):
+    """Move fiber labels n by A: returns (Lambda, n_new, D) with Lambda the
+    vector map of A, n_new = Lambda n normalized and D = D(Lambda, n_new), the
+    rotation a spin coefficient column on n picks up.  a (..., 2, 2) and
+    n (..., 4) broadcast over their leading sample axes."""
     lam = sl2c.spinor_map(a)
+    n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
+    return lam, n_new, _rotation(a, lam, n_new)
+
+
+def _rotation(a, lam, n):
+    """wigner_d(a, n) given lam = spinor_map(a); canonical_boost checks n."""
     n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam), n))
     d = sl2c.inv(sl2c.canonical_boost(n)) @ a @ sl2c.canonical_boost(n_back)
     return check_su2(d, SU2_TOL * np.maximum(1.0, np.abs(lam).max(axis=(-2, -1))))
@@ -84,9 +100,7 @@ class InducedPacketState:
 def induced_transform(state, a):
     """Lorentz-transform a packet state: n, centers by the vector map, spin
     coefficients by the little-group rotation at the transformed fiber."""
-    lam = sl2c.spinor_map(a)
-    n_new = minkowski.unit_timelike(minkowski.apply(lam, state.n))
-    d = wigner_d(a, n_new)
+    lam, n_new, d = transport(a, state.n)
     return replace(
         state,
         n=n_new,

@@ -282,17 +282,11 @@ def couple_sequence(states, j_targets):
     tensor = np.eye(_two_j(j_acc) + 1, dtype=complex)  # (M, m1)
     for step, nxt in enumerate(states[1:]):
         big_j = j_targets[step][0] if isinstance(j_targets[step], tuple) else j_targets[step]
-        new_dim = _two_j(big_j) + 1
-        out = np.zeros((new_dim,) + tensor.shape[1:] + (_two_j(nxt.j) + 1,),
-                       dtype=complex)
-        for bi, big_m in enumerate(m_values(big_j)):
-            for ai, m_acc in enumerate(m_values(j_acc)):
-                for ni, m2 in enumerate(m_values(nxt.j)):
-                    if abs(m_acc + m2 - big_m) > 1e-9:
-                        continue
-                    c = cg(j_acc, m_acc, nxt.j, m2, big_j, big_m)
-                    if c != 0.0:
-                        out[bi, ..., ni] += c * tensor[ai]
+        # out[M, ..., m2] = sum over m_acc of <j_acc m_acc; j m2 | J M> tensor[m_acc, ...]
+        out = np.stack([
+            np.moveaxis(np.tensordot(cg_matrix(j_acc, nxt.j, big_j, big_m), tensor,
+                                     axes=([0], [0])), 0, -1)
+            for big_m in m_values(big_j)])
         j_acc, tensor = big_j, out
     # contract the open m indices with the individual state coefficients
     result = tensor

@@ -236,9 +236,9 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
         rhs = d @ little_group.wigner_d(a2, n_back)
         # collinear boosts compose without rotation at the rest fiber
         b = sl2c.sl2c_boost(axis, w[:, 0]) @ sl2c.sl2c_boost(axis, w[:, 1])
-        n_b = minkowski.unit_timelike(minkowski.apply(sl2c.spinor_map(b), minkowski.N0))
+        d_b = little_group.transport(b, minkowski.N0)[2]
         return {"su2": su2, "cocycle": _sample_mdev(lhs - rhs),
-                "collinear": _sample_mdev(little_group.wigner_d(b, n_b) - np.eye(2))}
+                "collinear": _sample_mdev(d_b - np.eye(2))}
 
     devs = _per_sample(rng, samples, draw, deviations)
     return [
@@ -319,8 +319,7 @@ def coupling_suite(seed=42, samples=200, tolerance=1e-10):
 
     def deviations(n_axis, n_w, *element):
         n, a = minkowski.rest_boosted(n_axis, n_w), _element(*element)
-        d = little_group.wigner_d(a, minkowski.unit_timelike(
-            minkowski.apply(sl2c.spinor_map(a), n)))
+        d = little_group.transport(a, n)[2]
         s = spin_coupling.singlet(n)
         rot = spin_coupling.rotate_two(s, d)
         overlap = np.einsum("...ik,...ik->...", rot.coefficients.conj(), s.coefficients)

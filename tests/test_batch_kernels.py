@@ -40,6 +40,12 @@ def _transform_pair(psi, phi, n, a):
     return np.concatenate([pair.psi, pair.phi, pair.n], axis=-1)
 
 
+def _transport(a, n):
+    lam, n_new, d = lg.transport(a, n)
+    lead = n_new.shape[:-1]
+    return np.concatenate([lam.reshape(lead + (16,)), n_new, d.reshape(lead + (4,))], axis=-1)
+
+
 def _rotation(v, n):
     return sl2c.sl2c_rotation(v[..., 1:], n[..., 0])
 
@@ -64,6 +70,7 @@ KERNELS = [
     (mk.inverse, ("lam",)),
     (mk.inner, ("v", "n")),
     (lg.wigner_d, ("a", "n")),
+    (_transport, ("a", "n")),
     (lg.check_su2, ("d",)),
     (dirac.k_all, ("n",)),
     (dirac.sigma_n_all, ("n",)),
@@ -141,6 +148,28 @@ def test_wigner_d_names_the_bad_sample(batch):
     n = _spoiled(batch["n"], lambda y: np.array([0.5, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match=rf"^sample {BAD}: expected unit future-timelike"):
         lg.wigner_d(batch["a"], n)
+
+
+def _transport_by_hand(a, n):
+    lam = sl2c.spinor_map(a)
+    n_new = mk.unit_timelike(mk.apply(lam, n))
+    return lam, n_new, lg.wigner_d(a, n_new)
+
+
+@pytest.mark.parametrize("size", [None, N], ids=["single", "batch"])
+def test_transport_equals_the_hand_written_sequence(batch, size):
+    a, n = (batch["a"][7], batch["n"][7]) if size is None else (batch["a"], batch["n"])
+    for got, want in zip(lg.transport(a, n), _transport_by_hand(a, n)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_transport_names_a_past_fiber(batch):
+    n = _spoiled(batch["n"], lambda y: -y)
+    with pytest.raises(ValueError, match=rf"^sample {BAD}: expected unit future-timelike"):
+        lg.transport(batch["a"], n)
+    with pytest.raises(ValueError, match=rf"^sample {BAD}: expected unit future-timelike"):
+        _transform_pair(batch["psi"], batch["phi"], n, batch["a"])
 
 
 def test_multi_axis_batch_names_the_index_tuple(batch):

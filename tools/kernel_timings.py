@@ -14,7 +14,8 @@ For each kernel it times one call on N = 1, 100 and 10,000 samples: a single
 (2, 2) or (4,) input at N = 1, one batched call on a leading sample axis
 otherwise.  A kernel that rejects a batched input (code from before the
 kernels were batch-first) is timed as a Python loop of N single calls, and
-the entry says so.  Then it times each verification suite as `run_all` calls
+the entry says so; a kernel that a checkout lacks is recorded as absent.
+Then it times each verification suite as `run_all` calls
 it at 1000 samples.  Uses only the standard library and numpy.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 SIZES = (1, 100, 10_000)
 SUITE_SAMPLES = 1000
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
-           "dirac.sigma_n_all", "dirac.s_lambda")
+           "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
 
 
 def load(src, alias):
@@ -72,16 +73,18 @@ def kernel_inputs(package, count, seed=0):
 
 
 def kernel(package, name, a, n):
-    """A kernel of `package` with its arguments for the inputs a, n."""
+    """A kernel of `package` (None if it lacks one) with its arguments for
+    the inputs a, n."""
     module, fn = name.split(".")
     args = {"spinor_map": (a,), "canonical_boost": (n,), "wigner_d": (a, n),
-            "sigma_n_all": (n,), "s_lambda": (a,)}[fn]
-    return getattr(getattr(package, module), fn), args
+            "transport": (a, n), "sigma_n_all": (n,), "s_lambda": (a,)}[fn]
+    return getattr(getattr(package, module), fn, None), args
 
 
 def accepts_batch(fn, args, size):
     try:
-        return np.shape(fn(*args))[:1] == (size,)
+        out = fn(*args)
+        return np.shape(out[0] if isinstance(out, tuple) else out)[:1] == (size,)
     except (ValueError, IndexError, TypeError):
         return False
 
@@ -93,7 +96,9 @@ def kernel_table(packages, inputs):
             calls, modes = {}, {}
             for label, package in packages.items():
                 fn, args = kernel(package, name, *(x[:size] for x in inputs))
-                if size == 1:
+                if fn is None:
+                    table[label][name] = "absent"
+                elif size == 1:
                     single = tuple(x[0] for x in args)
                     calls[label], modes[label] = (lambda f=fn, s=single: f(*s)), "single"
                 elif accepts_batch(fn, args, size):
