@@ -9,7 +9,7 @@ uses 17 significant digits so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 
@@ -65,12 +65,31 @@ def cfg_get(cfg, key, cast=float, default=None):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def _write_text(path, text):
+@contextlib.contextmanager
+def _output(path):
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length columns under `header`, every value as fmt(x).
+
+    Rows are %-formatted a block at a time, which bounds the Python floats
+    alive at once to one block.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with _output(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _json_ready(obj):
@@ -86,7 +105,8 @@ def _json_ready(obj):
 
 
 def _write_json(path, payload):
-    _write_text(path, json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    with _output(path) as fh:
+        fh.write(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_constants(args):
@@ -172,15 +192,6 @@ def cmd_wigner(args):
     return 0
 
 
-def _interference_csv(result):
-    buf = io.StringIO()
-    buf.write("delta_t_fs,probability,envelope,interference_term\n")
-    for dt, p, e, i in zip(result.dt_grid_fs, result.probability,
-                           result.envelope, result.interference):
-        buf.write(f"{fmt(dt)},{fmt(p)},{fmt(e)},{fmt(i)}\n")
-    return buf.getvalue()
-
-
 def cmd_interference(args):
     cfg = load_config(args.config)
     emission = interference.EmissionConfig(
@@ -202,7 +213,9 @@ def cmd_interference(args):
         return 2
     feasibility = interference.feasibility_report(emission)
     if args.format == "csv":
-        _write_text(args.out, _interference_csv(result))
+        _write_csv(args.out, "delta_t_fs,probability,envelope,interference_term",
+                   [result.dt_grid_fs, result.probability, result.envelope,
+                    result.interference])
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -214,24 +227,6 @@ def cmd_interference(args):
         }
         _write_json(args.out, payload)
     return 0
-
-
-def _classical_csv(trajectory, model):
-    buf = io.StringIO()
-    buf.write("tau,t,x,y,z,E,px,py,pz,K\n")
-    for pt in trajectory:
-        k = model.hamiltonian(pt.x, pt.p)
-        row = [pt.tau, *pt.x, *pt.p, k]
-        buf.write(",".join(fmt(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
-def _quantum_csv(packet):
-    buf = io.StringIO()
-    buf.write("p0,prob_density,phase\n")
-    for p, a in zip(packet.momenta, packet.amplitudes):
-        buf.write(f"{fmt(p[0])},{fmt(abs(a) ** 2)},{fmt(np.angle(a))}\n")
-    return buf.getvalue()
 
 
 def cmd_evolve(args):
@@ -249,19 +244,29 @@ def cmd_evolve(args):
         except evolution.StepRejectionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        _write_text(args.out, _classical_csv(traj, model))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        _write_csv(args.out, "tau,t,x,y,z,E,px,py,pz,K",
+                   [traj.tau, traj.x, traj.p, traj.k])
         return 0
     if mode == "quantum":
-        packet = evolution.MomentumPacket.gaussian_energy_axis(
-            e_center=cfg_get(cfg, "e_center"),
-            e_width=cfg_get(cfg, "e_width"),
-            spatial_p=[cfg_get(cfg, k, default=0.0)
-                       for k in ("px", "py", "pz")],
-            mass_param=cfg_get(cfg, "mass_param"),
-            num=cfg_get(cfg, "num", cast=int, default=256),
-        )
+        try:
+            packet = evolution.MomentumPacket.gaussian_energy_axis(
+                e_center=cfg_get(cfg, "e_center"),
+                e_width=cfg_get(cfg, "e_width"),
+                spatial_p=[cfg_get(cfg, k, default=0.0)
+                           for k in ("px", "py", "pz")],
+                mass_param=cfg_get(cfg, "mass_param"),
+                num=cfg_get(cfg, "num", cast=int, default=256),
+            )
+        except ValueError as exc:    # a ConfigError keeps its message
+            raise ConfigError(str(exc)) from exc
         packet = evolution.free_evolve(packet, cfg_get(cfg, "dtau"))
-        _write_text(args.out, _quantum_csv(packet))
+        # abs(a) ** 2 one amplitude at a time: the vectorised np.abs rounds
+        # some values differently in the last digit
+        _write_csv(args.out, "p0,prob_density,phase",
+                   [packet.momenta[:, 0], [abs(a) ** 2 for a in packet.amplitudes],
+                    np.angle(packet.amplitudes)])
         return 0
     raise ConfigError(f"mode must be 'classical' or 'quantum', got {mode!r}")
 

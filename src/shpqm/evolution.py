@@ -33,9 +33,7 @@ class PhasePoint:
         p = np.asarray(self.p, dtype=float)
         if x.shape != (4,) or p.shape != (4,):
             raise ValueError("x and p must be four-vectors")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))
-                and np.isfinite(self.tau)):
-            raise ValueError("phase point must be finite")
+        _check_finite(self.tau, x, p)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
 
@@ -58,58 +56,91 @@ class FreeModel:
 
 
 @dataclass(frozen=True)
-class PotentialModel:
+class PotentialModel(FreeModel):
     """K = p.p / 2M + V(x.x) with V given together with its derivative."""
 
-    mass_param: float
     potential: object
     potential_prime: object
 
     def hamiltonian(self, x, p):
-        return (minkowski.dot(p, p) / (2.0 * self.mass_param)
-                + self.potential(minkowski.dot(x, x)))
-
-    def dx_dtau(self, x, p):
-        return p / self.mass_param
+        return super().hamiltonian(x, p) + self.potential(minkowski.dot(x, x))
 
     def dp_dtau(self, x, p):
         # dp^mu/dtau = -g^{mu nu} dV/dx^nu = -V'(x.x) * 2 x^mu
         return -2.0 * self.potential_prime(minkowski.dot(x, x)) * x
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """A classical run as arrays over its S + 1 states: tau (S+1,), x and
+    p (S+1, 4), and the Hamiltonian k (S+1,)."""
+
+    tau: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    k: np.ndarray
+
+
+def _check_finite(tau, x, p):
+    if not (np.isfinite(tau).all() and np.isfinite(x).all() and np.isfinite(p).all()):
+        raise ValueError("phase point must be finite")
+
+
+def _rk4(model, x0, p0, factors):
+    """One fixed-step RK4 update (x1, p1) of Hamilton's equations.
+
+    The factors dtau/2, dtau, dtau/6 come as four-vectors and 2 k as k + k:
+    numpy is much slower with a scalar operand, and the floats are the same.
+    """
+    half, full, sixth = factors
+    k1x, k1p = model.dx_dtau(x0, p0), model.dp_dtau(x0, p0)
+    x, p = x0 + half * k1x, p0 + half * k1p
+    k2x, k2p = model.dx_dtau(x, p), model.dp_dtau(x, p)
+    x, p = x0 + half * k2x, p0 + half * k2p
+    k3x, k3p = model.dx_dtau(x, p), model.dp_dtau(x, p)
+    x, p = x0 + full * k3x, p0 + full * k3p
+    k4x, k4p = model.dx_dtau(x, p), model.dp_dtau(x, p)
+    return (x0 + sixth * (k1x + (k2x + k2x) + (k3x + k3x) + k4x),
+            p0 + sixth * (k1p + (k2p + k2p) + (k3p + k3p) + k4p))
+
+
 def classical_step(state, model, dtau):
-    """One fixed-step RK4 update of Hamilton's equations."""
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
-
-    def deriv(x, p):
-        return model.dx_dtau(x, p), model.dp_dtau(x, p)
-
-    x0, p0 = state.x, state.p
-    k1x, k1p = deriv(x0, p0)
-    k2x, k2p = deriv(x0 + 0.5 * dtau * k1x, p0 + 0.5 * dtau * k1p)
-    k3x, k3p = deriv(x0 + 0.5 * dtau * k2x, p0 + 0.5 * dtau * k2p)
-    k4x, k4p = deriv(x0 + dtau * k3x, p0 + dtau * k3p)
-    x1 = x0 + dtau / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    p1 = p0 + dtau / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    out = PhasePoint(x1, p1, state.tau + dtau)
-    k_old = model.hamiltonian(x0, p0)
-    k_new = model.hamiltonian(x1, p1)
-    scale = max(abs(k_old), 1.0)
-    if abs(k_new - k_old) > 1e-6 * scale:
-        raise StepRejectionError(
-            f"hamiltonian drifted by {abs(k_new - k_old):.3e} in one step"
-            f" (scale {scale:.3e}); reduce dtau")
-    return out
+    """One fixed-step RK4 update of Hamilton's equations, as a PhasePoint."""
+    run = classical_integrate(state, model, dtau, 1)
+    return PhasePoint(run.x[1], run.p[1], run.tau[1])
 
 
 def classical_integrate(state, model, dtau, steps):
-    """Integrate and return the trajectory as a list of PhasePoints."""
-    traj = [state]
-    for _ in range(steps):
-        state = classical_step(state, model, dtau)
-        traj.append(state)
-    return traj
+    """The Trajectory of `steps` RK4 steps from the PhasePoint `state`.
+
+    Raises StepRejectionError when a step changes K by more than 1e-6
+    relative, and ValueError when a state is not finite.
+    """
+    if not (np.isfinite(dtau) and dtau > 0):
+        raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps!r}")
+    tau, k = np.empty(steps + 1), np.empty(steps + 1)
+    x, p = np.empty((steps + 1, 4)), np.empty((steps + 1, 4))
+    factors = np.full(4, 0.5 * dtau), np.full(4, float(dtau)), np.full(4, dtau / 6.0)
+    t, xi, pi = state.tau, state.x, state.p
+    k_old = model.hamiltonian(xi, pi)
+    tau[0], x[0], p[0], k[0] = t, xi, pi, k_old
+    for i in range(1, steps + 1):
+        xi, pi = _rk4(model, xi, pi, factors)
+        t = t + dtau
+        k_new = model.hamiltonian(xi, pi)
+        tau[i], x[i], p[i], k[i] = t, xi, pi, k_new
+        scale = max(abs(k_old), 1.0)
+        if abs(k_new - k_old) > 1e-6 * scale:
+            # a non-finite state is the error to report, not its drift
+            _check_finite(tau[:i + 1], x[:i + 1], p[:i + 1])
+            raise StepRejectionError(
+                f"hamiltonian drifted by {abs(k_new - k_old):.3e} in one step"
+                f" (scale {scale:.3e}); reduce dtau")
+        k_old = k_new
+    _check_finite(tau, x, p)
+    return Trajectory(tau, x, p, k)
 
 
 def poisson(f, g, at, h_scale=1e-5):
@@ -194,6 +225,8 @@ class MomentumPacket:
 
         e_width is the standard deviation of |amplitude|^2 in p^0.
         """
+        if num < 2:
+            raise ValueError(f"energy grid needs at least 2 samples, got {num!r}")
         n = minkowski.N0 if n is None else np.asarray(n, dtype=float)
         e = np.linspace(e_center - span * e_width, e_center + span * e_width, num)
         de = e[1] - e[0]
@@ -239,6 +272,10 @@ def time_energy_uncertainty(packet):
     spread of the conjugate (time) profile obtained by discrete Fourier
     transform of the amplitude along the energy axis.  Natural units
     (hbar = 1): a Gaussian saturates dt * dE = 1/2.
+
+    Raises ValueError when the free-evolution phase p.p tau / 2M changes by
+    more than pi between neighbouring energy samples (max|E| |tau| dE / M):
+    the time window would wrap around and give a wrong spread.
     """
     e = packet.momenta[:, 0]
     order = np.argsort(e)
@@ -253,6 +290,10 @@ def time_energy_uncertainty(packet):
     if np.ptp(np.diff(e)) > 1e-9 * np.max(np.abs(np.diff(e))):
         raise ValueError("time profile needs a uniform energy grid")
     step = e[1] - e[0]
+    phase_step = np.max(np.abs(e)) * abs(packet.tau) * step / packet.mass_param
+    if not phase_step <= np.pi:
+        raise ValueError(f"energy grid undersamples the evolution phase at tau ="
+                         f" {packet.tau!r}: {phase_step:.3e} rad per sample > pi")
     pad = 8
     f = np.fft.fft(amps * np.sqrt(w), n=pad * len(e))
     t = np.fft.fftfreq(pad * len(e), d=step) * 2 * np.pi

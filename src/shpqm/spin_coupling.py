@@ -85,13 +85,19 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tbig_j, tbig_m):
     return sign * math.sqrt(float(pref * total * total))
 
 
+def _check_triangle(j1, j2, big_j):
+    """Raise unless coupling spins j1 and j2 can give total spin J."""
+    tj1, tj2, tbj = _two_j(j1), _two_j(j2), _two_j(big_j)
+    if not (abs(tj1 - tj2) <= tbj <= tj1 + tj2) or (tj1 + tj2 + tbj) % 2 != 0:
+        raise ValueError(f"triangle rule violated for ({j1}, {j2}, {big_j})")
+
+
 def cg(j1, m1, j2, m2, big_j, big_m):
     """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention."""
     tj1, tm1 = _validate_jm(j1, m1)
     tj2, tm2 = _validate_jm(j2, m2)
     tbj, tbm = _validate_jm(big_j, big_m)
-    if not (abs(tj1 - tj2) <= tbj <= tj1 + tj2) or (tj1 + tj2 + tbj) % 2 != 0:
-        raise ValueError(f"triangle rule violated for ({j1}, {j2}, {big_j})")
+    _check_triangle(j1, j2, big_j)
     return _cg_doubled(tj1, tm1, tj2, tm2, tbj, tbm)
 
 
@@ -102,6 +108,7 @@ def m_values(j):
 
 def cg_matrix(j1, j2, big_j, big_m):
     """Coefficient matrix over (m1, m2) of the coupled state |J M>."""
+    _check_triangle(j1, j2, big_j)
     out = np.zeros((_two_j(j1) + 1, _two_j(j2) + 1))
     for i, m1 in enumerate(m_values(j1)):
         for k, m2 in enumerate(m_values(j2)):
@@ -268,10 +275,10 @@ def _rep_matrix(j, d):
 def couple_sequence(states, j_targets):
     """Left-fold pairwise coupling of N spins to the given intermediate Js.
 
-    Returns the coefficient tensor over (m_1, ..., m_N) of the final state
-    |((j1 j2) J12, j3) J123 ...; M = j_targets[-1][1]>.  j_targets is a list
-    of (J, M) with M used only at the last step; intermediate couplings use
-    the stretched M bookkeeping implicitly through the CG sums.
+    j_targets holds the N-1 totals J12, J123, ... (the M of a (J, M) tuple
+    is not read).  Returns the final J and the amplitudes of the product
+    state on |((j1 j2) J12, j3) J123 ...; J M> for M = -J..J; raises
+    ValueError when a J breaks the triangle rule.
     """
     if len(states) < 2 or len(j_targets) != len(states) - 1:
         raise ValueError("need N >= 2 states and N-1 coupling targets")

@@ -143,9 +143,9 @@ def test_criterion_6_evolution(capfd):
                           mk.four_vector(0.0, 0.12, -0.06, 0.21))
     coarse = ev.classical_integrate(start, model, 2e-3, 10000)
     fine = ev.classical_integrate(start, model, 1e-3, 20000)
-    ok = ok and mdev(coarse[-1].x - fine[-1].x) < 1e-9
-    k0 = model.hamiltonian(coarse[0].x, coarse[0].p)
-    k1 = model.hamiltonian(coarse[-1].x, coarse[-1].p)
+    ok = ok and mdev(coarse.x[-1] - fine.x[-1]) < 1e-9
+    k0 = model.hamiltonian(coarse.x[0], coarse.p[0])
+    k1 = model.hamiltonian(coarse.x[-1], coarse.p[-1])
     ok = ok and abs(k1 - k0) / max(abs(k0), 1.0) < 1e-8
 
     # free-trajectory identities to 1e-12
@@ -153,11 +153,11 @@ def test_criterion_6_evolution(capfd):
     p0 = mk.four_vector(3.0, 0.4, -0.2, 0.7)
     traj = ev.classical_integrate(ev.PhasePoint(np.zeros(4), p0), free,
                                   0.05, 200)
-    dx = traj[-1].x - traj[0].x
+    dx = traj.x[-1] - traj.x[0]
     ok = ok and mdev(dx[1:] / dx[0] - p0[1:] / p0[0]) < 1e-12
     m = np.sqrt(-mk.dot(p0, p0))
     ds = np.sqrt(-mk.dot(dx, dx))
-    ok = ok and abs(ds / traj[-1].tau - m / 2.0) < 1e-12
+    ok = ok and abs(ds / traj.tau[-1] - m / 2.0) < 1e-12
 
     # Gaussian time-energy product 0.5 +- 1e-9 (natural units)
     _, _, prod = ev.time_energy_uncertainty(

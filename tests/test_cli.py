@@ -218,6 +218,17 @@ steps = 500
 """
 
 
+QUANTUM_CFG = """\
+mode = quantum
+mass_param = 511000.0
+e_center = 35.0
+e_width = 0.5
+pz = 1.0
+dtau = 25.0
+num = 256
+"""
+
+
 def test_evolve_classical_conserves_k(tmp_path):
     cfg = write_cfg(tmp_path, CLASSICAL_CFG)
     out = tmp_path / "traj.csv"
@@ -230,15 +241,7 @@ def test_evolve_classical_conserves_k(tmp_path):
 
 
 def test_evolve_quantum_norm(tmp_path):
-    cfg = write_cfg(tmp_path, """\
-mode = quantum
-mass_param = 511000.0
-e_center = 35.0
-e_width = 0.5
-pz = 1.0
-dtau = 25.0
-num = 256
-""")
+    cfg = write_cfg(tmp_path, QUANTUM_CFG)
     out = tmp_path / "packet.csv"
     assert run_cli(["evolve", "--config", cfg, "--format", "csv",
                     "--out", str(out)]) == 0
@@ -253,6 +256,40 @@ num = 256
 def test_evolve_bad_mode_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "mode = nonsense\n")
     assert run_cli(["evolve", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("cfg_text, message", [
+    (CLASSICAL_CFG.replace("steps = 500", "steps = -10"), "steps must be non-negative"),
+    (CLASSICAL_CFG.replace("dtau = 0.01", "dtau = -1"), "dtau must be positive"),
+    (CLASSICAL_CFG.replace("dtau = 0.01", "dtau = nan"), "dtau must be positive"),
+    (QUANTUM_CFG.replace("num = 256", "num = 1"), "at least 2 samples"),
+], ids=["negative-steps", "negative-dtau", "nan-dtau", "one-sample-grid"])
+def test_evolve_domain_error_exits_2_with_one_line(tmp_path, capsys, cfg_text, message):
+    cfg = write_cfg(tmp_path, cfg_text)
+    out = tmp_path / "out.csv"
+    assert run_cli(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    # special values straddle the first block boundary
+    rows = cli.CSV_BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    specials = [-0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                np.inf, -np.inf]
+    edge = cli.CSV_BLOCK_ROWS - 3
+    table[edge:edge + len(specials), 1] = specials
+    out = tmp_path / "table.csv"
+    cli._write_csv(str(out), "a,b,c", [table[:, 0], table[:, 1:]])
+    want = ["a,b,c\n"] + [",".join(format(float(v), ".17g") for v in row) + "\n"
+                          for row in table]
+    got = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and bad[:1] == []
 
 
 def test_console_entry_point():

@@ -197,3 +197,11 @@ def test_couple_sequence_mixed_path():
     expect = abs(sc.cg(0.5, 0.5, 0.5, -0.5, 1, 0)
                  * sc.cg(1, 0, 0.5, 0.5, 0.5, 0.5))
     assert norm == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("j_targets", [[0.5], [2.0], [1.0, 1.0]])
+def test_couple_sequence_rejects_an_unreachable_j(j_targets):
+    # spin 1/2 x 1/2 reaches J = 0 or 1 only; (1 x 1/2) reaches 1/2 or 3/2
+    states = [sc.spin_half(1, 0) for _ in range(len(j_targets) + 1)]
+    with pytest.raises(ValueError, match="triangle rule"):
+        sc.couple_sequence(states, j_targets)

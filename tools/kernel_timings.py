@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_3.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_5.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -16,7 +16,11 @@ otherwise.  A kernel that rejects a batched input (code from before the
 kernels were batch-first) is timed as a Python loop of N single calls, and
 the entry says so; a kernel that a checkout lacks is recorded as absent.
 Then it times each verification suite as `run_all` calls
-it at 1000 samples.  Uses only the standard library and numpy.
+it at 1000 samples, and the tau-evolution path of `shpqm evolve`: µs per
+step of `evolution.classical_integrate` over 20,000 free RK4 steps, and µs
+per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
+values) and on an interference scan (100,001 rows of 4 values), each
+written to a file.  Uses only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -35,6 +40,8 @@ import numpy as np
 
 SIZES = (1, 100, 10_000)
 SUITE_SAMPLES = 1000
+EVOLVE_STEPS = 20_000
+SCAN_ROWS = 100_001
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
 
@@ -139,11 +146,50 @@ def suite_table(packages):
     return table
 
 
+def evolve_calls(package, path):
+    """{name: (callable, work units)} for the `shpqm evolve` path of `package`,
+    the CSV writers writing to `path`."""
+    ev, cli = package.evolution, package.cli
+    model = ev.FreeModel(2.0)
+    start = ev.PhasePoint(np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 0.4, -0.2, 0.7]))
+    traj = ev.classical_integrate(start, model, 0.01, EVOLVE_STEPS)
+    emission = package.interference.EmissionConfig(35.0, 39.2, 0.0, 0.75, 0.5)
+    scan = package.interference.scan_interference(emission, -4.0, 4.0, SCAN_ROWS)
+    if hasattr(cli, "_write_csv"):
+        write_traj = lambda: cli._write_csv(path, "tau,t,x,y,z,E,px,py,pz,K",
+                                            [traj.tau, traj.x, traj.p, traj.k])
+        write_scan = lambda: cli._write_csv(
+            path, "delta_t_fs,probability,envelope,interference_term",
+            [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference])
+    else:   # checkouts from before the shared writer: one writer per table
+        write_traj = lambda: cli._write_text(path, cli._classical_csv(traj, model))
+        write_scan = lambda: cli._write_text(path, cli._interference_csv(scan))
+    return {"classical_integrate": (lambda: ev.classical_integrate(
+                start, model, 0.01, EVOLVE_STEPS), EVOLVE_STEPS),
+            "evolve_csv": (write_traj, EVOLVE_STEPS + 1),
+            "scan_csv": (write_scan, SCAN_ROWS)}
+
+
+def evolve_table(packages):
+    table = {label: {} for label in packages}
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = {label: evolve_calls(p, str(Path(tmp) / f"{label}.csv"))
+                 for label, p in packages.items()}
+        for name, unit in (("classical_integrate", "step"), ("evolve_csv", "row"),
+                           ("scan_csv", "row")):
+            count = next(iter(calls.values()))[name][1]
+            best = best_seconds({label: c[name][0] for label, c in calls.items()}, 5, 1)
+            for label, seconds in best.items():
+                table[label][name] = {f"us_per_{unit}": round(seconds * 1e6 / count, 4),
+                                      f"{unit}s": count, "seconds": round(seconds, 5)}
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_3.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_5.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
@@ -151,13 +197,15 @@ def main(argv=None):
     packages = {label: load(src, f"shpqm_{label}") for label, src in checkouts.items()}
     inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
     kernels, suites = kernel_table(packages, inputs), suite_table(packages)
+    evolve = evolve_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         "method": "checkouts loaded side by side; best block, blocks alternating"}}
     for label in packages:
-        data[label] = {"kernels": kernels[label], "suites_s": suites[label]}
+        data[label] = {"kernels": kernels[label], "suites_s": suites[label],
+                       "evolve": evolve[label]}
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data, indent=2, sort_keys=True))
     return 0
