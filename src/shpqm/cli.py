@@ -60,9 +60,12 @@ def cfg_get(cfg, key, cast=float, default=None):
             return default
         raise ConfigError(f"missing config key {key!r}")
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
+    if cast is float and not np.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {cfg[key]!r}")
+    return value
 
 
 @contextlib.contextmanager
@@ -194,37 +197,34 @@ def cmd_wigner(args):
 
 def cmd_interference(args):
     cfg = load_config(args.config)
-    emission = interference.EmissionConfig(
-        e1_ev=cfg_get(cfg, "e1_ev"),
-        e2_ev=cfg_get(cfg, "e2_ev"),
-        t_emit1_fs=cfg_get(cfg, "t_emit1_fs"),
-        t_emit2_fs=cfg_get(cfg, "t_emit2_fs"),
-        sigma_t_fs=cfg_get(cfg, "sigma_t_fs"),
-    )
-    dt_min = cfg_get(cfg, "dt_min_fs")
-    dt_max = cfg_get(cfg, "dt_max_fs")
     samples = args.samples if args.samples is not None else cfg_get(
         cfg, "samples", cast=int, default=4001)
     try:
-        result = interference.scan_interference(emission, dt_min, dt_max,
-                                                samples)
-    except interference.AliasingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    feasibility = interference.feasibility_report(emission)
+        emission = interference.EmissionConfig(
+            e1_ev=cfg_get(cfg, "e1_ev"),
+            e2_ev=cfg_get(cfg, "e2_ev"),
+            t_emit1_fs=cfg_get(cfg, "t_emit1_fs"),
+            t_emit2_fs=cfg_get(cfg, "t_emit2_fs"),
+            sigma_t_fs=cfg_get(cfg, "sigma_t_fs"),
+        )
+        result = interference.scan_interference(
+            emission, cfg_get(cfg, "dt_min_fs"), cfg_get(cfg, "dt_max_fs"), samples)
+        if args.format == "json":   # the period is estimated here, when read
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "fringe_period_fs": result.fringe_period_fs,
+                "predicted_period_fs": result.predicted_period_fs,
+                "visibility": result.visibility,
+                "flat_oscillation": result.flat_oscillation,
+                "feasibility": interference.feasibility_report(emission),
+            }
+    except ValueError as exc:    # AliasingError too; a ConfigError keeps its message
+        raise ConfigError(str(exc)) from exc
     if args.format == "csv":
         _write_csv(args.out, "delta_t_fs,probability,envelope,interference_term",
                    [result.dt_grid_fs, result.probability, result.envelope,
                     result.interference])
     else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "fringe_period_fs": result.fringe_period_fs,
-            "predicted_period_fs": result.predicted_period_fs,
-            "visibility": result.visibility,
-            "flat_oscillation": result.flat_oscillation,
-            "feasibility": feasibility,
-        }
         _write_json(args.out, payload)
     return 0
 

@@ -202,7 +202,7 @@ class MomentumPacket:
             raise ValueError("amplitudes and weights must match the grid")
         if self.mass_param <= 0:
             raise ValueError("mass parameter must be positive")
-        if abs(self.norm_squared_of(amps, w) - 1.0) > 1e-8:
+        if not abs(self.norm_squared_of(amps, w) - 1.0) <= 1e-8:
             raise ValueError("packet must be normalized to 1 within 1e-8")
         minkowski.check_unit_timelike_future(self.n)
         object.__setattr__(self, "momenta", ps)
@@ -227,6 +227,8 @@ class MomentumPacket:
         """
         if num < 2:
             raise ValueError(f"energy grid needs at least 2 samples, got {num!r}")
+        if not e_width > 0:
+            raise ValueError(f"energy width must be positive, got {e_width!r}")
         n = minkowski.N0 if n is None else np.asarray(n, dtype=float)
         e = np.linspace(e_center - span * e_width, e_center + span * e_width, num)
         de = e[1] - e[0]
@@ -247,11 +249,6 @@ def free_evolve(packet, dtau):
     phase = np.exp(-1j * pp * dtau / (2.0 * packet.mass_param))
     return replace(packet, amplitudes=packet.amplitudes * phase,
                    tau=packet.tau + dtau)
-
-
-def free_phase(p, mass_param, dtau):
-    """Evolution phase of a single plane-wave sample."""
-    return np.exp(-1j * minkowski.dot(p, p) * dtau / (2.0 * mass_param))
 
 
 def mass_moments(packet):
@@ -302,13 +299,3 @@ def time_energy_uncertainty(packet):
     t_mean = float(np.sum(pt * t))
     dt = float(np.sqrt(np.sum(pt * (t - t_mean) ** 2)))
     return dt, de, dt * de
-
-
-def two_body_free_evolve(packet_a, packet_b, dtau):
-    """Evolve a product two-body packet; the joint phase factorizes."""
-    return free_evolve(packet_a, dtau), free_evolve(packet_b, dtau)
-
-
-def joint_amplitude(packet_a, packet_b):
-    """Outer-product amplitude table of a product two-body packet."""
-    return np.outer(packet_a.amplitudes, packet_b.amplitudes)

@@ -14,6 +14,7 @@ hbar = 0.6582119569 eV fs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +37,9 @@ class EmissionConfig:
     sigma_t_fs: float
 
     def __post_init__(self):
-        if self.sigma_t_fs <= 0:
+        if not self.sigma_t_fs > 0:
             raise ValueError("pulse width must be positive")
-        if self.e1_ev <= 0 or self.e2_ev <= 0:
+        if not (self.e1_ev > 0 and self.e2_ev > 0):
             raise ValueError("energies must be positive")
 
     @property
@@ -70,11 +71,6 @@ def amplitude(config, t1_fs, t2_fs):
     exchanged = (envelope(t2_fs, g1, s) * envelope(t1_fs, g2, s)
                  * np.exp(-1j * (e1 * t2_fs + e2 * t1_fs) / HBAR_EV_FS))
     return direct + exchanged
-
-
-def to_relative_coords(t1_fs, t2_fs):
-    """(mean time T, difference dt = t2 - t1)."""
-    return 0.5 * (t1_fs + t2_fs), t2_fs - t1_fs
 
 
 def from_relative_coords(t_mean_fs, dt_fs):
@@ -140,7 +136,6 @@ class InterferenceResult:
     probability: np.ndarray
     envelope: np.ndarray
     interference: np.ndarray
-    fringe_period_fs: float
     predicted_period_fs: float
     visibility: float
     flat_oscillation: bool
@@ -148,41 +143,68 @@ class InterferenceResult:
     def __post_init__(self):
         if np.any(np.asarray(self.probability) < -1e-12):
             raise ValueError("coincidence probability must be nonnegative")
-        if not (-1e-12 <= self.visibility <= 1 + 1e-12):
-            raise ValueError("visibility must lie in [0, 1]")
+
+    @cached_property
+    def fringe_period_fs(self):
+        """Dominant period of the oscillatory term, inf when it is flat;
+        estimated on first read, so a scan that never reports it does no
+        spectral work."""
+        if self.flat_oscillation:
+            return np.inf
+        return _dtft_period(self.dt_grid_fs, self.interference)
 
 
-def _fourier_period(dt_grid, oscillatory, pad=16):
-    """Dominant period of a real signal via zero-padded DFT with parabolic
-    refinement of the peak bin.
+NEWTON_STEPS = 8
 
-    The signal is padded to the first power of two at or above pad times its
-    length: a length with a large prime factor sends the FFT down a slow path
-    that also needs several times the memory.
+
+def _dtft_period(dt_grid, signal):
+    """Dominant period of a real signal: the maximiser of its DTFT power.
+
+    The peak bin of an unpadded power-of-two rfft is refined by Newton steps
+    on P(f) = |S0|^2, where S_j = sum (-2 pi i t)^j s exp(-2 pi i f t), so
+    P' = 2 Re(conj(S0) S1) and P'' = 2 (|S1|^2 + Re(conj(S0) S2)) (Rife &
+    Boorstyn, IEEE Trans. Inf. Theory 20, 591 (1974)).  The signal is not
+    mean-subtracted, which would move the peak.  t counts samples from the
+    middle of the grid: a shift of t leaves P unchanged and keeps S1, S2 small.
+
+    Raises ValueError when the signal is zero, when an iterate leaves the
+    coarse bin +-1, when NEWTON_STEPS steps do not converge to |step| <=
+    1e-13 f, or when the converged peak is lower than the coarse bin (a side
+    lobe).
     """
-    step = dt_grid[1] - dt_grid[0]
-    sig = oscillatory - np.mean(oscillatory)
-    size = 1 << (pad * len(sig) - 1).bit_length()
-    spec = np.abs(np.fft.rfft(sig, n=size))
-    freqs = np.fft.rfftfreq(size, d=step)
+    size = 1 << (len(signal) - 1).bit_length()
+    spec = np.abs(np.fft.rfft(signal, n=size))
     k = int(np.argmax(spec[1:])) + 1
-    if 1 <= k < len(spec) - 1:
-        y0, y1, y2 = spec[k - 1], spec[k], spec[k + 1]
-        denom = y0 - 2 * y1 + y2
-        shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    else:
-        shift = 0.0
-    f_peak = (k + shift) * (freqs[1] - freqs[0])
-    return 1.0 / f_peak if f_peak > 0 else np.inf
+    if not spec[k] > 0:
+        raise ValueError("no oscillation to take a fringe period from")
+    m = np.arange(len(signal)) - 0.5 * (len(signal) - 1)
+    moments = np.stack([signal, signal * m, signal * m * m])
+    scale = np.array([1.0, -2j * np.pi, -4 * np.pi**2])
+    f = k / size
+    for _ in range(NEWTON_STEPS):
+        arg = (2 * np.pi * f) * m
+        s0, s1, s2 = scale * (moments @ np.cos(arg) - 1j * (moments @ np.sin(arg)))
+        df = -(s0.conjugate() * s1).real / (abs(s1) ** 2 + (s0.conjugate() * s2).real)
+        f += df
+        if not (k - 1) / size < f < (k + 1) / size:
+            raise ValueError(f"fringe frequency left the coarse DFT bin {k} +- 1 "
+                             f"of {size}")
+        if abs(df) <= 1e-13 * f:
+            if abs(s0) < (1 - 1e-8) * spec[k]:
+                raise ValueError("fringe frequency converged to a side lobe")
+            return float((dt_grid[1] - dt_grid[0]) / f)
+    raise ValueError(f"fringe frequency not converged in {NEWTON_STEPS} "
+                     f"Newton steps (last step {df:.3g} of {f:.6g} per sample)")
 
 
 def scan_interference(config, dt_min_fs, dt_max_fs, samples):
-    """Scan P over a dt grid and extract period and visibility.
+    """Scan P over a dt grid and measure the fringe visibility; the result
+    estimates its fringe period when that is first read.
 
     Raises AliasingError when the grid puts fewer than 16 samples on the
     expected fringe period h/|dE|.
     """
-    if samples < 2 or dt_max_fs <= dt_min_fs:
+    if samples < 2 or not dt_max_fs > dt_min_fs:
         raise ValueError("need an increasing dt range and samples >= 2")
     grid = np.linspace(dt_min_fs, dt_max_fs, samples)
     step = grid[1] - grid[0]
@@ -195,18 +217,14 @@ def scan_interference(config, dt_min_fs, dt_max_fs, samples):
     env = direct_part(config, grid)
     osc = interference_part(config, grid)
     prob = env + osc
-    if flat:
-        period = np.inf
-    else:
-        period = _fourier_period(grid, osc)
     # fringe visibility: oscillation amplitude relative to the strongest
     # direct signal; 1 for perfectly overlapping pulses, ~0 when the
     # emission spacing kills the envelope overlap
     env_max = float(np.max(env))
     visibility = 0.0 if env_max == 0 else float(np.max(np.abs(osc))) / env_max
     visibility = min(max(visibility, 0.0), 1.0)
-    return InterferenceResult(grid, prob, env, osc, float(period),
-                              float(expected), visibility, flat)
+    return InterferenceResult(grid, prob, env, osc, float(expected),
+                              visibility, flat)
 
 
 def feasibility_report(config):

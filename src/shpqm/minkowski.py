@@ -212,20 +212,6 @@ def boost(axis, rapidity):
     return out
 
 
-def pure_boost(n):
-    """The symmetric boost taking N0 to the unit future-timelike n."""
-    check_unit_timelike_future(n)
-    if np.array_equal(n, N0):
-        return np.eye(4)
-    sp = n[1:]
-    out = np.eye(4)
-    out[0, 0] = n[0]
-    out[0, 1:] = sp
-    out[1:, 0] = sp
-    out[1:, 1:] = np.eye(3) + np.outer(sp, sp) / (1.0 + n[0])
-    return out
-
-
 def random_rotation(rng):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)

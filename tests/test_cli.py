@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from shpqm import cli
+from shpqm import cli, interference
 
 REFERENCE_CFG = """\
 e1_ev = 35.0
@@ -172,6 +172,21 @@ def test_interference_csv(tmp_path):
         assert p == pytest.approx(env + osc, abs=1e-12)
 
 
+def test_interference_csv_does_no_spectral_work(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, REFERENCE_CFG)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    argv = ["interference", "--config", cfg, "--format", "csv", "--out"]
+    assert run_cli(argv + [str(want)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the CSV scan estimated the fringe period")
+
+    monkeypatch.setattr(interference, "_dtft_period", refuse)
+    monkeypatch.setattr(interference, "feasibility_report", refuse)
+    assert run_cli(argv + [str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_interference_aliasing_guard(tmp_path):
     cfg = write_cfg(tmp_path, REFERENCE_CFG.replace("samples = 2001",
                                                 "samples = 40"))
@@ -261,13 +276,36 @@ def test_evolve_bad_mode_exits_2(tmp_path):
 @pytest.mark.parametrize("cfg_text, message", [
     (CLASSICAL_CFG.replace("steps = 500", "steps = -10"), "steps must be non-negative"),
     (CLASSICAL_CFG.replace("dtau = 0.01", "dtau = -1"), "dtau must be positive"),
-    (CLASSICAL_CFG.replace("dtau = 0.01", "dtau = nan"), "dtau must be positive"),
+    (CLASSICAL_CFG.replace("dtau = 0.01", "dtau = nan"), "'dtau' must be finite"),
     (QUANTUM_CFG.replace("num = 256", "num = 1"), "at least 2 samples"),
 ], ids=["negative-steps", "negative-dtau", "nan-dtau", "one-sample-grid"])
 def test_evolve_domain_error_exits_2_with_one_line(tmp_path, capsys, cfg_text, message):
     cfg = write_cfg(tmp_path, cfg_text)
     out = tmp_path / "out.csv"
     assert run_cli(["evolve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")    # a numpy warning would be a second line
+@pytest.mark.parametrize("command, base, key, value, message", [
+    ("interference", REFERENCE_CFG, "sigma_t_fs", "nan", "'sigma_t_fs' must be finite"),
+    ("interference", REFERENCE_CFG, "sigma_t_fs", "-1", "pulse width must be positive"),
+    ("interference", REFERENCE_CFG, "dt_min_fs", "5.0", "increasing dt range"),
+    ("interference", REFERENCE_CFG, "e2_ev", "inf", "'e2_ev' must be finite"),
+    ("evolve", QUANTUM_CFG, "dtau", "nan", "'dtau' must be finite"),
+    ("evolve", QUANTUM_CFG, "e_width", "-0.5", "energy width must be positive"),
+], ids=["nan-sigma", "negative-sigma", "dt-range-reversed", "inf-energy",
+        "quantum-nan-dtau", "quantum-negative-width"])
+def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, command, base,
+                                                key, value, message):
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in base.splitlines()]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err

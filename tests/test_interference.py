@@ -49,11 +49,11 @@ def test_relative_coordinate_form_agrees():
     rng = np.random.default_rng(2)
     for _ in range(100):
         t1, t2 = rng.normal(scale=2.0, size=2)
-        t_mean, dt = itf.to_relative_coords(t1, t2)
+        t_mean, dt = 0.5 * (t1 + t2), t2 - t1
         assert abs(itf.amplitude(cfg, t1, t2)
                    - itf.amplitude_relative(cfg, t_mean, dt)) < 1e-12
-    assert itf.to_relative_coords(1.0, 2.0) == (1.5, 1.0)
-    assert itf.to_relative_coords(0.0, 0.0) == (0.0, 0.0)
+    assert itf.from_relative_coords(1.5, 1.0) == (1.0, 2.0)
+    assert itf.from_relative_coords(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_total_state_antisymmetric():
@@ -158,9 +158,9 @@ def test_fourier_peak_matches_energy_difference():
 
 
 @pytest.mark.parametrize("source, rel_tol", [
-    # the estimate on these short shipped scans is biased by the subtracted
-    # mean (3.6e-6) and by the envelope cut off at +-2 fs (1.3e-5)
-    ("interference_example.cfg", 5e-6),
+    # the DTFT peak of the raw signal sits 1e-8 from h/|dE| on the example;
+    # the wide split's envelope, cut off at +-2 fs, moves it by 1.2e-5
+    ("interference_example.cfg", 1e-6),
     ("interference_wide_split.cfg", 2e-5),
     (None, 1e-6),
 ])
@@ -175,6 +175,55 @@ def test_extracted_period_matches_prediction(source, rel_tol):
         samples = int(values["samples"])
     res = itf.scan_interference(cfg, lo, hi, samples)
     assert res.fringe_period_fs == pytest.approx(res.predicted_period_fs, rel=rel_tol)
+
+
+def test_period_estimated_once_and_only_when_read(monkeypatch):
+    calls = []
+    estimator = itf._dtft_period
+    monkeypatch.setattr(itf, "_dtft_period",
+                        lambda *a: calls.append(1) or estimator(*a))
+    res = itf.scan_interference(reference_config(), -4.0, 4.0, 4001)
+    assert calls == []
+    assert res.fringe_period_fs == res.fringe_period_fs
+    assert calls == [1]
+
+
+def tone(offset_bins, size=1024):
+    """A full-window cosine `offset_bins` above DFT bin 100 of `size`."""
+    n = np.arange(size, dtype=float)
+    return n, np.cos(2 * np.pi * (100 + offset_bins) / size * n)
+
+
+@pytest.mark.parametrize("offset_bins", [0.0, 0.3, 0.5, 0.8])
+def test_period_estimator_on_a_gaussian_tone(offset_bins):
+    # a Gaussian window keeps the negative-frequency image from moving the
+    # peak, so the DTFT maximiser is the tone's frequency
+    n, s = tone(offset_bins)
+    s *= np.exp(-0.5 * ((n - 512.0) / 60.0) ** 2)
+    assert itf._dtft_period(n, s) == pytest.approx(1024 / (100 + offset_bins), rel=1e-10)
+
+
+@pytest.mark.parametrize("offset_bins, message", [
+    # half a bin off the peak of a rectangular window's main lobe is outside
+    # its concave core: Newton leaves the coarse bin or lands on a side lobe
+    (0.45, "left the coarse DFT bin"),
+    (0.5, "side lobe"),
+])
+def test_period_estimator_raises_off_the_peak(offset_bins, message):
+    with pytest.raises(ValueError, match=message):
+        itf._dtft_period(*tone(offset_bins))
+
+
+def test_period_estimator_raises_when_not_converged(monkeypatch):
+    res = itf.scan_interference(reference_config(), -4.0, 4.0, 4001)
+    monkeypatch.setattr(itf, "NEWTON_STEPS", 1)
+    with pytest.raises(ValueError, match="not converged in 1 Newton steps"):
+        res.fringe_period_fs
+
+
+def test_period_estimator_raises_on_a_zero_signal():
+    with pytest.raises(ValueError, match="no oscillation"):
+        itf._dtft_period(np.arange(64.0), np.zeros(64))
 
 
 def test_feasibility_report_contents():

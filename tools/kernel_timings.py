@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_5.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_6.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -20,7 +20,12 @@ it at 1000 samples, and the tau-evolution path of `shpqm evolve`: µs per
 step of `evolution.classical_integrate` over 20,000 free RK4 steps, and µs
 per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
 values) and on an interference scan (100,001 rows of 4 values), each
-written to a file.  Uses only the standard library and numpy.
+written to a file.  Last, the interference scan of
+`configs/interference_example.cfg` at 400,001 samples: the fringe-period
+estimator alone (`interference._dtft_period`, or `_fourier_period` in a
+checkout that has only that), and `shpqm interference --format csv` end to
+end through `cli.main`, written to a file.  Uses only the standard library
+and numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ SIZES = (1, 100, 10_000)
 SUITE_SAMPLES = 1000
 EVOLVE_STEPS = 20_000
 SCAN_ROWS = 100_001
+PERIOD_SAMPLES = 400_001
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "interference_example.cfg"
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
 
@@ -185,11 +192,43 @@ def evolve_table(packages):
     return table
 
 
+def period_calls(package, path):
+    """{name: (callable, what it times)} for the fringe period and the CSV
+    scan of the example config at PERIOD_SAMPLES samples, the CSV going to
+    `path`."""
+    itf, cli = package.interference, package.cli
+    values = cli.load_config(EXAMPLE_CONFIG)
+    emission = itf.EmissionConfig(*(float(values[k]) for k in (
+        "e1_ev", "e2_ev", "t_emit1_fs", "t_emit2_fs", "sigma_t_fs")))
+    scan = itf.scan_interference(emission, float(values["dt_min_fs"]),
+                                 float(values["dt_max_fs"]), PERIOD_SAMPLES)
+    name = "_dtft_period" if hasattr(itf, "_dtft_period") else "_fourier_period"
+    estimator = getattr(itf, name)
+    argv = ["interference", "--config", str(EXAMPLE_CONFIG), "--format", "csv",
+            "--samples", str(PERIOD_SAMPLES), "--out", path]
+    return {"period_estimator": (lambda: estimator(scan.dt_grid_fs, scan.interference),
+                                 f"interference.{name}"),
+            "scan_cli_csv": (lambda: cli.main(argv), "shpqm interference --format csv")}
+
+
+def period_table(packages):
+    table = {label: {} for label in packages}
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = {label: period_calls(p, str(Path(tmp) / f"{label}.csv"))
+                 for label, p in packages.items()}
+        for name in ("period_estimator", "scan_cli_csv"):
+            best = best_seconds({label: c[name][0] for label, c in calls.items()}, 5, 1)
+            for label, seconds in best.items():
+                table[label][name] = {"seconds": round(seconds, 5),
+                                      "samples": PERIOD_SAMPLES, "timed": calls[label][name][1]}
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_5.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_6.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
@@ -197,7 +236,7 @@ def main(argv=None):
     packages = {label: load(src, f"shpqm_{label}") for label, src in checkouts.items()}
     inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
     kernels, suites = kernel_table(packages, inputs), suite_table(packages)
-    evolve = evolve_table(packages)
+    evolve, period = evolve_table(packages), period_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
@@ -205,7 +244,7 @@ def main(argv=None):
         "method": "checkouts loaded side by side; best block, blocks alternating"}}
     for label in packages:
         data[label] = {"kernels": kernels[label], "suites_s": suites[label],
-                       "evolve": evolve[label]}
+                       "evolve": evolve[label], "scan_period": period[label]}
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data, indent=2, sort_keys=True))
     return 0
