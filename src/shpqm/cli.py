@@ -78,6 +78,17 @@ def _output(path):
 
 
 CSV_BLOCK_ROWS = 4096
+MAX_EVOLVE_SIZE = 10_000_000    # steps or energy samples: one CSV row each
+
+
+def _evolve_size(cfg, key, default=None):
+    """The int config value `key`, refused above MAX_EVOLVE_SIZE before any
+    array of that length is allocated."""
+    value = cfg_get(cfg, key, cast=int, default=default)
+    if value > MAX_EVOLVE_SIZE:
+        raise ConfigError(f"config key {key!r} must be at most {MAX_EVOLVE_SIZE},"
+                          f" got {value}")
+    return value
 
 
 def _write_csv(path, header, columns):
@@ -232,43 +243,44 @@ def cmd_interference(args):
 def cmd_evolve(args):
     cfg = load_config(args.config)
     mode = cfg_get(cfg, "mode", cast=str)
-    if mode == "classical":
-        model = evolution.FreeModel(cfg_get(cfg, "mass_param"))
-        x0 = np.array([cfg_get(cfg, k) for k in ("t0", "x0", "y0", "z0")])
-        p0 = np.array([cfg_get(cfg, k) for k in ("E0", "px0", "py0", "pz0")])
-        dtau = cfg_get(cfg, "dtau")
-        steps = cfg_get(cfg, "steps", cast=int)
-        try:
-            traj = evolution.classical_integrate(
-                evolution.PhasePoint(x0, p0), model, dtau, steps)
-        except evolution.StepRejectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        _write_csv(args.out, "tau,t,x,y,z,E,px,py,pz,K",
-                   [traj.tau, traj.x, traj.p, traj.k])
-        return 0
-    if mode == "quantum":
-        try:
-            packet = evolution.MomentumPacket.gaussian_energy_axis(
-                e_center=cfg_get(cfg, "e_center"),
-                e_width=cfg_get(cfg, "e_width"),
-                spatial_p=[cfg_get(cfg, k, default=0.0)
-                           for k in ("px", "py", "pz")],
-                mass_param=cfg_get(cfg, "mass_param"),
-                num=cfg_get(cfg, "num", cast=int, default=256),
-            )
-        except ValueError as exc:    # a ConfigError keeps its message
-            raise ConfigError(str(exc)) from exc
-        packet = evolution.free_evolve(packet, cfg_get(cfg, "dtau"))
-        # abs(a) ** 2 one amplitude at a time: the vectorised np.abs rounds
-        # some values differently in the last digit
-        _write_csv(args.out, "p0,prob_density,phase",
-                   [packet.momenta[:, 0], [abs(a) ** 2 for a in packet.amplitudes],
-                    np.angle(packet.amplitudes)])
-        return 0
-    raise ConfigError(f"mode must be 'classical' or 'quantum', got {mode!r}")
+    try:
+        # evolution refuses every non-finite result itself; numpy's overflow
+        # warnings on the way there would be more lines on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode == "classical":
+                model = evolution.FreeModel(cfg_get(cfg, "mass_param"))
+                x0 = np.array([cfg_get(cfg, k) for k in ("t0", "x0", "y0", "z0")])
+                p0 = np.array([cfg_get(cfg, k) for k in ("E0", "px0", "py0", "pz0")])
+                dtau = cfg_get(cfg, "dtau")
+                steps = _evolve_size(cfg, "steps")
+                traj = evolution.classical_integrate(
+                    evolution.PhasePoint(x0, p0), model, dtau, steps)
+                header = "tau,t,x,y,z,E,px,py,pz,K"
+                columns = [traj.tau, traj.x, traj.p, traj.k]
+            elif mode == "quantum":
+                packet = evolution.MomentumPacket.gaussian_energy_axis(
+                    e_center=cfg_get(cfg, "e_center"),
+                    e_width=cfg_get(cfg, "e_width"),
+                    spatial_p=[cfg_get(cfg, k, default=0.0)
+                               for k in ("px", "py", "pz")],
+                    mass_param=cfg_get(cfg, "mass_param"),
+                    num=_evolve_size(cfg, "num", default=256),
+                )
+                packet = evolution.free_evolve(packet, cfg_get(cfg, "dtau"))
+                header = "p0,prob_density,phase"
+                # abs(a) ** 2 one amplitude at a time: the vectorised np.abs
+                # rounds some values differently in the last digit
+                columns = [packet.momenta[:, 0], [abs(a) ** 2 for a in packet.amplitudes],
+                           np.angle(packet.amplitudes)]
+            else:
+                raise ConfigError(f"mode must be 'classical' or 'quantum', got {mode!r}")
+    except evolution.StepRejectionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:    # a ConfigError keeps its message
+        raise ConfigError(str(exc)) from exc
+    _write_csv(args.out, header, columns)
+    return 0
 
 
 def build_parser():

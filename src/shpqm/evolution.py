@@ -9,7 +9,9 @@ uncertainty product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +42,17 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class FreeModel:
-    """K = p.p / 2M."""
+    """K = p.p / 2M.
+
+    A subclass that changes the equations of motion or makes K depend on x
+    sets `exact_flow = None`, as PotentialModel does.
+    """
 
     mass_param: float
+
+    def __post_init__(self):
+        if not self.mass_param > 0:
+            raise ValueError(f"mass parameter must be positive, got {self.mass_param!r}")
 
     def hamiltonian(self, x, p):
         return minkowski.dot(p, p) / (2.0 * self.mass_param)
@@ -54,6 +64,19 @@ class FreeModel:
     def dp_dtau(self, x, p):
         return np.zeros(4)
 
+    def exact_flow(self, x1, p1, factors, steps):
+        """x after each of `steps` RK4 steps from (x1, p1), as a (steps, 4)
+        array, bit for bit as the stepwise loop gives it.
+
+        p stays p1 and each stage's slope is p1 / M, so every step adds the
+        same increment; np.add.accumulate adds strictly in sequence.
+        """
+        k = p1 / self.mass_param
+        rows = np.empty((steps, 4))
+        rows[0] = x1
+        rows[1:] = factors[2] * (k + (k + k) + (k + k) + k)
+        return np.add.accumulate(rows)
+
 
 @dataclass(frozen=True)
 class PotentialModel(FreeModel):
@@ -61,6 +84,8 @@ class PotentialModel(FreeModel):
 
     potential: object
     potential_prime: object
+
+    exact_flow = None   # dp/dtau depends on x: stepped by RK4
 
     def hamiltonian(self, x, p):
         return super().hamiltonian(x, p) + self.potential(minkowski.dot(x, x))
@@ -84,6 +109,20 @@ class Trajectory:
 def _check_finite(tau, x, p):
     if not (np.isfinite(tau).all() and np.isfinite(x).all() and np.isfinite(p).all()):
         raise ValueError("phase point must be finite")
+
+
+DRIFT_TOLERANCE = 1e-6
+
+
+def _drift_error(k_old, k_new):
+    """The StepRejectionError of one step that took K from k_old to k_new
+    (floats), or None when it changed K by at most DRIFT_TOLERANCE relative."""
+    scale = max(abs(k_old), 1.0)
+    if not abs(k_new - k_old) > DRIFT_TOLERANCE * scale:
+        return None
+    return StepRejectionError(
+        f"hamiltonian drifted by {abs(k_new - k_old):.3e} in one step"
+        f" (scale {scale:.3e}); reduce dtau")
 
 
 def _rk4(model, x0, p0, factors):
@@ -113,33 +152,52 @@ def classical_step(state, model, dtau):
 def classical_integrate(state, model, dtau, steps):
     """The Trajectory of `steps` RK4 steps from the PhasePoint `state`.
 
+    A model with an `exact_flow` (FreeModel) takes its first step by RK4 and
+    the rest from the flow, bit for bit as RK4 gives them; any other model
+    is stepped by RK4 throughout.
+
     Raises StepRejectionError when a step changes K by more than 1e-6
-    relative, and ValueError when a state is not finite.
+    relative, and ValueError when a state or its K is not finite.
     """
     if not (np.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps!r}")
-    tau, k = np.empty(steps + 1), np.empty(steps + 1)
+    tau = np.full(steps + 1, float(dtau))
+    tau[0] = state.tau
+    tau = np.add.accumulate(tau)    # in sequence, as t = t + dtau per step
+    k = np.empty(steps + 1)
     x, p = np.empty((steps + 1, 4)), np.empty((steps + 1, 4))
     factors = np.full(4, 0.5 * dtau), np.full(4, float(dtau)), np.full(4, dtau / 6.0)
-    t, xi, pi = state.tau, state.x, state.p
+    xi, pi = state.x, state.p
     k_old = model.hamiltonian(xi, pi)
-    tau[0], x[0], p[0], k[0] = t, xi, pi, k_old
-    for i in range(1, steps + 1):
-        xi, pi = _rk4(model, xi, pi, factors)
-        t = t + dtau
-        k_new = model.hamiltonian(xi, pi)
-        tau[i], x[i], p[i], k[i] = t, xi, pi, k_new
-        scale = max(abs(k_old), 1.0)
-        if abs(k_new - k_old) > 1e-6 * scale:
+    x[0], p[0], k[0] = xi, pi, k_old
+    flow = getattr(model, "exact_flow", None)
+    if flow is not None:
+        if steps:
+            # the RK4 step turns a -0.0 in p0 into p0 + 0 = 0.0
+            x1, p1 = _rk4(model, xi, pi, factors)
+            x[1:], p[1:] = flow(x1, p1, factors, steps), p1
+            k[1:] = model.hamiltonian(x1, p1)
+        drift = np.abs(k[1:] - k[:-1]) > DRIFT_TOLERANCE * np.maximum(np.abs(k[:-1]), 1.0)
+        if drift.any():
+            i = int(drift.argmax()) + 1
             # a non-finite state is the error to report, not its drift
             _check_finite(tau[:i + 1], x[:i + 1], p[:i + 1])
-            raise StepRejectionError(
-                f"hamiltonian drifted by {abs(k_new - k_old):.3e} in one step"
-                f" (scale {scale:.3e}); reduce dtau")
-        k_old = k_new
+            raise _drift_error(float(k[i - 1]), float(k[i]))
+    else:
+        for i in range(1, steps + 1):
+            xi, pi = _rk4(model, xi, pi, factors)
+            k_new = model.hamiltonian(xi, pi)
+            x[i], p[i], k[i] = xi, pi, k_new
+            error = _drift_error(k_old, k_new)
+            if error is not None:
+                _check_finite(tau[:i + 1], x[:i + 1], p[:i + 1])
+                raise error
+            k_old = k_new
     _check_finite(tau, x, p)
+    if not np.isfinite(k).all():
+        raise ValueError("hamiltonian must be finite")
     return Trajectory(tau, x, p, k)
 
 
@@ -177,12 +235,34 @@ def poisson(f, g, at, h_scale=1e-5):
     return float(df_dx @ metric @ dg_dp - df_dp @ metric @ dg_dx)
 
 
+class EnergyGrid(NamedTuple):
+    """Facts about a packet's energy axis p^0, sorted: `order` sorts the
+    samples (None when they already are), `e` and `w` are the sorted
+    energies and weights, `root_w` the square roots of w, `step` the uniform
+    spacing, `t` the 2 pi fftfreq time grid of the padded transform, and
+    `circle` (sin, cos) of step t, which goes once around that periodic
+    grid, shape (2, len(t))."""
+
+    order: np.ndarray | None
+    e: np.ndarray
+    w: np.ndarray
+    root_w: np.ndarray
+    step: float
+    t: np.ndarray
+    circle: np.ndarray
+
+
+TIME_PAD = 8    # the time profile is a DFT zero-padded to TIME_PAD times the grid
+
+
 @dataclass(frozen=True)
 class MomentumPacket:
     """Momentum-space packet on a discrete grid of four-momenta.
 
     momenta has shape (N, 4); amplitudes shape (N,); weights are the
-    quadrature weights of the grid so that sum(w |a|^2) = 1.
+    quadrature weights of the grid so that sum(w |a|^2) = 1.  The facts that
+    depend on the grid alone (p.p and the energy grid) are computed on first
+    use and carried along by free_evolve.
     """
 
     momenta: np.ndarray
@@ -218,6 +298,39 @@ class MomentumPacket:
     def norm_squared(self):
         return self.norm_squared_of(self.amplitudes, self.weights)
 
+    @cached_property
+    def p_dot_p(self):
+        """p.p of each sample, shape (N,)."""
+        return np.einsum("ka,ab,kb->k", self.momenta, minkowski.METRIC, self.momenta)
+
+    @cached_property
+    def energy_grid(self):
+        """The EnergyGrid of the p^0 axis; raises ValueError unless the
+        energies are at least 2 and uniformly spaced."""
+        e = self.momenta[:, 0]
+        if len(e) < 2:
+            raise ValueError("time profile needs at least 2 energy samples")
+        order = None if np.all(e[:-1] <= e[1:]) else np.argsort(e)
+        if order is not None:
+            e = e[order]
+        gaps = np.diff(e)
+        step = float(e[1] - e[0])
+        if not (step > 0 and np.ptp(gaps) <= 1e-9 * np.max(np.abs(gaps))):
+            raise ValueError("time profile needs a uniform energy grid")
+        w = self.weights if order is None else self.weights[order]
+        t = np.fft.fftfreq(TIME_PAD * len(e), d=step) * 2 * np.pi
+        turn = step * t
+        return EnergyGrid(order, e, w, np.sqrt(w), step, t,
+                          np.stack((np.sin(turn), np.cos(turn))))
+
+    def _evolved(self, amplitudes, tau):
+        """This packet with new amplitudes of the same norm at `tau`, built
+        without validation; it keeps the cached facts, which depend on the
+        grid alone."""
+        packet = object.__new__(type(self))
+        packet.__dict__.update(self.__dict__, amplitudes=amplitudes, tau=tau)
+        return packet
+
     @classmethod
     def gaussian_energy_axis(cls, e_center, e_width, spatial_p, mass_param,
                              n=None, num=256, span=8.0, tau=0.0):
@@ -230,31 +343,38 @@ class MomentumPacket:
         if not e_width > 0:
             raise ValueError(f"energy width must be positive, got {e_width!r}")
         n = minkowski.N0 if n is None else np.asarray(n, dtype=float)
-        e = np.linspace(e_center - span * e_width, e_center + span * e_width, num)
-        de = e[1] - e[0]
-        amps = (2 * np.pi * e_width**2) ** (-0.25) * np.exp(
-            -((e - e_center) ** 2) / (4 * e_width**2))
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                e = np.linspace(e_center - span * e_width, e_center + span * e_width, num)
+                de = e[1] - e[0]
+                amps = (2 * np.pi * e_width**2) ** (-0.25) * np.exp(
+                    -((e - e_center) ** 2) / (4 * e_width**2))
+                w = np.full(num, de)
+                amps = amps / np.sqrt(cls.norm_squared_of(amps, w))
+        except ArithmeticError as exc:  # FloatingPointError, and Python's float errors
+            raise ValueError(f"energy grid {e_center!r} +- {span!r} * {e_width!r}"
+                             f" is out of floating-point range") from exc
         ps = np.zeros((num, 4))
         ps[:, 0] = e
         ps[:, 1:] = np.asarray(spatial_p, dtype=float)
-        w = np.full(num, de)
-        amps = amps / np.sqrt(cls.norm_squared_of(amps, w))
         return cls(ps, amps.astype(complex), w, mass_param, n, tau)
 
 
 def free_evolve(packet, dtau):
-    """Multiply each amplitude by exp(-i (p.p) dtau / 2M)."""
-    pp = np.einsum("ka,ab,kb->k", packet.momenta, minkowski.METRIC,
-                   packet.momenta)
-    phase = np.exp(-1j * pp * dtau / (2.0 * packet.mass_param))
-    return replace(packet, amplitudes=packet.amplitudes * phase,
-                   tau=packet.tau + dtau)
+    """Multiply each amplitude by exp(-i (p.p) dtau / 2M).
+
+    The phase has unit modulus, so the packet keeps its norm and is not
+    validated again; raises ValueError when the phase is not finite.
+    """
+    phase = np.exp(-1j * packet.p_dot_p * dtau / (2.0 * packet.mass_param))
+    if not np.isfinite(phase).all():
+        raise ValueError(f"free evolution phase is not finite for dtau = {dtau!r}")
+    return packet._evolved(packet.amplitudes * phase, packet.tau + dtau)
 
 
 def mass_moments(packet):
     """Mean and variance of the invariant mass squared -p.p."""
-    pp = np.einsum("ka,ab,kb->k", packet.momenta, minkowski.METRIC,
-                   packet.momenta)
+    pp = packet.p_dot_p
     prob = packet.weights * np.abs(packet.amplitudes) ** 2
     prob = prob / np.sum(prob)
     mean = float(np.sum(prob * (-pp)))
@@ -270,32 +390,34 @@ def time_energy_uncertainty(packet):
     transform of the amplitude along the energy axis.  Natural units
     (hbar = 1): a Gaussian saturates dt * dE = 1/2.
 
-    Raises ValueError when the free-evolution phase p.p tau / 2M changes by
-    more than pi between neighbouring energy samples (max|E| |tau| dE / M):
-    the time window would wrap around and give a wrong spread.
+    The transform gives the profile on a periodic window of width 2 pi / dE,
+    read around the profile's circular mean: a phase linear in E only
+    shifts the profile (free evolution shifts it by E_c tau / M, E_c the mean
+    energy), and the spread does not depend on where it sits.  Writing
+    E = E_c + eps, free evolution also chirps the amplitude by the phase
+    eps^2 tau / 2M; raises ValueError when that chirp changes by more than
+    pi between neighbouring samples (max|eps| |tau| dE / M), because the
+    profile would then wrap around the window and give a wrong spread.
     """
-    e = packet.momenta[:, 0]
-    order = np.argsort(e)
-    e = e[order]
-    amps = packet.amplitudes[order]
-    w = packet.weights[order]
+    grid = packet.energy_grid
+    e, w = grid.e, grid.w
+    amps = packet.amplitudes if grid.order is None else packet.amplitudes[grid.order]
     prob = w * np.abs(amps) ** 2
     prob = prob / np.sum(prob)
     e_mean = float(np.sum(prob * e))
     de = float(np.sqrt(np.sum(prob * (e - e_mean) ** 2)))
 
-    if np.ptp(np.diff(e)) > 1e-9 * np.max(np.abs(np.diff(e))):
-        raise ValueError("time profile needs a uniform energy grid")
-    step = e[1] - e[0]
-    phase_step = np.max(np.abs(e)) * abs(packet.tau) * step / packet.mass_param
-    if not phase_step <= np.pi:
+    eps = max(e[-1] - e_mean, e_mean - e[0])
+    chirp_step = eps * abs(packet.tau) * grid.step / packet.mass_param
+    if not chirp_step <= np.pi:
         raise ValueError(f"energy grid undersamples the evolution phase at tau ="
-                         f" {packet.tau!r}: {phase_step:.3e} rad per sample > pi")
-    pad = 8
-    f = np.fft.fft(amps * np.sqrt(w), n=pad * len(e))
-    t = np.fft.fftfreq(pad * len(e), d=step) * 2 * np.pi
-    pt = np.abs(f) ** 2
-    pt = pt / np.sum(pt)
-    t_mean = float(np.sum(pt * t))
-    dt = float(np.sqrt(np.sum(pt * (t - t_mean) ** 2)))
+                         f" {packet.tau!r}: {chirp_step:.3e} rad per sample > pi")
+    pt = np.abs(np.fft.fft(amps * grid.root_w, n=len(grid.t))) ** 2
+    # roll the profile's circular mean, bin c, to t = 0
+    c = round(np.arctan2(*(grid.circle @ pt)) / (2 * np.pi) * len(pt))
+    pt = np.concatenate((pt[c:], pt[:c]))
+    total = np.sum(pt)
+    t_mean = float(pt @ grid.t / total)
+    off = grid.t - t_mean
+    dt = float(np.sqrt(pt @ (off * off) / total))
     return dt, de, dt * de

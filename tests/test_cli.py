@@ -297,8 +297,16 @@ def test_evolve_domain_error_exits_2_with_one_line(tmp_path, capsys, cfg_text, m
     ("interference", REFERENCE_CFG, "e2_ev", "inf", "'e2_ev' must be finite"),
     ("evolve", QUANTUM_CFG, "dtau", "nan", "'dtau' must be finite"),
     ("evolve", QUANTUM_CFG, "e_width", "-0.5", "energy width must be positive"),
+    ("evolve", QUANTUM_CFG, "e_width", "1e154", "out of floating-point range"),
+    ("evolve", QUANTUM_CFG, "dtau", "1e308", "phase is not finite"),
+    ("evolve", CLASSICAL_CFG, "mass_param", "0", "mass parameter must be positive"),
+    ("evolve", CLASSICAL_CFG, "E0", "1e200", "hamiltonian must be finite"),
+    ("evolve", CLASSICAL_CFG, "dtau", "1e308", "phase point must be finite"),
+    ("evolve", CLASSICAL_CFG, "steps", "1000000000", "must be at most 10000000"),
 ], ids=["nan-sigma", "negative-sigma", "dt-range-reversed", "inf-energy",
-        "quantum-nan-dtau", "quantum-negative-width"])
+        "quantum-nan-dtau", "quantum-negative-width", "quantum-huge-width",
+        "quantum-huge-dtau", "classical-zero-mass", "classical-overflowing-k",
+        "classical-huge-dtau", "classical-huge-steps"])
 def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, command, base,
                                                 key, value, message):
     lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line

@@ -1,9 +1,11 @@
 """Tests for classical and quantum evolution in the invariant parameter."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from shpqm import evolution as ev, minkowski as mk
+from shpqm import cli, evolution as ev, minkowski as mk
 
 
 def test_free_trajectory_is_linear():
@@ -131,21 +133,123 @@ def test_drift_rejection_at_the_same_step_as_the_reference():
     assert str(got) == str(want)
 
 
+def _rk4_loop(tau0, x0, p0, model, dtau, steps):
+    """classical_integrate as it stepped every model before the free flow:
+    one _rk4 call per step, from a state that may be a stack of runs sharing
+    the model (tau0 (n,), x0 and p0 (n, 4)); the checks are left out."""
+    factors = np.full(4, 0.5 * dtau), np.full(4, dtau), np.full(4, dtau / 6.0)
+    tau, xs, ps = [tau0], [x0], [p0]
+    for _ in range(steps):
+        x, p = ev._rk4(model, xs[-1], ps[-1], factors)
+        tau.append(tau[-1] + dtau)
+        xs.append(x)
+        ps.append(p)
+    return np.array(tau), np.array(xs), np.array(ps)
+
+
+def test_free_flow_equals_the_rk4_loop_bit_for_bit():
+    # 20 runs of 20,000 steps, stepped by the loop in two stacks of 10 that
+    # share a mass and a dtau; x scales from 1e-3 to 1e3, and each run has a
+    # -0.0 in x and in p
+    rng = np.random.default_rng(20)
+    steps = 20_000
+    for _ in range(2):
+        model = ev.FreeModel(rng.uniform(0.3, 3.0))
+        dtau = rng.uniform(1e-4, 0.1)
+        xs = rng.normal(size=(10, 4)) * np.logspace(-3, 3, 10)[:, None]
+        ps = rng.normal(size=(10, 4))
+        xs[np.arange(10), rng.integers(0, 4, 10)] = -0.0
+        ps[np.arange(10), rng.integers(0, 4, 10)] = -0.0
+        tau0 = rng.uniform(-5.0, 5.0, 10)
+        tau, x, p = _rk4_loop(tau0, xs, ps, model, dtau, steps)
+        for j in range(10):
+            run = ev.classical_integrate(ev.PhasePoint(xs[j], ps[j], tau0[j]), model,
+                                         dtau, steps)
+            assert run.tau.tobytes() == tau[:, j].tobytes()
+            assert run.x.tobytes() == x[:, j].tobytes()
+            assert run.p.tobytes() == p[:, j].tobytes()
+            zero = ps[j] == 0.0     # -0.0 in p0, +0.0 after a step
+            assert np.signbit(run.p[0, zero]).all() and not np.signbit(run.p[1:, zero]).any()
+            k = [model.hamiltonian(xi, pi) for xi, pi in zip(x[:, j], p[:, j])]
+            assert run.k.tobytes() == np.array(k).tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_free_flow_short_runs(steps):
+    model = ev.FreeModel(0.7)
+    start = ev.PhasePoint(mk.four_vector(0.3, -0.0, 2.0, 3.0),
+                          mk.four_vector(3.1, -0.0, -0.23, 0.71), tau=0.25)
+    run = ev.classical_integrate(start, model, 0.013, steps)
+    tau, xs, ps, ks = _reference_run(start, model, 0.013, steps)
+    assert run.x.shape == (steps + 1, 4)
+    for got, want in ((run.tau, tau), (run.x, xs), (run.p, ps), (run.k, ks)):
+        assert np.asarray(want).tobytes() == got.tobytes()
+
+
+def test_potential_model_is_stepped_not_flowed():
+    # the potential bends the path: RK4 steps match the reference loop, and
+    # the path leaves the straight line that the free flow would draw
+    model = ev.PotentialModel(2.0, lambda s: 0.1 * s**2, lambda s: 0.2 * s)
+    assert model.exact_flow is None and ev.FreeModel(2.0).exact_flow is not None
+    start = ev.PhasePoint(mk.four_vector(0.0, 0.1, 0.2, 0.3),
+                          mk.four_vector(0.0, 0.12, -0.06, 0.21))
+    run = ev.classical_integrate(start, model, 0.05, 400)
+    tau, xs, ps = _rk4_loop(start.tau, start.x, start.p, model, 0.05, 400)
+    assert (run.tau.tobytes(), run.x.tobytes(), run.p.tobytes()) == (
+        tau.tobytes(), xs.tobytes(), ps.tobytes())
+    line = start.x + np.outer(run.tau, start.p) / 2.0
+    assert np.max(np.abs(run.x - line)) > 1e-3
+    assert np.max(np.abs(run.p - start.p)) > 1e-3
+
+
+class _SignedZeroModel(ev.FreeModel):
+    """The free flow with a K that tells -0.0 from 0.0 in p^x: the one drift
+    the flow can meet is in its first step, which turns -0.0 into 0.0."""
+
+    def hamiltonian(self, x, p):
+        return super().hamiltonian(x, p) + (1.0 if np.signbit(p[1]) else 0.0)
+
+
+def test_flow_drift_rejection_as_the_reference():
+    model = _SignedZeroModel(1.0)
+    start = ev.PhasePoint(np.zeros(4), mk.four_vector(2.0, -0.0, 0.5, 0.0))
+    got = _error(lambda: ev.classical_integrate(start, model, 0.01, 100))
+    want = _error(lambda: _reference_run(start, model, 0.01, 1))
+    assert type(got) is ev.StepRejectionError
+    assert str(got) == str(want)
+    assert _error(lambda: ev.classical_integrate(start, model, 0.01, 0)) is None
+
+
 @pytest.mark.parametrize("model, start, dtau", [
     # x overflows while K stays finite: only the finiteness check sees it
     (ev.FreeModel(1e-300), ev.PhasePoint(np.zeros(4), mk.four_vector(1e-10, 0, 0, 0)),
      1e20),
+    # x overflows late in a long free run
+    (ev.FreeModel(1.0), ev.PhasePoint(np.zeros(4), mk.four_vector(1e300, 0, 0, 0)),
+     1e5),
     # p overflows and K with it: the drift check fires on a non-finite state
     (ev.PotentialModel(1.0, lambda s: 0.0, lambda s: -1e300),
      ev.PhasePoint(mk.four_vector(0.0, 1.0, 0.0, 0.0), np.zeros(4)),
      1.0),
-], ids=["x-overflow", "p-overflow"])
+], ids=["x-overflow", "x-overflow-late", "p-overflow"])
 def test_non_finite_state_raises_value_error(model, start, dtau):
+    steps = 3 if dtau != 1e5 else 2000
     with np.errstate(over="ignore", invalid="ignore"):
-        for run in (lambda: _reference_run(start, model, dtau, 3),
-                    lambda: ev.classical_integrate(start, model, dtau, 3)):
+        for run in (lambda: _reference_run(start, model, dtau, steps),
+                    lambda: ev.classical_integrate(start, model, dtau, steps)):
             with pytest.raises(ValueError, match="phase point must be finite"):
                 run()
+
+
+def test_overflowing_hamiltonian_or_bad_mass_raises_value_error():
+    # p.p overflows while x and p stay finite
+    start = ev.PhasePoint(np.zeros(4), mk.four_vector(1e200, 0.0, 0.0, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="hamiltonian must be finite"):
+            ev.classical_integrate(start, ev.FreeModel(1.0), 0.1, 5)
+    for mass in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="mass parameter must be positive"):
+            ev.FreeModel(mass)
 
 
 def test_poisson_canonical_pairs():
@@ -298,3 +402,87 @@ def test_separated_gaussians_widen_time_spread():
         dt, de, prod = ev.time_energy_uncertainty(shifted)
         assert prod > 0.5
         assert dt > sep / 2.0 * 0.9
+
+
+def test_time_spread_of_a_packet_shifted_past_the_window():
+    # free evolution shifts the profile by E_c tau / M (175 and 700 here) on a
+    # window 2 pi / dE = 200 wide; the spread does not depend on the shift,
+    # and the chirp max|E - E_c| |tau| dE / M is 0.63 and 2.51 rad
+    sigma, mass = 0.5, 1.0
+    for tau, want in ((5.0, 2.6925824035673), (20.0, 10.0499)):
+        packet = ev.free_evolve(ev.MomentumPacket.gaussian_energy_axis(
+            35.0, sigma, [0.0, 0.0, 0.0], mass), tau)
+        dt, _, _ = ev.time_energy_uncertainty(packet)
+        assert dt == pytest.approx(np.sqrt(1 / (4 * sigma**2) + sigma**2 * tau**2 / mass**2),
+                                   rel=1e-9)
+        assert dt == pytest.approx(want, rel=1e-5)
+    # a packet built at tau = 100/35 carries no phase yet: its profile sits
+    # at t = 0, not at the window's edge where the shift E_c tau / M would put it
+    built = ev.MomentumPacket.gaussian_energy_axis(35.0, sigma, [0.0, 0.0, 0.0], mass,
+                                                   tau=100.0 / 35.0)
+    assert ev.time_energy_uncertainty(built)[0] == pytest.approx(1 / (2 * sigma), rel=1e-9)
+
+
+def test_free_evolve_refuses_a_non_finite_phase():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dtau in (np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError, match="phase is not finite"):
+                ev.free_evolve(make_packet(), dtau)
+
+
+def config_packet():
+    """The packet of configs/evolve_quantum.cfg and its dtau."""
+    values = cli.load_config(Path(__file__).resolve().parents[1] / "configs"
+                             / "evolve_quantum.cfg")
+    get = lambda key: float(values.get(key, 0.0))
+    packet = ev.MomentumPacket.gaussian_energy_axis(
+        get("e_center"), get("e_width"), [get("px"), get("py"), get("pz")],
+        get("mass_param"), num=int(values["num"]))
+    return packet, get("dtau")
+
+
+def test_sweep_with_cached_facts_equals_rebuilt_packets_bit_for_bit():
+    # the reference rebuilds and validates a packet at every step, so it
+    # computes p.p and the energy grid afresh each time
+    packet, dtau = config_packet()
+    rebuilt = first = packet
+    for step in range(2000):
+        packet = ev.free_evolve(packet, dtau)
+        pp = np.einsum("ka,ab,kb->k", rebuilt.momenta, mk.METRIC, rebuilt.momenta)
+        phase = np.exp(-1j * pp * dtau / (2.0 * rebuilt.mass_param))
+        rebuilt = ev.MomentumPacket(rebuilt.momenta, rebuilt.amplitudes * phase,
+                                    rebuilt.weights, rebuilt.mass_param, rebuilt.n,
+                                    rebuilt.tau + dtau)
+        assert ev.mass_moments(packet) == ev.mass_moments(rebuilt)
+        if step % 250 == 0:
+            assert ev.time_energy_uncertainty(packet) == ev.time_energy_uncertainty(rebuilt)
+    assert (packet.amplitudes.tobytes(), packet.tau) == (rebuilt.amplitudes.tobytes(),
+                                                        rebuilt.tau)
+    assert packet.p_dot_p is first.p_dot_p     # carried along, not recomputed
+
+
+def test_unsorted_energy_grid_gives_the_spread_of_the_sorted_one():
+    packet = ev.free_evolve(config_packet()[0], 5000.0)
+    perm = np.random.default_rng(1).permutation(len(packet.weights))
+    shuffled = ev.MomentumPacket(packet.momenta[perm], packet.amplitudes[perm],
+                                 packet.weights[perm], packet.mass_param, packet.n,
+                                 packet.tau)
+    assert packet.energy_grid.order is None and shuffled.energy_grid.order is not None
+    assert ev.time_energy_uncertainty(shuffled) == ev.time_energy_uncertainty(packet)
+
+
+def test_time_profile_needs_a_uniform_grid_of_two_or_more_samples():
+    packet = make_packet()
+    bent = packet.momenta.copy()
+    bent[5, 0] += 1e-3 * (bent[1, 0] - bent[0, 0])
+    flat = packet.momenta.copy()
+    flat[:, 0] = 35.0
+    for momenta in (bent, flat):
+        moved = ev.MomentumPacket(momenta, packet.amplitudes, packet.weights,
+                                  packet.mass_param, packet.n)
+        with pytest.raises(ValueError, match="uniform energy grid"):
+            ev.time_energy_uncertainty(moved)
+    single = ev.MomentumPacket(packet.momenta[:1], np.ones(1, complex), np.ones(1),
+                               packet.mass_param, packet.n)
+    with pytest.raises(ValueError, match="at least 2 energy samples"):
+        ev.time_energy_uncertainty(single)

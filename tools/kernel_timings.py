@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_6.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_7.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -17,10 +17,13 @@ kernels were batch-first) is timed as a Python loop of N single calls, and
 the entry says so; a kernel that a checkout lacks is recorded as absent.
 Then it times each verification suite as `run_all` calls
 it at 1000 samples, and the tau-evolution path of `shpqm evolve`: µs per
-step of `evolution.classical_integrate` over 20,000 free RK4 steps, and µs
+step of `evolution.classical_integrate` over 20,000 free steps, and µs
 per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
 values) and on an interference scan (100,001 rows of 4 values), each
-written to a file.  Last, the interference scan of
+written to a file.  Then the quantum tau sweep: µs per call of
+`free_evolve`, `mass_moments` and `time_energy_uncertainty` on the packet of
+`configs/evolve_quantum.cfg` one `dtau` into its sweep, and their sum, the
+cost of one tau step.  Last, the interference scan of
 `configs/interference_example.cfg` at 400,001 samples: the fringe-period
 estimator alone (`interference._dtft_period`, or `_fourier_period` in a
 checkout that has only that), and `shpqm interference --format csv` end to
@@ -48,7 +51,10 @@ SUITE_SAMPLES = 1000
 EVOLVE_STEPS = 20_000
 SCAN_ROWS = 100_001
 PERIOD_SAMPLES = 400_001
-EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "interference_example.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
+QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
+TAU_STEP = ("free_evolve", "mass_moments", "time_energy_uncertainty")
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
 
@@ -192,6 +198,33 @@ def evolve_table(packages):
     return table
 
 
+def tau_step_calls(package):
+    """{name: callable} for the three calls of one tau step of the quantum
+    sweep, on the packet of QUANTUM_CONFIG after one step of its dtau."""
+    ev, values = package.evolution, package.cli.load_config(QUANTUM_CONFIG)
+    get = lambda key: float(values.get(key, 0.0))
+    dtau = get("dtau")
+    packet = ev.free_evolve(ev.MomentumPacket.gaussian_energy_axis(
+        get("e_center"), get("e_width"), [get("px"), get("py"), get("pz")],
+        get("mass_param"), num=int(values.get("num", 256))), dtau)
+    return {"free_evolve": lambda: ev.free_evolve(packet, dtau),
+            "mass_moments": lambda: ev.mass_moments(packet),
+            "time_energy_uncertainty": lambda: ev.time_energy_uncertainty(packet)}
+
+
+def tau_step_table(packages):
+    table = {label: {} for label in packages}
+    calls = {label: tau_step_calls(p) for label, p in packages.items()}
+    for name in TAU_STEP:
+        best = best_seconds({label: c[name] for label, c in calls.items()}, 15, 300)
+        for label, seconds in best.items():
+            table[label][name] = {"us_per_call": round(seconds * 1e6, 3)}
+    for label in packages:
+        table[label]["tau_step_total"] = {"us_per_step": round(
+            sum(table[label][name]["us_per_call"] for name in TAU_STEP), 3)}
+    return table
+
+
 def period_calls(package, path):
     """{name: (callable, what it times)} for the fringe period and the CSV
     scan of the example config at PERIOD_SAMPLES samples, the CSV going to
@@ -228,7 +261,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_6.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_7.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
@@ -236,7 +269,8 @@ def main(argv=None):
     packages = {label: load(src, f"shpqm_{label}") for label, src in checkouts.items()}
     inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
     kernels, suites = kernel_table(packages, inputs), suite_table(packages)
-    evolve, period = evolve_table(packages), period_table(packages)
+    evolve, tau_step = evolve_table(packages), tau_step_table(packages)
+    period = period_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
@@ -244,7 +278,8 @@ def main(argv=None):
         "method": "checkouts loaded side by side; best block, blocks alternating"}}
     for label in packages:
         data[label] = {"kernels": kernels[label], "suites_s": suites[label],
-                       "evolve": evolve[label], "scan_period": period[label]}
+                       "evolve": evolve[label], "tau_step": tau_step[label],
+                       "scan_period": period[label]}
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data, indent=2, sort_keys=True))
     return 0
