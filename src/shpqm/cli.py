@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -77,33 +78,235 @@ def _output(path):
             yield fh
 
 
-CSV_BLOCK_ROWS = 4096
-MAX_EVOLVE_SIZE = 10_000_000    # steps or energy samples: one CSV row each
+CSV_BLOCK_ROWS = 1024   # per block of a table up to 4 columns wide; fewer if wider
+MAX_ROWS = 10_000_000   # steps, energy samples or scan samples: one CSV row each
 
 
-def _evolve_size(cfg, key, default=None):
-    """The int config value `key`, refused above MAX_EVOLVE_SIZE before any
-    array of that length is allocated."""
-    value = cfg_get(cfg, key, cast=int, default=default)
-    if value > MAX_EVOLVE_SIZE:
-        raise ConfigError(f"config key {key!r} must be at most {MAX_EVOLVE_SIZE},"
-                          f" got {value}")
+def _row_count(cfg, key, default=None, flag=None):
+    """The int command-line value `flag` if given, else the int config value
+    `key`; refused above MAX_ROWS before any array of that length is
+    allocated."""
+    value = cfg_get(cfg, key, cast=int, default=default) if flag is None else flag
+    if value > MAX_ROWS:
+        source = f"config key {key!r}" if flag is None else f"--{key}"
+        raise ConfigError(f"{source} must be at most {MAX_ROWS}, got {value}")
     return value
+
+
+# -- "%.17g" of a block of float64 values, in numpy ----------------------
+#
+# The 17-digit significand q of x comes from y = |x| 10^(16-E), E the decimal
+# exponent, computed as a double-double: Dekker's exact product of |x| and
+# the double nearest 10^k, plus |x| times the rest of 10^k.  y >= 1e16 > 2^53,
+# so its high part is an integer and q = hi + rint(lo), which is right unless
+# lo's fraction lies within G17_TIE of 1/2 (lo is good to about 1e-14).  This
+# is the fast path of Grisu (Loitsch, PLDI 2010) for fixed 17-digit output
+# (Adams, "Ryu revisited", OOPSLA 2019); a block holding a value it cannot
+# decide is left to the % formatting it replaces.
+#
+# Each value is laid out in a slot template of six 8-byte words,
+#     sign 0.000 d0 . | d1 . d2 . d3 . d4 . | ... | d13 . .. d16 . | e+ddd sep
+# and the slots %.17g does not print are zeroed and then dropped by one
+# bytes.translate (np.compress would take 8 bytes of index per byte kept).
+# Which slots are kept depends only on the notation class of the exponent X
+# (fixed point for each X in -4..16, scientific, scientific with |X| >= 100)
+# and on the index of the last nonzero digit, so the keep mask is a lookup
+# in a table.
+
+G17_MIN, G17_MAX = 1e-280, 1e280   # |x| range of the fast path; 0 is in it too
+G17_TIE = 1e-6
+_POW10_MIN, _POW10_MAX = -270, 300  # 10^k for k = 16 - E, E in that range +- 1
+_VELTKAMP = 134217729.0             # 2^27 + 1
+_SLOT_WIDTH = 48
+_EXP_SLOT = 40                      # slot of "e"; d_i sits in slot 6 + 2 i
+
+
+def _words(texts):
+    """Each 8-character ASCII text as one uint64 of the same bytes."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint64)
+
+
+class _G17Tables:
+    """Lookup tables of the %.17g kernel.  They cost milliseconds to build,
+    which a run that writes no CSV does not pay."""
+
+    def __init__(self):
+        # 10^k = hi + lo: hi the double nearest 10^k (int / int true division
+        # rounds correctly), lo the rest, rounded
+        his, los = [], []
+        for k in range(_POW10_MIN, _POW10_MAX + 1):
+            num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+            hi = num / den
+            a, b = hi.as_integer_ratio()
+            his.append(hi)
+            los.append((num * b - a * den) / (den * b))
+        self.hi, self.lo = np.array(his), np.array(los)
+        self.hi_high, self.hi_low = _split(self.hi)
+
+        self.lead = _words(f"-0.000{d}." for d in range(10))
+        # "d.d.d.d." of each 4-digit chunk, built in numpy: a list of 10,000
+        # strings would double the memory peak of a CSV scan
+        digits = (np.arange(10_000, dtype=np.int16)[:, None]
+                  // np.array([1000, 100, 10, 1], dtype=np.int16) % 10)
+        text = np.full((10_000, 8), ord("."), dtype=np.uint8)
+        text[:, ::2] = digits + ord("0")
+        self.chunk = text.view(np.uint64).ravel()
+        # index in its chunk of the last nonzero digit, < 0 for chunk 0
+        nonzero = digits[:, ::-1] != 0
+        self.chunk_last = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero, axis=1), -99)
+        exps = range(-400, 400)
+        self.exp = _words(f"e{x:+04d},\0\0" for x in exps)
+        self.cls = np.array([x + 4 if -4 <= x <= 16 else 21 if abs(x) < 100 else 22
+                             for x in exps])
+
+        keep = np.zeros((23, 17, _SLOT_WIDTH), dtype=np.uint8)
+        for cls in range(23):
+            x = cls - 4
+            for last in range(17):
+                row = keep[cls, last]
+                if cls > 20:                    # d0[.d1..dlast]e+dd[d]
+                    row[6:7 + 2 * last:2] = True
+                    row[7] = last > 0
+                    row[_EXP_SLOT:_EXP_SLOT + 2] = True
+                    row[_EXP_SLOT + 2 + (cls == 21):_EXP_SLOT + 5] = True
+                elif x >= 0:                    # d0..dX[.dX+1..dlast]
+                    row[6:7 + 2 * max(x, last):2] = True
+                    row[7 + 2 * x] = last > x
+                else:                           # 0.000d0..dlast
+                    row[1:2 - x] = True
+                    row[6:7 + 2 * last:2] = True
+                row[0] = row[_EXP_SLOT + 5] = True  # the sign (or 0), the separator
+        self.keep = keep.reshape(23 * 17, _SLOT_WIDTH)
+
+
+@functools.cache
+def _g17_tables():
+    return _G17Tables()
+
+
+def _split(a):
+    """Veltkamp's split of a into high and low halves of 26 bits each."""
+    t = _VELTKAMP * a
+    high = t - (t - a)
+    return high, a - high
+
+
+def _round17(tables, a, e):
+    """For a = |x| and exponents e: q = a 10^(16-e) rounded to an integer
+    (int64), y - 1e16 for the unrounded y, and whether q is in doubt."""
+    k = 16 - e - _POW10_MIN
+    y = a * tables.hi[k]
+    a_high, a_low = _split(a)
+    p_high, p_low = tables.hi_high[k], tables.hi_low[k]
+    # ((a_high p_high - y) + a_high p_low + a_low p_high) + a_low p_low + a lo,
+    # summed in place
+    lo = a_high * p_high
+    lo -= y
+    lo += a_high * p_low
+    lo += a_low * p_high
+    lo += a_low * p_low
+    del a_high, a_low, p_high, p_low
+    rest = tables.lo[k]
+    lo += a * rest
+    r = np.rint(lo)     # y is even, so this rounds y + lo half to even
+    # lo is exact where 10^k is: a tie is then a tie, not a doubt
+    doubt = (np.abs(lo - r) >= 0.5 - G17_TIE) & (rest != 0)
+    q = y.astype(np.int64)
+    q += r.astype(np.int64)
+    y -= 1e16
+    y += lo
+    return q, y, doubt
+
+
+def _significands(values):
+    """(q, e): the 17-digit significand and decimal exponent of each value,
+    (0, 0) for a zero; None if the fast path cannot decide a value: nan,
+    inf, 0 < |x| < G17_MIN, |x| > G17_MAX or a rounding in doubt."""
+    a = np.abs(values)
+    zero = a == 0
+    if not np.all(zero | ((a >= G17_MIN) & (a <= G17_MAX))):    # nan fails too
+        return None
+    tables = _g17_tables()
+    a[zero] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    q, above, doubt = _round17(tables, a, e)
+    off = (above < 0) | (q > 10**17)    # log10 was one too high or too low
+    if off.any():
+        e[off] += np.where(above[off] < 0, -1, 1)
+        q[off], above[off], doubt[off] = _round17(tables, a[off], e[off])
+        if np.any((above < 0) | (q > 10**17)):
+            return None
+    if doubt.any():
+        return None
+    top = q == 10**17
+    q[top], e[top] = 10**16, e[top] + 1
+    q[zero], e[zero] = 0, 0
+    return q, e
+
+
+def _slots(q, e, negative, columns):
+    """The slot template of each value, filled in from its significand q,
+    exponent e and sign, as (n, _SLOT_WIDTH) bytes, and the row of its keep
+    mask in `_G17Tables.keep`."""
+    tables = _g17_tables()
+    # d0 and four chunks of 4 digits: d1..d4 | d5..d8 | d9..d12 | d13..d16
+    high, low = np.divmod(q, 100_000_000)
+    d0, mid = np.divmod(high.astype(np.uint32), 100_000_000)
+    chunks = np.empty((4, len(q)), dtype=np.uint32)
+    chunks[0], chunks[1] = np.divmod(mid, 10_000)
+    chunks[2], chunks[3] = np.divmod(low.astype(np.uint32), 10_000)
+    del high, low, mid
+    last = 13 + tables.chunk_last[chunks[3]]    # index of the last nonzero digit
+    short = np.flatnonzero(last < 0)
+    if short.size:
+        last[short] = np.max(tables.chunk_last[chunks[:, short]]
+                             + np.array([[1], [5], [9], [13]]), axis=0).clip(0)
+
+    slots = np.empty((len(q), _SLOT_WIDTH // 8), dtype=np.uint64)
+    slots[:, 0] = tables.lead[d0]
+    for j in range(4):
+        slots[:, 1 + j] = tables.chunk[chunks[j]]
+    slots[:, 5] = tables.exp[e + 400]
+    slots = slots.view(np.uint8)
+    slots[:, 0] *= negative
+    slots.reshape(-1, columns, _SLOT_WIDTH)[:, -1, _EXP_SLOT + 5] = ord("\n")
+    return slots, tables.cls[e + 400] * 17 + last
+
+
+def _format17(values, columns):
+    """The ASCII bytes of the values of a 1-d float64 array, each written as
+    "%.17g" and followed by "," or, after every `columns` values, by "\\n";
+    None if `_significands` cannot decide a value."""
+    digits = _significands(values)
+    if digits is None:
+        return None
+    slots, pattern = _slots(*digits, np.signbit(values), columns)
+    del digits      # each step's temporaries are gone before the next allocates
+    slots *= _g17_tables().keep.take(pattern, axis=0)
+    text = slots.tobytes()
+    del slots
+    return text.translate(None, b"\0")     # drops the slots zeroed above
 
 
 def _write_csv(path, header, columns):
     """Write equal-length columns under `header`, every value as fmt(x).
 
-    Rows are %-formatted a block at a time, which bounds the Python floats
-    alive at once to one block.
+    A block of rows at a time goes through `_format17`; a block it cannot
+    decide is %-formatted.  A block holds at most 4 CSV_BLOCK_ROWS values,
+    which bounds the memory the kernel (about 120 bytes a value) or the
+    Python floats take at once.
     """
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    width = table.shape[1]
+    rows = CSV_BLOCK_ROWS * 4 // max(4, width)
+    row = ",".join(["%.17g"] * width) + "\n"
     with _output(path) as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
+            text = _format17(block.ravel(), width)
+            fh.write(row * len(block) % tuple(block.ravel().tolist()) if text is None
+                     else text.decode("ascii"))
 
 
 def _json_ready(obj):
@@ -208,8 +411,7 @@ def cmd_wigner(args):
 
 def cmd_interference(args):
     cfg = load_config(args.config)
-    samples = args.samples if args.samples is not None else cfg_get(
-        cfg, "samples", cast=int, default=4001)
+    samples = _row_count(cfg, "samples", default=4001, flag=args.samples)
     try:
         emission = interference.EmissionConfig(
             e1_ev=cfg_get(cfg, "e1_ev"),
@@ -252,7 +454,7 @@ def cmd_evolve(args):
                 x0 = np.array([cfg_get(cfg, k) for k in ("t0", "x0", "y0", "z0")])
                 p0 = np.array([cfg_get(cfg, k) for k in ("E0", "px0", "py0", "pz0")])
                 dtau = cfg_get(cfg, "dtau")
-                steps = _evolve_size(cfg, "steps")
+                steps = _row_count(cfg, "steps")
                 traj = evolution.classical_integrate(
                     evolution.PhasePoint(x0, p0), model, dtau, steps)
                 header = "tau,t,x,y,z,E,px,py,pz,K"
@@ -264,7 +466,7 @@ def cmd_evolve(args):
                     spatial_p=[cfg_get(cfg, k, default=0.0)
                                for k in ("px", "py", "pz")],
                     mass_param=cfg_get(cfg, "mass_param"),
-                    num=_evolve_size(cfg, "num", default=256),
+                    num=_row_count(cfg, "num", default=256),
                 )
                 packet = evolution.free_evolve(packet, cfg_get(cfg, "dtau"))
                 header = "p0,prob_density,phase"

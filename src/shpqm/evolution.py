@@ -278,6 +278,8 @@ class MomentumPacket:
         w = np.asarray(self.weights, dtype=float)
         if ps.ndim != 2 or ps.shape[1] != 4:
             raise ValueError("momenta must have shape (N, 4)")
+        if not np.isfinite(ps).all():
+            raise ValueError("momenta must be finite")
         if amps.shape != (ps.shape[0],) or w.shape != (ps.shape[0],):
             raise ValueError("amplitudes and weights must match the grid")
         if self.mass_param <= 0:

@@ -202,7 +202,8 @@ def scan_interference(config, dt_min_fs, dt_max_fs, samples):
     estimates its fringe period when that is first read.
 
     Raises AliasingError when the grid puts fewer than 16 samples on the
-    expected fringe period h/|dE|.
+    expected fringe period h/|dE|, and ValueError when a value of the scan
+    overflows or is undefined (such as a pulse width whose square underflows).
     """
     if samples < 2 or not dt_max_fs > dt_min_fs:
         raise ValueError("need an increasing dt range and samples >= 2")
@@ -214,9 +215,15 @@ def scan_interference(config, dt_min_fs, dt_max_fs, samples):
         raise AliasingError(
             f"grid step {step:.4g} fs gives {expected / step:.1f} samples per "
             f"expected period {expected:.4g} fs; need at least 16")
-    env = direct_part(config, grid)
-    osc = interference_part(config, grid)
-    prob = env + osc
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            env = direct_part(config, grid)
+            osc = interference_part(config, grid)
+            prob = env + osc
+    except ArithmeticError as exc:  # FloatingPointError, and Python's float errors
+        raise ValueError(f"scan is out of floating-point range for dt in [{dt_min_fs!r},"
+                         f" {dt_max_fs!r}] fs, pulse width {config.sigma_t_fs!r} fs and"
+                         f" emission spacing {config.emission_spacing_fs!r} fs") from exc
     # fringe visibility: oscillation amplitude relative to the strongest
     # direct signal; 1 for perfectly overlapping pulses, ~0 when the
     # emission spacing kills the envelope overlap

@@ -212,25 +212,6 @@ def boost(axis, rapidity):
     return out
 
 
-def random_rotation(rng):
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    return rotation(axis, rng.uniform(0.0, np.pi))
-
-
-def random_proper_lorentz(seed, max_rapidity=3.0):
-    """Seeded random proper orthochronous transformation.
-
-    Rapidity is capped (default 3) to keep cosh/sinh conditioning compatible
-    with 1e-12 constraint tolerances.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    lam = random_rotation(rng) @ boost(axis, rng.uniform(0.0, max_rapidity))
-    return check_proper_lorentz(lam, tol=1e-11)
-
-
 def rest_boosted(axis, rapidity):
     """N0 boosted by the given rapidity along axis: (cosh w, sinh w axis)."""
     w = np.asarray(rapidity, dtype=float)[..., None]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +296,9 @@ def test_evolve_domain_error_exits_2_with_one_line(tmp_path, capsys, cfg_text, m
     ("interference", REFERENCE_CFG, "sigma_t_fs", "-1", "pulse width must be positive"),
     ("interference", REFERENCE_CFG, "dt_min_fs", "5.0", "increasing dt range"),
     ("interference", REFERENCE_CFG, "e2_ev", "inf", "'e2_ev' must be finite"),
+    ("interference", REFERENCE_CFG, "t_emit1_fs", "2e154", "out of floating-point range"),
+    ("interference", REFERENCE_CFG, "sigma_t_fs", "1e-160", "out of floating-point range"),
+    ("interference", REFERENCE_CFG, "samples", "100000000", "must be at most 10000000"),
     ("evolve", QUANTUM_CFG, "dtau", "nan", "'dtau' must be finite"),
     ("evolve", QUANTUM_CFG, "e_width", "-0.5", "energy width must be positive"),
     ("evolve", QUANTUM_CFG, "e_width", "1e154", "out of floating-point range"),
@@ -304,6 +308,7 @@ def test_evolve_domain_error_exits_2_with_one_line(tmp_path, capsys, cfg_text, m
     ("evolve", CLASSICAL_CFG, "dtau", "1e308", "phase point must be finite"),
     ("evolve", CLASSICAL_CFG, "steps", "1000000000", "must be at most 10000000"),
 ], ids=["nan-sigma", "negative-sigma", "dt-range-reversed", "inf-energy",
+        "overflowing-spacing", "underflowing-sigma", "huge-samples",
         "quantum-nan-dtau", "quantum-negative-width", "quantum-huge-width",
         "quantum-huge-dtau", "classical-zero-mass", "classical-overflowing-k",
         "classical-huge-dtau", "classical-huge-steps"])
@@ -336,6 +341,168 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     got = out.read_text(encoding="utf-8").splitlines(keepends=True)
     bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert len(got) == len(want) and bad[:1] == []
+
+
+# -- the %.17g kernel of _write_csv, value by value -------------------------
+
+def written_as_format(tmp_path, values, columns=1):
+    """Whether `_write_csv` writes the values (in rows of `columns`) as
+    format(x, ".17g") each; the first wrong row is in the assertion."""
+    table = np.asarray(values, dtype=float).reshape(-1, columns)
+    out = tmp_path / "values.csv"
+    cli._write_csv(str(out), "x", [table])
+    got = out.read_text(encoding="utf-8").splitlines()
+    want = ["x"] + [",".join(format(float(v), ".17g") for v in row) for row in table]
+    bad = next(((g, w) for g, w in zip(got, want) if g != w), None)
+    assert bad is None and len(got) == len(want), bad
+    return True
+
+
+@pytest.fixture
+def fast_blocks(monkeypatch):
+    """Counts of the blocks `_format17` writes and of those it leaves to the
+    % formatting, as {"fast": n, "fallback": m}."""
+    counts = {"fast": 0, "fallback": 0}
+    kernel = cli._format17
+
+    def counted(values, columns):
+        text = kernel(values, columns)
+        counts["fast" if text is not None else "fallback"] += 1
+        return text
+
+    monkeypatch.setattr(cli, "_format17", counted)
+    return counts
+
+
+def random_doubles(rng, count, exponents=(0, 2047)):
+    """Random float64 bit patterns whose exponent field lies in `exponents`."""
+    bits = rng.integers(0, 2**63, count, dtype=np.uint64) << np.uint64(1)
+    bits |= rng.integers(0, 2, count, dtype=np.uint64)
+    low, high = exponents
+    exp = rng.integers(low, high + 1, count, dtype=np.uint64)
+    bits = (bits & ~np.uint64(0x7FF << 52)) | (exp << np.uint64(52))
+    return bits.view(np.float64)
+
+
+def test_kernel_on_random_bit_patterns(tmp_path, monkeypatch, fast_blocks):
+    # small blocks, so that one undecided value costs the fast path little
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+    rng = np.random.default_rng(8)
+    anywhere = random_doubles(rng, 200_000)    # nan, inf, subnormals too
+    assert written_as_format(tmp_path, anywhere, columns=4)
+    # biased exponents 94..1952 lie inside the fast path's range
+    assert 2.0**(94 - 1023) >= cli.G17_MIN and 2.0**(1953 - 1023) <= cli.G17_MAX
+    fast_blocks.update(fast=0, fallback=0)
+    in_range = random_doubles(rng, 1_000_000, (94, 1952))
+    assert written_as_format(tmp_path, in_range, columns=4)
+    assert fast_blocks["fast"] >= 0.99 * (fast_blocks["fast"] + fast_blocks["fallback"])
+
+
+def test_kernel_on_exact_ties(tmp_path, fast_blocks):
+    # odd multiples of 2^-17 in [1, 2) end in a 5 at the 18th digit; near
+    # 1e14 every odd multiple of 2^-3 does, the odd multiples of 2^-6 do not
+    ones = 1.0 + (2 * np.arange(2**16) + 1) * 2.0**-17
+    near_1e14 = 1e14 + np.arange(-2**13, 2**13) * 2.0**-6
+    assert written_as_format(tmp_path, np.concatenate([ones, -near_1e14]), columns=2)
+    # 10^16 and 10^2 are exact doubles: these ties are decided, not doubted
+    assert fast_blocks["fallback"] == 0
+    # the exact ties at an inexact 10^k: j 2^-(k+1) with j 5^k of 17 digits
+    inexact = [j * 2.0**-(k + 1) for k in (23, 24) for j in range(1, 17, 2)
+               if 2 * 10**16 <= j * 5**k < 2 * 10**17]
+    assert len(inexact) == 9
+    assert written_as_format(tmp_path, inexact + [-x for x in inexact])
+
+
+def test_kernel_at_powers_of_ten(tmp_path, fast_blocks):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    near = np.concatenate([near, -near])
+    assert written_as_format(tmp_path, near)
+    # some doubles just below 10^k print as 1e+k: the 17-digit rounding
+    # carries to 10^17
+    fast = near[(np.abs(near) >= cli.G17_MIN) & (np.abs(near) <= cli.G17_MAX)]
+    carries = [x for x in fast.tolist() if format(x, ".17g").lstrip("-").startswith("1e")
+               and _below_its_power_of_ten(abs(x))]
+    assert len(carries) >= 10
+    fast_blocks.update(fast=0, fallback=0)
+    assert written_as_format(tmp_path, fast)
+    assert fast_blocks["fallback"] == 0
+
+
+def _below_its_power_of_ten(x):
+    """Whether the double x lies below 10^k, k its printed exponent."""
+    k = int(format(x, ".17g").split("e")[1])
+    num, den = x.as_integer_ratio()
+    return num * 10**max(-k, 0) < den * 10**max(k, 0)
+
+
+def test_kernel_at_notation_switches(tmp_path, fast_blocks):
+    # fixed point for exponents -4..16, scientific outside: 50 doubles on
+    # either side of each switch
+    values = []
+    for switch in (1e-5, 1e-4, 1e16, 1e17):
+        for toward in (0.0, np.inf):
+            x = switch
+            for _ in range(50):
+                values.append(x)
+                x = np.nextafter(x, toward)
+    assert written_as_format(tmp_path, values, columns=4)
+    assert fast_blocks["fallback"] == 0
+
+
+def test_kernel_on_special_values(tmp_path, fast_blocks):
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, np.nan,
+                np.inf, -np.inf, cli.G17_MIN, np.nextafter(cli.G17_MIN, 0),
+                cli.G17_MAX, np.nextafter(cli.G17_MAX, np.inf)]
+    assert written_as_format(tmp_path, specials, columns=2)
+    assert fast_blocks["fallback"] == 1
+    # zeros are the fast path's own
+    assert written_as_format(tmp_path, [0.0, -0.0, 1.0, -0.0], columns=2)
+    assert fast_blocks["fallback"] == 1
+
+
+def test_kernel_blocks_fall_back_one_at_a_time(tmp_path, fast_blocks):
+    # an undecided value at either edge of the middle block sends that block
+    # alone to the % formatting
+    rows = cli.CSV_BLOCK_ROWS
+    table = np.random.default_rng(5).normal(size=(3 * rows, 3))
+    table[rows, 0], table[2 * rows - 1, 2] = np.nan, 1e300
+    assert written_as_format(tmp_path, table, columns=3)
+    assert fast_blocks == {"fast": 2, "fallback": 1}
+
+
+def test_kernel_against_hypothesis_floats():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    decided = []
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
+    def check(values, columns):
+        values = np.array(values[:len(values) // columns * columns] or [0.0] * columns)
+        text = cli._format17(values, columns)
+        want = "".join(format(float(v), ".17g") + ("\n" if i % columns == columns - 1
+                                                    else ",")
+                       for i, v in enumerate(values))
+        if text is not None:
+            assert text.decode("ascii") == want
+            decided.append(values)
+
+    check()
+    assert len(decided) >= 100
+
+
+def test_example_scan_is_written_by_the_fast_path(tmp_path, fast_blocks):
+    out = tmp_path / "scan.csv"
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "interference_example.cfg"
+    assert run_cli(["interference", "--config", str(cfg), "--format", "csv",
+                    "--samples", "400001", "--out", str(out)]) == 0
+    total = fast_blocks["fast"] + fast_blocks["fallback"]
+    assert total == -(-400001 // cli.CSV_BLOCK_ROWS)
+    assert fast_blocks["fast"] >= 0.99 * total
 
 
 def test_console_entry_point():

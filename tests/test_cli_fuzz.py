@@ -1,4 +1,5 @@
-"""Property-based fuzz test of `shpqm evolve` config values.
+"""Property-based fuzz tests of `shpqm evolve` and `shpqm interference`
+config values.
 
 Every config value, however bad, must end in exit 0 with nothing on stderr,
 or in exit 2 with one line on stderr; exit 1 is reserved for the integrator's
@@ -9,9 +10,10 @@ import contextlib
 import io
 import warnings
 
+import numpy as np
 import pytest
 
-from shpqm import cli
+from shpqm import cli, interference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -51,13 +53,14 @@ def configs(draw, mode):
     return values
 
 
-def run_evolve(path, values):
+def run_cli(path, values, argv):
+    """cli.main(argv + --config path) on a config of `values`, with its exit
+    code and its stderr, warnings counted as stderr lines."""
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = cli.main(["evolve", "--config", str(path),
-                         "--out", str(path.with_suffix(".csv"))])
+        code = cli.main([*argv, "--config", str(path)])
     # a warning would have been one more stderr line
     return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n"
                                           for w in caught)
@@ -71,7 +74,8 @@ def test_evolve_config_values_exit_0_or_2_with_one_line(mode, tmp_path_factory):
                          database=None)
     @hypothesis.given(configs(mode))
     def check(values):
-        code, err = run_evolve(path, {"mode": mode, **values})
+        code, err = run_cli(path, {"mode": mode, **values},
+                            ["evolve", "--out", str(path.with_suffix(".csv"))])
         lines = err.splitlines()
         if code == 0:
             assert err == ""
@@ -82,3 +86,67 @@ def test_evolve_config_values_exit_0_or_2_with_one_line(mode, tmp_path_factory):
             assert lines[0].startswith("error: hamiltonian drifted"), err
 
     check()
+
+
+# interference: tame values give a scan with >= 16 samples per fringe period;
+# samples may also come by flag
+ITF_TAME = {"e1_ev": st.floats(20.0, 30.0), "e2_ev": st.floats(20.0, 30.0),
+            "t_emit1_fs": st.floats(-2.0, 2.0), "t_emit2_fs": st.floats(-2.0, 2.0),
+            "sigma_t_fs": st.floats(0.1, 2.0), "dt_min_fs": st.floats(-6.0, -0.5),
+            "dt_max_fs": st.floats(0.5, 6.0)}
+ITF_KINDS = {**dict.fromkeys(ITF_TAME, "float"), "samples": "int"}
+
+
+@st.composite
+def interference_runs(draw):
+    values = {key: repr(draw(tame)) for key, tame in ITF_TAME.items()}
+    values["samples"] = str(draw(st.integers(500, 3000)))
+    for key in draw(st.lists(st.sampled_from(sorted(ITF_KINDS)), max_size=3, unique=True)):
+        values[key] = draw(WILD[ITF_KINDS[key]])
+    flag = []
+    if draw(st.booleans()):     # --samples overrides the config key
+        flag = ["--samples", draw(st.one_of(st.integers(500, 3000).map(str), WILD_INTS))]
+    return values, flag
+
+
+def scan_csv(values, flag):
+    """The CSV that `interference --format csv` must write for `values`:
+    the scan of the parsed values, every number as format(x, ".17g")."""
+    get = {key: float(values[key]) for key in ITF_TAME}
+    samples = int(flag[1]) if flag else int(values["samples"])
+    scan = interference.scan_interference(
+        interference.EmissionConfig(get["e1_ev"], get["e2_ev"], get["t_emit1_fs"],
+                                    get["t_emit2_fs"], get["sigma_t_fs"]),
+        get["dt_min_fs"], get["dt_max_fs"], samples)
+    table = np.column_stack([scan.dt_grid_fs, scan.probability, scan.envelope,
+                             scan.interference])
+    return "delta_t_fs,probability,envelope,interference_term\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_interference_config_values_exit_0_or_2_with_one_line(fmt, tmp_path_factory):
+    path = tmp_path_factory.mktemp(f"fuzz-interference-{fmt}") / "run.cfg"
+    out = path.with_suffix(f".{fmt}")
+    scans = []
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(interference_runs())
+    def check(run):
+        values, flag = run
+        out.unlink(missing_ok=True)
+        code, err = run_cli(path, values, ["interference", "--format", fmt,
+                                           "--out", str(out), *flag])
+        lines = err.splitlines()
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("config error: "), err
+            assert not out.exists()
+            return
+        assert code == 0 and err == "", (code, err)
+        if fmt == "csv":
+            assert out.read_bytes() == scan_csv(values, flag).encode("ascii")
+        scans.append(values)
+
+    check()
+    assert len(scans) >= 40      # a fifth of the draws reach a scan

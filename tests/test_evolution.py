@@ -298,6 +298,16 @@ def test_packet_normalization_enforced():
                           packet.weights, packet.mass_param, packet.n)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_packet_refuses_non_finite_momenta(bad):
+    packet = make_packet()
+    momenta = packet.momenta.copy()
+    momenta[3, 2] = bad
+    with pytest.raises(ValueError, match="momenta must be finite"):
+        ev.MomentumPacket(momenta, packet.amplitudes, packet.weights,
+                          packet.mass_param, packet.n)
+
+
 def test_free_evolution_is_unitary():
     packet = make_packet()
     for _ in range(100):

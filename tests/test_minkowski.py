@@ -52,7 +52,7 @@ def test_boost_moves_rest_vector():
 def test_inverse_and_random_proper():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        lam = mk.random_proper_lorentz(rng)
+        lam = sl2c.spinor_map(sl2c.random_sl2c(rng, 3.0))
         mk.check_proper_lorentz(lam)
         assert np.allclose(mk.inverse(lam) @ lam, np.eye(4), atol=1e-12)
 
@@ -60,7 +60,7 @@ def test_inverse_and_random_proper():
 def test_dot_invariance_under_random_lorentz():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        lam = mk.random_proper_lorentz(rng)
+        lam = sl2c.spinor_map(sl2c.random_sl2c(rng, 3.0))
         a = mk.random_four_vector(rng, 2.0)
         b = mk.random_four_vector(rng, 2.0)
         assert mk.dot(mk.apply(lam, a), mk.apply(lam, b)) == pytest.approx(

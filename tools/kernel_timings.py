@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_7.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_8.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -27,8 +27,12 @@ cost of one tau step.  Last, the interference scan of
 `configs/interference_example.cfg` at 400,001 samples: the fringe-period
 estimator alone (`interference._dtft_period`, or `_fourier_period` in a
 checkout that has only that), and `shpqm interference --format csv` end to
-end through `cli.main`, written to a file.  Uses only the standard library
-and numpy.
+end through `cli.main`, written to a file.  Last, `csv_format`: µs per value
+of the CLI's CSV writer (`cli._write_csv`) on three tables, each written to
+a file: the interference scan and the trajectory above, and 100,000 rows of
+4 random float64 bit patterns, whose nan, inf and extreme values send most
+blocks to the writer's %-formatting fallback (its worst case).  Uses only
+the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ SUITE_SAMPLES = 1000
 EVOLVE_STEPS = 20_000
 SCAN_ROWS = 100_001
 PERIOD_SAMPLES = 400_001
+RANDOM_ROWS = 100_000
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
@@ -159,15 +164,24 @@ def suite_table(packages):
     return table
 
 
+def sample_tables(package):
+    """(start, model, trajectory, scan): the free trajectory of EVOLVE_STEPS
+    steps, with its start and model, and the interference scan of SCAN_ROWS
+    rows that the CSV writers are timed on."""
+    ev, itf = package.evolution, package.interference
+    model = ev.FreeModel(2.0)
+    start = ev.PhasePoint(np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 0.4, -0.2, 0.7]))
+    traj = ev.classical_integrate(start, model, 0.01, EVOLVE_STEPS)
+    scan = itf.scan_interference(itf.EmissionConfig(35.0, 39.2, 0.0, 0.75, 0.5),
+                                 -4.0, 4.0, SCAN_ROWS)
+    return start, model, traj, scan
+
+
 def evolve_calls(package, path):
     """{name: (callable, work units)} for the `shpqm evolve` path of `package`,
     the CSV writers writing to `path`."""
     ev, cli = package.evolution, package.cli
-    model = ev.FreeModel(2.0)
-    start = ev.PhasePoint(np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 0.4, -0.2, 0.7]))
-    traj = ev.classical_integrate(start, model, 0.01, EVOLVE_STEPS)
-    emission = package.interference.EmissionConfig(35.0, 39.2, 0.0, 0.75, 0.5)
-    scan = package.interference.scan_interference(emission, -4.0, 4.0, SCAN_ROWS)
+    start, model, traj, scan = sample_tables(package)
     if hasattr(cli, "_write_csv"):
         write_traj = lambda: cli._write_csv(path, "tau,t,x,y,z,E,px,py,pz,K",
                                             [traj.tau, traj.x, traj.p, traj.k])
@@ -257,11 +271,45 @@ def period_table(packages):
     return table
 
 
+def csv_format_calls(package, path):
+    """{table: (callable, values written)} for `cli._write_csv` of `package`
+    writing each table of `csv_format` to `path`; None if it has no such
+    writer."""
+    cli = package.cli
+    if not hasattr(cli, "_write_csv"):
+        return None
+    _, _, traj, scan = sample_tables(package)
+    bits = np.random.default_rng(8).integers(0, 2**64, (RANDOM_ROWS, 4), dtype=np.uint64)
+    tables = {"scan": [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference],
+              "trajectory": [traj.tau, traj.x, traj.p, traj.k],
+              "random_bits": [bits.view(np.float64)]}
+    return {name: (lambda c=columns: cli._write_csv(path, "header", c),
+                   np.column_stack(columns).size)
+            for name, columns in tables.items()}
+
+
+def csv_format_table(packages):
+    table = {label: {} for label in packages}
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = {label: csv_format_calls(p, str(Path(tmp) / f"{label}.csv"))
+                 for label, p in packages.items()}
+        present = {label: c for label, c in calls.items() if c is not None}
+        for label in packages.keys() - present.keys():
+            table[label] = "absent"
+        for name in ("scan", "trajectory", "random_bits"):
+            best = best_seconds({label: c[name][0] for label, c in present.items()}, 5, 1)
+            for label, seconds in best.items():
+                count = present[label][name][1]
+                table[label][name] = {"us_per_value": round(seconds * 1e6 / count, 4),
+                                      "values": count, "seconds": round(seconds, 5)}
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_7.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_8.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
@@ -270,7 +318,7 @@ def main(argv=None):
     inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
     kernels, suites = kernel_table(packages, inputs), suite_table(packages)
     evolve, tau_step = evolve_table(packages), tau_step_table(packages)
-    period = period_table(packages)
+    period, csv_format = period_table(packages), csv_format_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
@@ -279,7 +327,7 @@ def main(argv=None):
     for label in packages:
         data[label] = {"kernels": kernels[label], "suites_s": suites[label],
                        "evolve": evolve[label], "tau_step": tau_step[label],
-                       "scan_period": period[label]}
+                       "scan_period": period[label], "csv_format": csv_format[label]}
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data, indent=2, sort_keys=True))
     return 0
