@@ -2,8 +2,9 @@
 interference scans, evolution demos, and physical constants.
 
 Config files are flat ``key = value`` text with ``#`` comments.  Exit codes:
-0 success, 1 verification failure, 2 configuration error.  All numeric output
-uses 17 significant digits so identical inputs give byte-identical files.
+0 success, 1 verification failure, 2 configuration error or stdout closed
+early.  All numeric output uses 17 significant digits so identical inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -73,6 +75,7 @@ def cfg_get(cfg, key, cast=float, default=None):
 def _output(path):
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()      # a reader that closed stdout early raises here
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -485,7 +488,14 @@ def cmd_evolve(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The `shpqm` argument parser, built on first use and then reused.
+
+    It holds each subcommand by name only; `main` looks up `cmd_<name>` when
+    it runs one, so a replaced `cmd_*` function is the one that runs.  Every
+    caller gets the same parser and must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="shpqm",
         description="Relativistic quantum toolkit: verification suites, "
@@ -493,46 +503,50 @@ def build_parser():
                     "evolution demos.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary):
+    def command(name, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(func=func)
         return p
 
-    p_verify = command("verify", cmd_verify, "run the identity suites")
+    p_verify = command("verify", "run the identity suites")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--samples", type=int, default=1000)
 
-    p_wigner = command("wigner", cmd_wigner,
-                       "induced rotation of two composed boosts")
+    p_wigner = command("wigner", "induced rotation of two composed boosts")
     p_wigner.add_argument("--boost1", required=True, help="axis:rapidity")
     p_wigner.add_argument("--boost2", required=True, help="axis:rapidity")
     p_wigner.add_argument("--n", default=None,
                           help="foliation vector t,x,y,z (default rest)")
 
-    p_itf = command("interference", cmd_interference,
-                    "two-electron coincidence scan")
+    p_itf = command("interference", "two-electron coincidence scan")
     p_itf.add_argument("--config", required=True, help="key=value config file")
     p_itf.add_argument("--samples", type=int, default=None,
                        help="scan samples (default: config 'samples', else 4001)")
     p_itf.add_argument("--format", choices=("csv", "json"), default="json")
 
-    p_ev = command("evolve", cmd_evolve, "classical or quantum evolution dump")
+    p_ev = command("evolve", "classical or quantum evolution dump")
     p_ev.add_argument("--config", required=True, help="key=value config file")
     p_ev.add_argument("--format", choices=("csv",), default="csv")
 
-    command("constants", cmd_constants, "print physical constants")
+    command("constants", "print physical constants")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull, so the flush at exit adds no second message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output closed before it was fully written", file=sys.stderr)
         return 2
 
 

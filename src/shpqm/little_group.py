@@ -116,13 +116,17 @@ def su2_angle_axis(d):
     d = cos(theta/2) I - i sin(theta/2) sigma.axis up to a global sign,
     which is fixed so the half-angle cosine is >= 0.
     """
-    d = np.asarray(d, dtype=complex)
-    c = 0.5 * np.trace(d).real
-    comps = np.array([0.5j * np.trace(s @ d) for s in sl2c.PAULI[1:]])
+    (d00, d01), (d10, d11) = np.asarray(d, dtype=complex).tolist()
+    # Re(0.5j * trace(sigma_k d)) from the entries; "+ 0.0" turns a -0.0 into
+    # 0.0 as the matrix product sigma_k @ d does, so an exact zero component
+    # gets the sign that product gives it
+    comps = np.array([0.0 * (t.real + 0.0) - 0.5 * (t.imag + 0.0)
+                      for t in (d01 + d10, 1j * (d01 - d10), d00 - d11)])
+    c = 0.5 * (d00 + d11).real
     if c < 0:
         c, comps = -c, -comps
-    s = np.linalg.norm(comps.real)
+    s = np.linalg.norm(comps)
     angle = 2.0 * np.arctan2(s, min(c, 1.0))
     if s < 1e-14:
         return 0.0, np.array([0.0, 0.0, 1.0])
-    return float(angle), comps.real / s
+    return float(angle), comps / s

@@ -505,6 +505,76 @@ def test_example_scan_is_written_by_the_fast_path(tmp_path, fast_blocks):
     assert fast_blocks["fast"] >= 0.99 * total
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+WIGNER = ["wigner", "--boost1", "x:1.0", "--boost2", "y:2.0"]
+# commands of every kind, with the exit each gives: a return code, or the
+# code of the SystemExit argparse raises
+REPEATED = [
+    (["constants"], 0),
+    (WIGNER, 0),
+    (["verify", "--samples", "20"], 0),
+    (["wigner", "--boost1", "x:1.0"], ("SystemExit", 2)),
+    (["interference", "--config", str(CONFIGS / "interference_example.cfg"),
+      "--format", "csv"], 0),
+    (["--help"], ("SystemExit", 0)),
+    (["interference", "--config", str(CONFIGS / "interference_example.cfg")], 0),
+    (["evolve", "--config", str(CONFIGS / "missing.cfg")], 2),
+    (["evolve", "--config", str(CONFIGS / "evolve_classical.cfg")], 0),
+    (["wigner", "--help"], ("SystemExit", 0)),
+    (["evolve", "--config", str(CONFIGS / "evolve_quantum.cfg")], 0),
+    (["verify", "--samples", "x"], ("SystemExit", 2)),
+    (["constants"], 0),
+    (WIGNER, 0),
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+def test_repeated_calls_in_one_process_match_a_fresh_parser(capsys):
+    cli.build_parser.cache_clear()
+    reused = [_outcome(argv, capsys) for argv, _ in REPEATED]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv, _ in REPEATED:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert [outcome[0] for outcome in reused] == [code for _, code in REPEATED]
+    assert reused == fresh
+    assert reused[0] == reused[-2] and reused[1] == reused[-1]
+    assert all(outcome[1] for outcome in reused if outcome[0] in (0, ("SystemExit", 0)))
+    assert all(outcome[2].count("\n") == 1 for outcome in reused if outcome[0] == 2)
+
+
+def test_commands_are_looked_up_when_they_run(tmp_path, monkeypatch):
+    argv = [*WIGNER, "--out", str(tmp_path / "w.json")]
+    assert run_cli(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_wigner", lambda args: seen.append(args.boost1) or 7)
+    assert run_cli(argv) == 7
+    assert seen == ["x:1.0"]
+
+
+def test_closed_stdout_exits_2_with_one_line():
+    # 40001 rows are megabytes, far more than a pipe holds, so the writer
+    # is still writing when the reader goes
+    with subprocess.Popen(
+            [sys.executable, "-m", "shpqm.cli", "interference", "--config",
+             str(CONFIGS / "interference_example.cfg"), "--format", "csv",
+             "--samples", "40001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("delta_t_fs,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "shpqm.cli", "constants"],

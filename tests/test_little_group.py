@@ -1,5 +1,7 @@
 """Tests for the induced little-group rotation on the foliation orbit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,45 @@ def test_perpendicular_boosts_match_thomas_wigner_angle():
                 angle, _ = lg.su2_angle_axis(lg.wigner_d(a, n))
                 want = 2.0 * np.arctan(np.tanh(w1 / 2) * np.tanh(w2 / 2))
                 assert abs(angle - want) <= 1e-10, (ax1, ax2, w1, w2)
+
+
+def _angle_axis_by_traces(d):
+    """su2_angle_axis as it was written first: the axis components from
+    traces of Pauli-matrix products, the reference for the closed form."""
+    c = 0.5 * np.trace(d).real
+    comps = np.array([0.5j * np.trace(s @ d) for s in sl2c.PAULI[1:]])
+    if c < 0:
+        c, comps = -c, -comps
+    s = np.linalg.norm(comps.real)
+    if s < 1e-14:
+        return 0.0, np.array([0.0, 0.0, 1.0])
+    return float(2.0 * np.arctan2(s, min(c, 1.0))), comps.real / s
+
+
+def test_su2_angle_axis_equals_trace_form_bit_for_bit():
+    rng = np.random.default_rng(12)
+    ds = [lg.wigner_d(sl2c.random_sl2c(rng, 2.0), mk.random_unit_timelike(rng, 1.5))
+          for _ in range(300)]
+    for ax1, ax2 in (("x", "y"), ("y", "z"), ("z", "x"), ("y", "x")):
+        for w in (0.3, 1.7, 4.5):
+            a = sl2c.sl2c_boost(ax1, w) @ sl2c.sl2c_boost(ax2, 2.1)
+            ds.append(lg.wigner_d(a, unit(mk.apply(sl2c.spinor_map(a), mk.N0))))
+    # rotations about each axis with every sign of their exactly-zero parts:
+    # a zero axis component keeps the sign the trace form gives it
+    zeros = (0.0, -0.0)
+    for theta in (0.7, -2.5, 4.0, 0.0):
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        for r1, i1, r2, i2 in itertools.product(zeros, repeat=4):
+            ds.append(np.array([[c - 1j * s, complex(r1, i1)], [complex(r2, i2), c + 1j * s]]))
+            ds.append(np.array([[complex(c, r1), complex(i1, -s)],
+                                [complex(r2, -s), complex(c, i2)]]))
+            ds.append(np.array([[complex(c, r1), complex(-s, i1)],
+                                [complex(s, r2), complex(c, i2)]]))
+    ds += [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
+    for d in ds:
+        angle, axis = lg.su2_angle_axis(d)
+        want_angle, want_axis = _angle_axis_by_traces(d)
+        assert angle == want_angle and axis.tobytes() == want_axis.tobytes()
 
 
 def test_momentum_wigner_d_matches_fiber_form():

@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_8.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_9.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -31,15 +31,22 @@ end through `cli.main`, written to a file.  Last, `csv_format`: µs per value
 of the CLI's CSV writer (`cli._write_csv`) on three tables, each written to
 a file: the interference scan and the trajectory above, and 100,000 rows of
 4 random float64 bit patterns, whose nan, inf and extreme values send most
-blocks to the writer's %-formatting fallback (its worst case).  Uses only
-the standard library and numpy.
+blocks to the writer's %-formatting fallback (its worst case).  Last,
+`cli_dispatch`: µs per `cli.main(["wigner", ...])` call with stdout
+captured, per `cli.build_parser()` call as `main` makes it, per parser build
+(the function under a cache, if there is one), and per transport op: the
+benchmark's N = 1 op of one `induced_transform`, one `transform_pair` with
+`assemble_spinor` and `sector_norm`, and that wigner query.  Uses only the
+standard library and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -60,6 +67,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
 TAU_STEP = ("free_evolve", "mass_moments", "time_energy_uncertainty")
+WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
 
@@ -305,11 +313,47 @@ def csv_format_table(packages):
     return table
 
 
+def dispatch_calls(package):
+    """{name: callable} for the N = 1 CLI path of `package`: a wigner query
+    through `cli.main`, the parser as `main` gets it and as built, and one
+    transport op on fixed inputs."""
+    cli, lg, dirac, sl2c = package.cli, package.little_group, package.dirac, package.sl2c
+    rng = np.random.default_rng(9)
+    n = package.minkowski.random_unit_timelike(rng, 1.5)
+    center_x, center_p = rng.normal(size=4), rng.normal(size=4)
+    spin = np.array([0.6, 0.8j])
+    a = sl2c.sl2c_rotation([0.0, 0.6, 0.8], 1.1) @ sl2c.sl2c_boost([0.8, 0.0, 0.6], 0.9)
+
+    def wigner():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(WIGNER_ARGV)
+
+    def transport():
+        lg.induced_transform(lg.InducedPacketState(n, spin, center_x, center_p, 1.0), a)
+        pair = dirac.transform_pair(dirac.TwoSpinorPair(spin, spin[::-1], n), a)
+        dirac.sector_norm(dirac.assemble_spinor(pair))
+        wigner()
+
+    return {"main_wigner": wigner, "build_parser": cli.build_parser,
+            "parser_build": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
+            "transport_op": transport}
+
+
+def dispatch_table(packages):
+    table = {label: {} for label in packages}
+    calls = {label: dispatch_calls(p) for label, p in packages.items()}
+    for name in ("main_wigner", "build_parser", "parser_build", "transport_op"):
+        best = best_seconds({label: c[name] for label, c in calls.items()}, 15, 200)
+        for label, seconds in best.items():
+            table[label][name] = {"us_per_call": round(seconds * 1e6, 3)}
+    return table
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_8.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_9.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
@@ -319,6 +363,7 @@ def main(argv=None):
     kernels, suites = kernel_table(packages, inputs), suite_table(packages)
     evolve, tau_step = evolve_table(packages), tau_step_table(packages)
     period, csv_format = period_table(packages), csv_format_table(packages)
+    dispatch = dispatch_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
@@ -327,7 +372,8 @@ def main(argv=None):
     for label in packages:
         data[label] = {"kernels": kernels[label], "suites_s": suites[label],
                        "evolve": evolve[label], "tau_step": tau_step[label],
-                       "scan_period": period[label], "csv_format": csv_format[label]}
+                       "scan_period": period[label], "csv_format": csv_format[label],
+                       "cli_dispatch": dispatch[label]}
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data, indent=2, sort_keys=True))
     return 0
