@@ -394,10 +394,11 @@ def cmd_wigner(args):
             raise ConfigError(str(exc)) from exc
     else:
         n = minkowski.N0
-    a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
-    try:
-        d = little_group.transport(a, n)[2]
-    except ValueError as exc:   # e.g. rapidities beyond the supported range
+    try:    # non-finite values are refused; numpy's warnings would add lines
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
+            d = little_group.transport(a, n)[2]
+    except ValueError as exc:   # e.g. a label Lambda n too large to normalise
         raise ConfigError(f"induced rotation: {exc}") from exc
     angle, axis = little_group.su2_angle_axis(d)
     payload = {

@@ -9,7 +9,7 @@ uncertainty product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -262,7 +262,8 @@ class MomentumPacket:
     momenta has shape (N, 4); amplitudes shape (N,); weights are the
     quadrature weights of the grid so that sum(w |a|^2) = 1.  The facts that
     depend on the grid alone (p.p and the energy grid) are computed on first
-    use and carried along by free_evolve.
+    use and carried along by free_evolve.  evolved_tau is the free evolution
+    applied since the amplitudes were set: 0 when built, whatever tau is.
     """
 
     momenta: np.ndarray
@@ -271,6 +272,7 @@ class MomentumPacket:
     mass_param: float
     n: np.ndarray
     tau: float = 0.0
+    evolved_tau: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         ps = np.asarray(self.momenta, dtype=float)
@@ -325,12 +327,13 @@ class MomentumPacket:
         return EnergyGrid(order, e, w, np.sqrt(w), step, t,
                           np.stack((np.sin(turn), np.cos(turn))))
 
-    def _evolved(self, amplitudes, tau):
-        """This packet with new amplitudes of the same norm at `tau`, built
-        without validation; it keeps the cached facts, which depend on the
-        grid alone."""
+    def _evolved(self, amplitudes, dtau):
+        """This packet evolved by `dtau` to new amplitudes of the same norm,
+        built without validation; it keeps the cached facts, which depend on
+        the grid alone."""
         packet = object.__new__(type(self))
-        packet.__dict__.update(self.__dict__, amplitudes=amplitudes, tau=tau)
+        packet.__dict__.update(self.__dict__, amplitudes=amplitudes, tau=self.tau + dtau,
+                               evolved_tau=self.evolved_tau + dtau)
         return packet
 
     @classmethod
@@ -371,7 +374,7 @@ def free_evolve(packet, dtau):
     phase = np.exp(-1j * packet.p_dot_p * dtau / (2.0 * packet.mass_param))
     if not np.isfinite(phase).all():
         raise ValueError(f"free evolution phase is not finite for dtau = {dtau!r}")
-    return packet._evolved(packet.amplitudes * phase, packet.tau + dtau)
+    return packet._evolved(packet.amplitudes * phase, dtau)
 
 
 def mass_moments(packet):
@@ -397,9 +400,10 @@ def time_energy_uncertainty(packet):
     shifts the profile (free evolution shifts it by E_c tau / M, E_c the mean
     energy), and the spread does not depend on where it sits.  Writing
     E = E_c + eps, free evolution also chirps the amplitude by the phase
-    eps^2 tau / 2M; raises ValueError when that chirp changes by more than
-    pi between neighbouring samples (max|eps| |tau| dE / M), because the
-    profile would then wrap around the window and give a wrong spread.
+    eps^2 tau / 2M, with tau the packet's evolved_tau; raises ValueError
+    when that chirp changes by more than pi between neighbouring samples
+    (max|eps| |tau| dE / M), because the profile would then wrap around the
+    window and give a wrong spread.
     """
     grid = packet.energy_grid
     e, w = grid.e, grid.w
@@ -410,10 +414,10 @@ def time_energy_uncertainty(packet):
     de = float(np.sqrt(np.sum(prob * (e - e_mean) ** 2)))
 
     eps = max(e[-1] - e_mean, e_mean - e[0])
-    chirp_step = eps * abs(packet.tau) * grid.step / packet.mass_param
+    chirp_step = eps * abs(packet.evolved_tau) * grid.step / packet.mass_param
     if not chirp_step <= np.pi:
-        raise ValueError(f"energy grid undersamples the evolution phase at tau ="
-                         f" {packet.tau!r}: {chirp_step:.3e} rad per sample > pi")
+        raise ValueError(f"energy grid undersamples the evolution phase after tau ="
+                         f" {packet.evolved_tau!r}: {chirp_step:.3e} rad per sample > pi")
     pt = np.abs(np.fft.fft(amps * grid.root_w, n=len(grid.t))) ** 2
     # roll the profile's circular mean, bin c, to t = 0
     c = round(np.arctan2(*(grid.circle @ pt)) / (2 * np.pi) * len(pt))

@@ -6,8 +6,7 @@ is the *transformed* fiber label, so a state at n_old picks up
 D(Lambda, Lambda n_old) = L(Lambda n_old)^{-1} Lambda L(n_old) acting on its
 spin coefficient column.  With that orientation successive transformations
 compose as a single one (cocycle identity, see wigner_d docstring).
-transport(A, n_old) is the one place that moves a label and builds that
-rotation.
+transport(A, n_old) is the one place that moves a label.
 """
 
 from __future__ import annotations
@@ -21,45 +20,45 @@ from . import minkowski, sl2c
 SU2_TOL = 1e-10
 
 
-def check_su2(d, tol=SU2_TOL):
+def check_su2(d):
     """Return d as a complex (..., 2, 2) array; raise unless every element is
-    unitary with unit determinant within tol (a number or one per sample)."""
+    unitary with unit determinant within SU2_TOL."""
     d = np.asarray(d, dtype=complex)
     dev_u = np.abs(np.swapaxes(d.conj(), -1, -2) @ d - sl2c.SIGMA0).max(axis=(-2, -1))
     dev_det = np.abs(sl2c.det(d) - 1.0)
-    minkowski.require((dev_u <= tol) & (dev_det <= tol),
+    minkowski.require((dev_u <= SU2_TOL) & (dev_det <= SU2_TOL),
                       lambda i: f"not SU(2): unitarity dev {dev_u[i]:.3e}, "
                                 f"det dev {dev_det[i]:.3e}")
     return d
 
 
 def wigner_d(a, n):
-    """Little-group rotation L(n)^{-1} A L(Lambda^{-1} n) for unit timelike n.
+    """Little-group rotation L(n)^{-1} A L(Lambda^{-1} n) for unit timelike n,
+    the adjoint of the unitary factor of inv(A) L(n) = L(Lambda^{-1} n) D^dagger.
 
     Satisfies the cocycle D(A1 A2, n) = D(A1, n) D(A2, Lambda1^{-1} n).
-    The SU(2) tolerance is relative to max(1, max|Lambda|), the size of the
-    boosts whose round-off D carries.  a (..., 2, 2) and n (..., 4) broadcast
-    over their leading sample axes.
+    a (..., 2, 2) and n (..., 4) broadcast over their leading sample axes.
     """
-    n = minkowski.check_unit_timelike_future(n)
-    return _rotation(a, sl2c.spinor_map(a), n)
+    m = sl2c.inv(sl2c.check_sl2c(a)) @ sl2c.canonical_boost(n)
+    return np.swapaxes(_unitary_factor(m).conj(), -1, -2)
 
 
 def transport(a, n):
     """Move fiber labels n by A: returns (Lambda, n_new, D) with Lambda the
     vector map of A, n_new = Lambda n normalized and D = D(Lambda, n_new), the
-    rotation a spin coefficient column on n picks up.  a (..., 2, 2) and
-    n (..., 4) broadcast over their leading sample axes."""
+    spin rotation: the unitary factor of A L(n) = L(n_new) D.  a (..., 2, 2)
+    and n (..., 4) broadcast over their leading sample axes."""
     lam = sl2c.spinor_map(a)
     n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
-    return lam, n_new, _rotation(a, lam, n_new)
+    return lam, n_new, _unitary_factor(a @ sl2c.canonical_boost(n))
 
 
-def _rotation(a, lam, n):
-    """wigner_d(a, n) given lam = spinor_map(a); canonical_boost checks n."""
-    n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam), n))
-    d = sl2c.inv(sl2c.canonical_boost(n)) @ a @ sl2c.canonical_boost(n_back)
-    return check_su2(d, SU2_TOL * np.maximum(1.0, np.abs(lam).max(axis=(-2, -1))))
+def _unitary_factor(m):
+    """Unitary factor U of the polar decomposition M = P U, det M = 1, as
+    S / sqrt(det S) with S = M + (M^dagger)^{-1} = (P + P^{-1}) U = tr(P) U
+    (Cayley-Hamilton); (M^dagger)^{-1} is an adjugate, so nothing cancels."""
+    s = m + np.swapaxes(sl2c.inv(m).conj(), -1, -2)
+    return check_su2(s / np.sqrt(sl2c.det(s))[..., None, None])
 
 
 def momentum_wigner_d(a, p, m, rel_tol=1e-6):

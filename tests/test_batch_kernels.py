@@ -158,10 +158,15 @@ def _transport_by_hand(a, n):
 
 @pytest.mark.parametrize("size", [None, N], ids=["single", "batch"])
 def test_transport_equals_the_hand_written_sequence(batch, size):
+    # Lambda and n_new bit for bit; D is the unitary factor of A L(n) in
+    # transport and the adjoint of that of inv(A) L(n_new) in wigner_d, two
+    # closed forms of one rotation
     a, n = (batch["a"][7], batch["n"][7]) if size is None else (batch["a"], batch["n"])
-    for got, want in zip(lg.transport(a, n), _transport_by_hand(a, n)):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    (lam, n_new, d), (want_lam, want_n, want_d) = lg.transport(a, n), _transport_by_hand(a, n)
+    assert lam.shape == want_lam.shape and n_new.shape == want_n.shape
+    assert d.shape == want_d.shape
+    assert np.array_equal(lam, want_lam) and np.array_equal(n_new, want_n)
+    assert np.max(np.abs(d - want_d)) <= 1e-14
 
 
 def test_transport_names_a_past_fiber(batch):

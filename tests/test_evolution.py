@@ -399,6 +399,18 @@ def test_time_spread_of_a_chirped_packet_and_its_nyquist_guard():
             ev.time_energy_uncertainty(evolved(e_center, tau))
 
 
+def test_chirp_guard_reads_the_evolution_the_packet_has_had():
+    # a packet built at tau = -100 has no phase yet; evolved by 100 it has
+    # the chirp of tau = 100 (12.55 rad per sample), though its tau reads 0;
+    # a guard on tau would pass it and read a spread of 46.51, not 50.01
+    built = ev.MomentumPacket.gaussian_energy_axis(0.0, 0.5, np.zeros(3), 1.0, tau=-100.0)
+    assert built.evolved_tau == 0.0
+    packet = ev.free_evolve(ev.free_evolve(built, 40.0), 60.0)
+    assert (packet.tau, packet.evolved_tau) == (0.0, 100.0)
+    with pytest.raises(ValueError, match="undersamples .* after tau = 100.0"):
+        ev.time_energy_uncertainty(packet)
+
+
 def test_separated_gaussians_widen_time_spread():
     # superpose two time-shifted copies: energy width similar, time width up
     base = make_packet()

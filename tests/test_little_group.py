@@ -1,11 +1,12 @@
 """Tests for the induced little-group rotation on the foliation orbit."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from shpqm import little_group as lg, minkowski as mk, sl2c
+from shpqm import cli, little_group as lg, minkowski as mk, sl2c
 
 
 def unit(v):
@@ -90,6 +91,87 @@ def test_perpendicular_boosts_match_thomas_wigner_angle():
                 angle, _ = lg.su2_angle_axis(lg.wigner_d(a, n))
                 want = 2.0 * np.arctan(np.tanh(w1 / 2) * np.tanh(w2 / 2))
                 assert abs(angle - want) <= 1e-10, (ax1, ax2, w1, w2)
+
+
+def test_perpendicular_boosts_give_the_closed_form_rotation():
+    # x:w then y:w at rest is a rotation by eps about -z, tan(eps/2) =
+    # tanh(w/2)^2: D = diag(e^{i eps/2}, e^{-i eps/2}), off-diagonal exactly 0
+    for w in range(1, 10):
+        c, s = np.cosh(w / 2) ** 2, np.sinh(w / 2) ** 2
+        half = np.arctan2(s, c)
+        want = np.diag([np.exp(1j * half), np.exp(-1j * half)])
+        d = lg.transport(sl2c.sl2c_boost("x", w) @ sl2c.sl2c_boost("y", w), mk.N0)[2]
+        assert np.max(np.abs(d - want)) <= 1e-14, w
+        assert d[0, 1] == 0 and d[1, 0] == 0, w
+
+
+def test_cli_wigner_at_large_rapidity_has_zero_off_diagonal(tmp_path):
+    out = tmp_path / "wigner.json"
+    assert cli.main(["wigner", "--boost1", "x:12", "--boost2", "y:1", "--out", str(out)]) == 0
+    rotation = json.loads(out.read_text())["rotation"]
+    d = (np.array(rotation["matrix_real"], dtype=float)
+         + 1j * np.array(rotation["matrix_imag"], dtype=float))
+    assert abs(d[0, 1]) <= 1e-15 and abs(d[1, 0]) <= 1e-15
+    want = 2.0 * np.arctan(np.tanh(6.0) * np.tanh(0.5))
+    assert float(rotation["angle"]) == pytest.approx(want, abs=1e-15)
+
+
+def test_boosts_at_any_angle_match_the_closed_form_angle():
+    # boosts w1 along e1 then w2 along e2, theta apart, at rest: a rotation
+    # about -(e1 x e2) by eps with tan(eps/2) = sin(theta) s1 s2 /
+    # (c1 c2 + cos(theta) s1 s2), c, s = cosh, sinh of half the rapidity
+    for theta, w1, w2 in itertools.product((0.3, 1.0, np.pi / 2, 2.0, 3.0),
+                                           (0.5, 2.0, 5.0, 9.0), (0.7, 3.0, 8.5)):
+        e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([np.cos(theta), np.sin(theta), 0.0])
+        a = sl2c.sl2c_boost(e1, w1) @ sl2c.sl2c_boost(e2, w2)
+        angle, axis = lg.su2_angle_axis(lg.transport(a, mk.N0)[2])
+        c1, s1, c2, s2 = np.cosh(w1 / 2), np.sinh(w1 / 2), np.cosh(w2 / 2), np.sinh(w2 / 2)
+        want = 2.0 * np.arctan2(np.sin(theta) * s1 * s2, c1 * c2 + np.cos(theta) * s1 * s2)
+        assert abs(angle - want) <= 1e-14, (theta, w1, w2)
+        assert np.max(np.abs(axis - [0.0, 0.0, -1.0])) <= 1e-12, (theta, w1, w2)
+
+
+def test_transport_is_the_polar_decomposition_of_a_l_n():
+    # A L(n) = L(n_new) D; the residual is the round-off of the label n_new,
+    # whose normalisation cancels terms of size n_new^0 squared
+    rng = np.random.default_rng(13)
+    a = np.array([sl2c.random_sl2c(rng, 3.0) for _ in range(1000)])
+    n = np.array([mk.random_unit_timelike(rng, 1.5) for _ in range(1000)])
+    _, n_new, d = lg.transport(a, n)
+    m = a @ sl2c.canonical_boost(n)
+    residual = np.abs(m - sl2c.canonical_boost(n_new) @ d).max(axis=(-2, -1))
+    assert np.all(residual <= 1e-15 * np.abs(m).max(axis=(-2, -1)) * n_new[:, 0] ** 2)
+
+
+def test_transport_matches_a_60_digit_reference():
+    # D = L(n_new)^{-1} A L(n) for the exact boosts of the given rapidities,
+    # in 60-digit arithmetic, at rest and at the label (2, 1, 1, 1)
+    mp = pytest.importorskip("mpmath")
+    pauli = [mp.matrix(sl2c.PAULI[k].tolist()) for k in range(4)]
+
+    def form(v):
+        return sum((v[k] * pauli[k] for k in range(1, 4)), v[0] * pauli[0])
+
+    def boost(axis, w):
+        half = mp.mpf(w) / 2
+        return mp.cosh(half) * pauli[0] + mp.sinh(half) * pauli["xyz".index(axis) + 1]
+
+    def canonical(v):
+        return (pauli[0] + form(v)) / mp.sqrt(2 * (1 + v[0]))
+
+    cases = [("z", "y", 4.903936616479996, 4.82949925159005), ("x", "y", 6.0, 6.0),
+             ("y", "x", 3.2, 0.4), ("x", "z", 0.9, 5.0), ("z", "x", 7.5, 2.5)]
+    labels = (mk.N0, np.array([2.0, 1.0, 1.0, 1.0]))
+    with mp.workdps(60):
+        for (ax1, ax2, w1, w2), n in itertools.product(cases, labels):
+            exact = boost(ax1, w1) * boost(ax2, w2)
+            x_new = exact * form([mp.mpf(v) for v in n]) * exact.transpose_conj()
+            n_new = [mp.re(sum(pauli[k][i, j] * x_new[j, i] for i in range(2) for j in range(2)))
+                     / 2 for k in range(4)]
+            want = mp.inverse(canonical(n_new)) * exact * canonical([mp.mpf(v) for v in n])
+            d = lg.transport(sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2), n)[2]
+            err = max(abs(complex(d[i, j]) - want[i, j]) for i in range(2) for j in range(2))
+            assert err <= 1e-14, (ax1, ax2, w1, w2, n)
 
 
 def _angle_axis_by_traces(d):

@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_9.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_11.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -353,7 +353,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_9.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_11.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
