@@ -398,7 +398,7 @@ def cmd_wigner(args):
         with np.errstate(over="ignore", invalid="ignore"):
             a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
             d = little_group.transport(a, n)[2]
-    except ValueError as exc:   # e.g. a label Lambda n too large to normalise
+    except ValueError as exc:   # e.g. a moved label Lambda n that overflows
         raise ConfigError(f"induced rotation: {exc}") from exc
     angle, axis = little_group.su2_angle_axis(d)
     payload = {

@@ -45,12 +45,11 @@ def wigner_d(a, n):
 
 def transport(a, n):
     """Move fiber labels n by A: returns (Lambda, n_new, D) with Lambda the
-    vector map of A, n_new = Lambda n normalized and D = D(Lambda, n_new), the
+    vector map of A, n_new = minkowski.moved(Lambda, n) and D = D(Lambda, n_new), the
     spin rotation: the unitary factor of A L(n) = L(n_new) D.  a (..., 2, 2)
     and n (..., 4) broadcast over their leading sample axes."""
     lam = sl2c.spinor_map(a)
-    n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
-    return lam, n_new, _unitary_factor(a @ sl2c.canonical_boost(n))
+    return lam, minkowski.moved(lam, n), _unitary_factor(a @ sl2c.canonical_boost(n))
 
 
 def _unitary_factor(m):

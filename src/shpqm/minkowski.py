@@ -154,6 +154,18 @@ def unit_timelike(v):
     return v / np.sqrt(norm2)[..., None]
 
 
+def moved(lam, n):
+    """Unit future-timelike labels n moved by Lorentz matrices lam: the
+    spatial part x of lam n, with time part sqrt(1 + x.x), so the label is
+    as accurate as lam n; unit_timelike(lam n) would divide by a norm that
+    cancels terms of size (lam n)_0^2."""
+    v = apply(lam, n)
+    x2 = (v[..., 1:] ** 2).sum(axis=-1)
+    require(np.isfinite(x2), lambda i: f"moved label not finite: spatial part {v[i][1:]!r}")
+    v[..., 0] = np.sqrt(1.0 + x2)
+    return v
+
+
 def check_proper_lorentz(lam, tol=LORENTZ_TOL):
     """Return lam as a float array; raise unless, per sample,
     lam^T g lam = g, det lam = +1 and lam[0,0] >= 1.

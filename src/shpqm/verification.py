@@ -146,7 +146,7 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     lam_inv = minkowski.inverse(lam)
     s = dirac.s_lambda(a)
     s_inv = np.linalg.inv(s)
-    n_new = minkowski.unit_timelike(minkowski.apply(lam, n))
+    n_new = minkowski.moved(lam, n)
     conj = s_inv[:, None, None] @ dirac.sigma_n_all(n_new) @ s[:, None, None]
     back = np.einsum("...mnad,...lm,...sn->...lsad", conj, lam_inv, lam_inv,
                      optimize=True)
@@ -231,7 +231,7 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
         su2 = np.maximum(_sample_mdev(d @ np.swapaxes(d.conj(), -1, -2) - np.eye(2)),
                          abs(sl2c.det(d) - 1.0))
         lam1 = sl2c.spinor_map(a1)
-        n_back = minkowski.unit_timelike(minkowski.apply(minkowski.inverse(lam1), n))
+        n_back = minkowski.moved(minkowski.inverse(lam1), n)
         lhs = little_group.wigner_d(a1 @ a2, n)
         rhs = d @ little_group.wigner_d(a2, n_back)
         # collinear boosts compose without rotation at the rest fiber

@@ -65,6 +65,7 @@ KERNELS = [
     (sl2c.det, ("a",)),
     (mk.check_proper_lorentz, ("lam",)),
     (mk.unit_timelike, ("timelike",)),
+    (mk.moved, ("lam", "n")),
     (mk.check_unit_timelike_future, ("n",)),
     (mk.apply, ("lam", "v")),
     (mk.inverse, ("lam",)),
@@ -128,6 +129,8 @@ CORRUPTIONS = [
                               _spoiled(b["timelike"], lambda v: v * np.array([1, np.nan, 1, 1])))),
     ("spacelike_vector", lambda b: (mk.unit_timelike,
                                     _spoiled(b["timelike"], lambda v: np.array([0.1, 1, 0, 0])))),
+    ("non_finite_label", lambda b: (lambda lam: mk.moved(lam, b["n"]),
+                                    _spoiled(b["lam"], lambda m: m * np.nan))),
     ("spacelike_fiber", lambda b: (sl2c.canonical_boost,
                                    _spoiled(b["n"], lambda n: np.array([0.5, 1, 0, 0])))),
     ("past_fiber", lambda b: (mk.check_unit_timelike_future, _spoiled(b["n"], lambda n: -n))),
@@ -152,7 +155,7 @@ def test_wigner_d_names_the_bad_sample(batch):
 
 def _transport_by_hand(a, n):
     lam = sl2c.spinor_map(a)
-    n_new = mk.unit_timelike(mk.apply(lam, n))
+    n_new = mk.moved(lam, n)
     return lam, n_new, lg.wigner_d(a, n_new)
 
 

@@ -131,10 +131,10 @@ def test_wigner_bad_spec_exits_2():
 @pytest.mark.parametrize("boosts", [
     ["--boost1", "x:nan", "--boost2", "y:1"],
     ["--boost1", "x:inf", "--boost2", "y:1"],
-    # the transformed label Lambda N0 loses its digits near t = 1e8 and is
-    # refused as not timelike
-    ["--boost1", "x:10", "--boost2", "y:10"],
-    # the vector map or the determinant overflows; numpy's warnings must
+    # the moved label Lambda N0 has a spatial part near 1e155, whose square
+    # overflows, so the label is refused as not finite
+    ["--boost1", "x:180", "--boost2", "y:180"],
+    # the moved label or the determinant overflows; numpy's warnings must
     # not reach stderr
     ["--boost1", "x:400", "--boost2", "y:1"],
     ["--boost1", "x:800", "--boost2", "y:1"],

@@ -95,14 +95,23 @@ def test_perpendicular_boosts_match_thomas_wigner_angle():
 
 def test_perpendicular_boosts_give_the_closed_form_rotation():
     # x:w then y:w at rest is a rotation by eps about -z, tan(eps/2) =
-    # tanh(w/2)^2: D = diag(e^{i eps/2}, e^{-i eps/2}), off-diagonal exactly 0
-    for w in range(1, 10):
+    # tanh(w/2)^2: D = diag(e^{i eps/2}, e^{-i eps/2}), off-diagonal exactly 0.
+    # The label moves to (cosh^2 w, cosh w sinh w, sinh w, 0); normalising
+    # Lambda N0 by its norm would cancel terms of size (n_new^0)^2 and lose it
+    # from about w = 6 (94 % off at w = 11)
+    state = lg.InducedPacketState(n=mk.N0, spin=[1.0, 0.0], center_x=np.zeros(4),
+                                  center_p=mk.N0)
+    for w in (*range(1, 13), 20, 60):
         c, s = np.cosh(w / 2) ** 2, np.sinh(w / 2) ** 2
         half = np.arctan2(s, c)
         want = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-        d = lg.transport(sl2c.sl2c_boost("x", w) @ sl2c.sl2c_boost("y", w), mk.N0)[2]
+        a = sl2c.sl2c_boost("x", w) @ sl2c.sl2c_boost("y", w)
+        _, n_new, d = lg.transport(a, mk.N0)
         assert np.max(np.abs(d - want)) <= 1e-14, w
         assert d[0, 1] == 0 and d[1, 0] == 0, w
+        want_n = np.array([np.cosh(w) ** 2, np.cosh(w) * np.sinh(w), np.sinh(w), 0.0])
+        assert np.max(np.abs(n_new - want_n)) <= 1e-15 * want_n[0], w
+        assert np.array_equal(lg.induced_transform(state, a).n, n_new), w
 
 
 def test_cli_wigner_at_large_rapidity_has_zero_off_diagonal(tmp_path):
@@ -132,20 +141,23 @@ def test_boosts_at_any_angle_match_the_closed_form_angle():
 
 
 def test_transport_is_the_polar_decomposition_of_a_l_n():
-    # A L(n) = L(n_new) D; the residual is the round-off of the label n_new,
-    # whose normalisation cancels terms of size n_new^0 squared
+    # A L(n) = L(n_new) D to round-off relative to |A L(n)|, also where the
+    # moved label reaches n_new^0 ~ 1e9
     rng = np.random.default_rng(13)
     a = np.array([sl2c.random_sl2c(rng, 3.0) for _ in range(1000)])
     n = np.array([mk.random_unit_timelike(rng, 1.5) for _ in range(1000)])
+    a = a @ sl2c.sl2c_boost(rng.normal(size=(1000, 3)), rng.uniform(0.0, 20.0, 1000))
     _, n_new, d = lg.transport(a, n)
+    assert n_new[:, 0].max() > 1e9
     m = a @ sl2c.canonical_boost(n)
     residual = np.abs(m - sl2c.canonical_boost(n_new) @ d).max(axis=(-2, -1))
-    assert np.all(residual <= 1e-15 * np.abs(m).max(axis=(-2, -1)) * n_new[:, 0] ** 2)
+    assert np.all(residual <= 4e-15 * np.abs(m).max(axis=(-2, -1)))
 
 
 def test_transport_matches_a_60_digit_reference():
-    # D = L(n_new)^{-1} A L(n) for the exact boosts of the given rapidities,
-    # in 60-digit arithmetic, at rest and at the label (2, 1, 1, 1)
+    # the moved label n_new and D = L(n_new)^{-1} A L(n) for the exact boosts
+    # of the given rapidities, in 60-digit arithmetic, at rest and at the
+    # label (2, 1, 1, 1)
     mp = pytest.importorskip("mpmath")
     pauli = [mp.matrix(sl2c.PAULI[k].tolist()) for k in range(4)]
 
@@ -160,7 +172,8 @@ def test_transport_matches_a_60_digit_reference():
         return (pauli[0] + form(v)) / mp.sqrt(2 * (1 + v[0]))
 
     cases = [("z", "y", 4.903936616479996, 4.82949925159005), ("x", "y", 6.0, 6.0),
-             ("y", "x", 3.2, 0.4), ("x", "z", 0.9, 5.0), ("z", "x", 7.5, 2.5)]
+             ("y", "x", 3.2, 0.4), ("x", "z", 0.9, 5.0), ("z", "x", 7.5, 2.5),
+             ("x", "y", 11.0, 11.0)]
     labels = (mk.N0, np.array([2.0, 1.0, 1.0, 1.0]))
     with mp.workdps(60):
         for (ax1, ax2, w1, w2), n in itertools.product(cases, labels):
@@ -169,9 +182,11 @@ def test_transport_matches_a_60_digit_reference():
             n_new = [mp.re(sum(pauli[k][i, j] * x_new[j, i] for i in range(2) for j in range(2)))
                      / 2 for k in range(4)]
             want = mp.inverse(canonical(n_new)) * exact * canonical([mp.mpf(v) for v in n])
-            d = lg.transport(sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2), n)[2]
+            _, label, d = lg.transport(sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2), n)
             err = max(abs(complex(d[i, j]) - want[i, j]) for i in range(2) for j in range(2))
             assert err <= 1e-14, (ax1, ax2, w1, w2, n)
+            label_err = max(abs(label[k] - n_new[k]) for k in range(4)) / n_new[0]
+            assert label_err <= 1e-15, (ax1, ax2, w1, w2, n)
 
 
 def _angle_axis_by_traces(d):
