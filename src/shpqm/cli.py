@@ -347,6 +347,8 @@ def cmd_constants(args):
 def cmd_verify(args):
     if args.samples <= 0:
         raise ConfigError("sample count must be positive")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     report = verification.run_all(seed=args.seed, samples=args.samples)
     payload = {
         "schema_version": SCHEMA_VERSION,

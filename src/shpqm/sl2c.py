@@ -46,16 +46,23 @@ def det(a):
 
 def check_sl2c(a):
     """Return a as a complex (..., 2, 2) array; raise unless every element is
-    finite with unit determinant within DET_TOL relative to max(1, max|a|)^2."""
+    finite with unit determinant within DET_TOL relative to max(1, max|a|)^2.
+    A determinant that overflows is refused, as its tolerance would too."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != (2, 2):
         raise ValueError("SL(2,C) element must be 2x2")
     size = abs(a).max(axis=(-2, -1))       # inf or nan for a non-finite element
-    det_a = det(a)
-    ok = np.isfinite(size) & minkowski.within(abs(det_a - 1.0), DET_TOL, size * size)
-    minkowski.require(ok, lambda i: (
-        f"determinant {det_a[i]!r} not 1 within {DET_TOL * max(1.0, size[i]) ** 2:.3e}"
-        if np.isfinite(size[i]) else "SL(2,C) element must be finite"))
+    det_a = det(a)      # not finite if an entry is not, or if a product overflows
+    ok = np.isfinite(det_a) & minkowski.within(abs(det_a - 1.0), DET_TOL, size * size)
+
+    def message(i):
+        if not np.isfinite(size[i]):
+            return "SL(2,C) element must be finite"
+        if not np.isfinite(det_a[i]):
+            return f"determinant of an element of size {size[i]:.3e} overflows"
+        return f"determinant {det_a[i]!r} not 1 within {DET_TOL * max(1.0, size[i]) ** 2:.3e}"
+
+    minkowski.require(ok, message)
     return a
 
 

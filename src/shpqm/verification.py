@@ -1,12 +1,16 @@
 """Randomized identity suites over the operator algebra and representations.
 
-Each sampled suite draws seeded random inputs sample by sample, in the order
-the scalar samplers (`minkowski.random_unit_timelike`, `sl2c.random_sl2c`)
-draw them, builds the matrices as batches over a leading sample axis, and
-measures the deviation of a family of matrix identities per sample.  A result
-reports the largest deviation, the sample it occurred at, and pass/fail
-against a tolerance.  Informational checks record known sign discrepancies of
-commonly quoted closed forms without affecting the overall status.
+Each sampled suite draws its seeded random inputs in bulk, one stream per
+input variable (the axis and rapidity of n, the momentum, each parameter of a
+group element, ...): a generator seeded by one child of
+`SeedSequence(seed)`, whose row i is the variable of sample i.  It builds the
+matrices as batches over a leading sample axis and measures the deviation of
+a family of matrix identities per sample.  The first k rows of every stream
+are the same however many samples follow, so `samples=k+1` reproduces sample
+k of any longer run with the same seed.  A result reports the largest
+deviation, the sample it occurred at, and pass/fail against a tolerance.
+Informational checks record known sign discrepancies of commonly quoted
+closed forms without affecting the overall status.
 """
 
 from __future__ import annotations
@@ -68,38 +72,70 @@ def _sampled(identity, description, deviations, tolerance, **kwargs):
                           worst_sample=worst, **kwargs)
 
 
-def _draw_n(rng):
-    """The draws of minkowski.random_unit_timelike(rng, 1.5): axis, rapidity."""
-    return rng.normal(size=3), rng.uniform(0.0, 1.5)
+# A stream draw(rng, rows) gives the next `rows` rows of one input variable
+# in one call (see _per_sample).
+
+def _normal(*shape, scale=1.0):
+    return lambda rng, rows: rng.normal(scale=scale, size=(rows, *shape))
 
 
-def _draw_element(rng):
-    """The draws of sl2c.random_sl2c(rng, 1.0): rotation axis, boost axis,
-    angle, rapidity."""
-    return (rng.normal(size=3), rng.normal(size=3),
-            rng.uniform(0.0, 2 * np.pi), rng.uniform(0.0, 1.0))
+def _uniform(low, high, *shape):
+    return lambda rng, rows: rng.uniform(low, high, size=(rows, *shape))
+
+
+def _integers(high, *shape):
+    return lambda rng, rows: rng.integers(0, high, size=(rows, *shape))
+
+
+def _complex(*shape):
+    # one draw per chunk: real and imaginary parts side by side in each row
+    return lambda rng, rows: rng.normal(size=(rows, *shape, 2)) @ [1.0, 1.0j]
+
+
+# foliation vector n: spatial axis, rapidity (distributed as the draws of
+# minkowski.random_unit_timelike(rng, 1.5))
+_N_STREAMS = (_normal(3), _uniform(0.0, 1.5))
+# SL(2,C) element: rotation axis, boost axis, angle, rapidity (distributed as
+# the draws of sl2c.random_sl2c(rng, 1.0))
+_ELEMENT_STREAMS = (_normal(3), _normal(3), _uniform(0.0, 2 * np.pi), _uniform(0.0, 1.0))
+# the input variables of each sampled suite, in the order its evaluation takes them
+STREAMS = {
+    # n, the four-momentum p, the indices (mu, nu), la and (ls, sg), the element
+    "operator_algebra": (*_N_STREAMS, _normal(4, scale=2.0), _integers(4, 2), _integers(4),
+                         _integers(4, 2), *_ELEMENT_STREAMS),
+    # n, two elements, the axis (x, y or z) and rapidities of two collinear boosts
+    "little_group": (*_N_STREAMS, *_ELEMENT_STREAMS, *_ELEMENT_STREAMS, _integers(3),
+                     _uniform(-1.5, 1.5, 2)),
+    # n, the two-spinors psi and phi, the element
+    "norm": (*_N_STREAMS, _complex(2), _complex(2), *_ELEMENT_STREAMS),
+    "coupling": (*_N_STREAMS, *_ELEMENT_STREAMS),
+}
 
 
 def _element(rot_axis, boost_axis, angle, rapidity):
-    """The random_sl2c elements of the _draw_element draws."""
+    """The elements drawn by _ELEMENT_STREAMS."""
     return sl2c.sl2c_rotation(rot_axis, angle) @ sl2c.sl2c_boost(boost_axis, rapidity)
 
 
-def _per_sample(rng, samples, draw, evaluate):
+def _per_sample(seed, samples, streams, evaluate):
     """Per-sample values of a family of identities.
 
-    draw(rng) makes the random draws of one sample; evaluate(*columns) takes
-    those of CHUNK samples, each value stacked over the samples, and returns
-    {identity: value per sample}.  Drawing sample by sample keeps the rng
-    stream, and so the samples, of a loop that builds one sample at a time;
-    taking CHUNK samples at a time bounds the memory.
+    Each input variable has its own stream: a generator seeded by one child
+    of SeedSequence(seed), from which draw(rng, rows) takes the next rows of
+    that variable, row i being sample i.  evaluate(*blocks) takes CHUNK rows
+    of every stream, in the order of `streams`, and returns {identity: value
+    per sample}.  numpy draws a block as consecutive single draws, so the
+    first k rows of a stream do not depend on how many follow or how they are
+    chunked: a run with samples=k has the first k samples of any longer run.
     """
     if samples < 1:
         raise ValueError("sample count must be positive")
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(len(streams))]
     parts = []
     for start in range(0, samples, CHUNK):
-        rows = [draw(rng) for _ in range(min(CHUNK, samples - start))]
-        parts.append(evaluate(*(np.array(column) for column in zip(*rows))))
+        rows = min(CHUNK, samples - start)
+        parts.append(evaluate(*(draw(rng, rows) for draw, rng in zip(streams, rngs))))
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
@@ -148,8 +184,10 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     s_inv = np.linalg.inv(s)
     n_new = minkowski.moved(lam, n)
     conj = s_inv[:, None, None] @ dirac.sigma_n_all(n_new) @ s[:, None, None]
-    back = np.einsum("...mnad,...lm,...sn->...lsad", conj, lam_inv, lam_inv,
-                     optimize=True)
+    # back[l, s] = lam_inv[l, m] lam_inv[s, n] conj[m, n]: two batched products
+    rows = len(n)
+    back = lam_inv @ conj.reshape(rows, 4, 64)
+    back = (lam_inv[:, None] @ back.reshape(rows, 4, 4, 16)).reshape(conj.shape)
     dev["covariance"] = _sample_mdev(back - sna)
     # projections: idempotent, mutually orthogonal, complete by pair; only
     # on samples away from p.n = 0 and p^2 + (p.n)^2 = 0
@@ -166,17 +204,7 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
 
 def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
     """Core operator identities over random (p, n, Lambda)."""
-    rng = np.random.default_rng(seed)
-
-    def draw(r):
-        n_draws = _draw_n(r)
-        p = r.normal(scale=2.0, size=4)       # minkowski.random_four_vector(r, 2.0)
-        mu_nu = r.integers(0, 4, size=2)
-        la = r.integers(0, 4)
-        ls_sg = r.integers(0, 4, size=2)
-        return (*n_draws, p, mu_nu, la, ls_sg, *_draw_element(r))
-
-    devs = _per_sample(rng, samples, draw, _operator_deviations)
+    devs = _per_sample(seed, samples, STREAMS["operator_algebra"], _operator_deviations)
     descriptions = {
         "k_squares": "squares of the longitudinal/transverse operators",
         "k_commute_free": "free-case commutation of K_T and K_L",
@@ -202,7 +230,7 @@ def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
     n = minkowski.random_unit_timelike(rng2, 1.5)
     pi = dirac.projector_pi(n)
     sna = dirac.sigma_n_all(n)
-    mu, nu, ls, sg = np.array([rng2.integers(0, 4, size=4) for _ in range(50)]).T
+    mu, nu, ls, sg = rng2.integers(0, 4, size=(50, 4)).T
     comm = sna[mu, nu] @ sna[ls, sg] - sna[ls, sg] @ sna[mu, nu]
     alt = -1j * (pi[nu, ls, None, None] * sna[mu, sg] + pi[sg, mu, None, None] * sna[ls, nu]
                  - pi[mu, ls, None, None] * sna[nu, sg] - pi[sg, nu, None, None] * sna[ls, mu])
@@ -217,12 +245,6 @@ def operator_algebra_suite(seed=42, samples=1000, tolerance=1e-9):
 def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
     """Unitarity, cocycle composition, and special cases of the induced
     rotation."""
-    rng = np.random.default_rng(seed)
-
-    def draw(r):
-        return (*_draw_n(r), *_draw_element(r), *_draw_element(r),
-                r.integers(0, 3), r.uniform(-1.5, 1.5, size=2))
-
     def deviations(n_axis, n_w, *rest):
         n = minkowski.rest_boosted(n_axis, n_w)
         a1, a2 = _element(*rest[0:4]), _element(*rest[4:8])
@@ -240,7 +262,7 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
         return {"su2": su2, "cocycle": _sample_mdev(lhs - rhs),
                 "collinear": _sample_mdev(d_b - np.eye(2))}
 
-    devs = _per_sample(rng, samples, draw, deviations)
+    devs = _per_sample(seed, samples, STREAMS["little_group"], deviations)
     return [
         _sampled("wigner_su2", "induced rotation is in SU(2)",
                  devs["su2"], max(tolerance, 1e-10)),
@@ -277,14 +299,6 @@ def rest_frame_suite(tolerance=1e-12):
 
 def norm_suite(seed=42, samples=1000, tolerance=1e-10):
     """Sector norm equality and Lorentz invariance."""
-    rng = np.random.default_rng(seed)
-
-    def draw(r):
-        n_draws = _draw_n(r)
-        psi = r.normal(size=2) + 1j * r.normal(size=2)
-        phi = r.normal(size=2) + 1j * r.normal(size=2)
-        return (*n_draws, psi, phi, *_draw_element(r))
-
     def deviations(n_axis, n_w, psi, phi, *element):
         pair = dirac.TwoSpinorPair(psi, phi, minkowski.rest_boosted(n_axis, n_w))
         ref = (np.einsum("...a,...a->...", psi.conj(), psi).real
@@ -293,7 +307,7 @@ def norm_suite(seed=42, samples=1000, tolerance=1e-10):
         return {"equality": abs(dirac.sector_norm(dirac.assemble_spinor(pair)) - ref),
                 "invariance": abs(dirac.sector_norm(moved) - ref)}
 
-    devs = _per_sample(rng, samples, draw, deviations)
+    devs = _per_sample(seed, samples, STREAMS["norm"], deviations)
     return [
         _sampled("sector_norm_equality",
                  "sector norm equals the sum of two-spinor norms",
@@ -305,7 +319,6 @@ def norm_suite(seed=42, samples=1000, tolerance=1e-10):
 
 def coupling_suite(seed=42, samples=200, tolerance=1e-10):
     """Clebsch-Gordan orthogonality and singlet invariance."""
-    rng = np.random.default_rng(seed)
     dev_orth = 0.0
     for j1, j2 in ((0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (1.5, 1.0)):
         cols = []
@@ -325,7 +338,7 @@ def coupling_suite(seed=42, samples=200, tolerance=1e-10):
         overlap = np.einsum("...ik,...ik->...", rot.coefficients.conj(), s.coefficients)
         return {"singlet": abs(abs(overlap) - 1.0)}
 
-    devs = _per_sample(rng, samples, lambda r: (*_draw_n(r), *_draw_element(r)), deviations)
+    devs = _per_sample(seed, samples, STREAMS["coupling"], deviations)
     return [
         IdentityResult("cg_orthogonality",
                        "Clebsch-Gordan change of basis is orthogonal",

@@ -88,6 +88,14 @@ def test_verify_zero_samples_is_config_error():
     assert run_cli(["verify", "--samples", "0"]) == 2
 
 
+def test_verify_negative_seed_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--format", "csv"],
     ["constants", "--seed", "3"],

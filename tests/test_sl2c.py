@@ -15,6 +15,19 @@ def test_element_requires_unit_determinant():
     sl2c.check_sl2c(np.eye(2))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a", [
+    # a00 a11 - a01 a10 is inf - inf = nan
+    sl2c.sl2c_boost("x", 800.0) @ sl2c.sl2c_boost("y", 1.0),
+    # det is inf, which passed while its tolerance, scaled by max|a|^2, was inf
+    np.diag([1e200, 1e200]),
+], ids=["nan-determinant", "inf-determinant"])
+def test_finite_element_whose_determinant_overflows_is_named(a):
+    assert np.isfinite(a).all()
+    with pytest.raises(ValueError, match="determinant of an element of size .* overflows"):
+        sl2c.check_sl2c(a)
+
+
 def test_guards_reject_small_errors_at_rapidity_5():
     # the tolerances scale with the entries, but a 1e-6 relative error in
     # one entry or in the determinant still fails at rapidity 5

@@ -1,17 +1,16 @@
 """Tests of the verification suites' reports and sampling."""
 
-import numpy as np
 import pytest
 
-from shpqm import minkowski as mk, sl2c, verification as vf
+from shpqm import cli, verification as vf
 
 SAMPLED = ("operator_algebra", "little_group", "norm", "coupling")
 
 
 @pytest.mark.parametrize("suite", SAMPLED)
 def test_worst_sample_reproduces_max_deviation(suite):
-    # the draws are made sample by sample, so the first k samples of a run
-    # are the samples of a run with samples=k, across chunk boundaries too
+    # each stream is drawn in order, so the first k samples of a run are the
+    # samples of a run with samples=k, across chunk boundaries too
     fn = vf.SUITES[suite]
     for r in fn(seed=42, samples=2 * vf.CHUNK + 20):
         if r.worst_sample is None:
@@ -34,18 +33,35 @@ def test_worst_sample_only_for_sampled_identities():
                 assert isinstance(r.worst_sample, int)
 
 
-def test_suite_draws_are_those_of_the_scalar_samplers():
-    samples = 2 * vf.CHUNK + 7
-    built = vf._per_sample(
-        np.random.default_rng(5), samples, lambda r: (*vf._draw_n(r), *vf._draw_element(r)),
-        lambda axis, w, *element: {"n": mk.rest_boosted(axis, w), "a": vf._element(*element)})
-    rng = np.random.default_rng(5)
-    n_ref, a_ref = [], []
-    for _ in range(samples):
-        n_ref.append(mk.random_unit_timelike(rng, 1.5))
-        a_ref.append(sl2c.random_sl2c(rng, 1.0))
-    assert np.array_equal(built["n"], n_ref)
-    assert np.max(np.abs(built["a"] - np.array(a_ref))) <= 1e-15
+def test_first_samples_of_a_longer_run_are_a_shorter_run():
+    # every stream of every sampled suite, k across the chunk boundaries,
+    # the longer run ending in a partial chunk
+    longer_samples = 2 * vf.CHUNK + 7
+    kinds = set()
+    for suite in SAMPLED:
+        def draw(samples):
+            return vf._per_sample(5, samples, vf.STREAMS[suite],
+                                  lambda *blocks: dict(enumerate(blocks)))
+        longer = draw(longer_samples)
+        assert len(longer) == len(vf.STREAMS[suite])
+        for k in (1, vf.CHUNK - 1, vf.CHUNK, vf.CHUNK + 1, 2 * vf.CHUNK + 3):
+            shorter = draw(k)
+            for i, block in longer.items():
+                assert len(block) == longer_samples
+                assert shorter[i].dtype == block.dtype
+                assert shorter[i].tobytes() == block[:k].tobytes(), (suite, i, k)
+        kinds |= {block.dtype.kind for block in longer.values()}
+    assert kinds == {"f", "i", "c"}
+
+
+def test_verify_json_is_byte_identical_on_two_runs(tmp_path):
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["verify", "--seed", "11", "--samples", str(2 * vf.CHUNK + 7),
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_suites_reject_an_empty_sample():
