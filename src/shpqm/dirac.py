@@ -144,8 +144,8 @@ def free_k0(p, m_param, n=None):
 
     The result is independent of n; n only selects the split into K_T, K_L.
     """
-    if m_param <= 0:
-        raise ValueError("mass parameter must be positive")
+    if not 0 < m_param < np.inf:
+        raise ValueError(f"mass parameter must be positive and finite, got {m_param!r}")
     if n is None:
         n = minkowski.N0
     kt, kl = k_t(p, n), k_l(p, n)
@@ -167,8 +167,8 @@ class FieldTensor:
         f = np.asarray(self.f_lower, dtype=float)
         if f.shape != (4, 4) or np.max(np.abs(f + f.T)) != 0.0:
             raise ValueError("field tensor must be exactly antisymmetric 4x4")
-        if self.mass <= 0:
-            raise ValueError("mass parameter must be positive")
+        if not 0 < self.mass < np.inf:
+            raise ValueError(f"mass parameter must be positive and finite, got {self.mass!r}")
         f = f.copy()
         f.setflags(write=False)
         object.__setattr__(self, "f_lower", f)

@@ -9,6 +9,7 @@ uncertainty product.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -261,9 +262,11 @@ class MomentumPacket:
 
     momenta has shape (N, 4); amplitudes shape (N,); weights are the
     quadrature weights of the grid so that sum(w |a|^2) = 1.  The facts that
-    depend on the grid alone (p.p and the energy grid) are computed on first
-    use and carried along by free_evolve.  evolved_tau is the free evolution
-    applied since the amplitudes were set: 0 when built, whatever tau is.
+    depend on the grid alone (p.p, -p.p, the energy grid and the free phase
+    of the last dtau) are computed on first use and carried along by
+    free_evolve; the probability w |a|^2 / sum depends on the amplitudes and
+    is computed once per packet.  evolved_tau is the free evolution applied
+    since the amplitudes were set: 0 when built, whatever tau is.
     """
 
     momenta: np.ndarray
@@ -284,8 +287,11 @@ class MomentumPacket:
             raise ValueError("momenta must be finite")
         if amps.shape != (ps.shape[0],) or w.shape != (ps.shape[0],):
             raise ValueError("amplitudes and weights must match the grid")
-        if self.mass_param <= 0:
-            raise ValueError("mass parameter must be positive")
+        if not 0 < self.mass_param < np.inf:
+            raise ValueError(f"mass parameter must be positive and finite,"
+                             f" got {self.mass_param!r}")
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau!r}")
         if not abs(self.norm_squared_of(amps, w) - 1.0) <= 1e-8:
             raise ValueError("packet must be normalized to 1 within 1e-8")
         minkowski.check_unit_timelike_future(self.n)
@@ -296,7 +302,7 @@ class MomentumPacket:
 
     @staticmethod
     def norm_squared_of(amps, weights):
-        return float(np.sum(weights * np.abs(amps) ** 2))
+        return float((weights * np.abs(amps) ** 2).sum())
 
     @property
     def norm_squared(self):
@@ -306,6 +312,17 @@ class MomentumPacket:
     def p_dot_p(self):
         """p.p of each sample, shape (N,)."""
         return np.einsum("ka,ab,kb->k", self.momenta, minkowski.METRIC, self.momenta)
+
+    @cached_property
+    def mass_squared(self):
+        """-p.p of each sample, the invariant mass squared, shape (N,)."""
+        return -self.p_dot_p
+
+    @cached_property
+    def probability(self):
+        """w |a|^2 / sum(w |a|^2) of each sample, in the packet's order."""
+        prob = self.weights * np.abs(self.amplitudes) ** 2
+        return prob / prob.sum()
 
     @cached_property
     def energy_grid(self):
@@ -327,13 +344,32 @@ class MomentumPacket:
         return EnergyGrid(order, e, w, np.sqrt(w), step, t,
                           np.stack((np.sin(turn), np.cos(turn))))
 
+    def _free_phase(self, dtau):
+        """exp(-i p.p dtau / 2M) of each sample; raises ValueError when it is
+        not finite.
+
+        The phase of the last dtau is kept, keyed on the bits of dtau (so
+        0.0 and -0.0 are different keys), and only once it has passed the
+        check: a sweep at a fixed dtau computes it once.
+        """
+        key = struct.pack("d", dtau)
+        cached = self.__dict__.get("_phase")
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        phase = np.exp(-1j * self.p_dot_p * dtau / (2.0 * self.mass_param))
+        if not np.isfinite(phase).all():
+            raise ValueError(f"free evolution phase is not finite for dtau = {dtau!r}")
+        self.__dict__["_phase"] = key, phase
+        return phase
+
     def _evolved(self, amplitudes, dtau):
         """This packet evolved by `dtau` to new amplitudes of the same norm,
-        built without validation; it keeps the cached facts, which depend on
-        the grid alone."""
+        built without validation; it keeps the cached facts that depend on
+        the grid alone and drops its probability."""
         packet = object.__new__(type(self))
         packet.__dict__.update(self.__dict__, amplitudes=amplitudes, tau=self.tau + dtau,
                                evolved_tau=self.evolved_tau + dtau)
+        packet.__dict__.pop("probability", None)
         return packet
 
     @classmethod
@@ -371,19 +407,14 @@ def free_evolve(packet, dtau):
     The phase has unit modulus, so the packet keeps its norm and is not
     validated again; raises ValueError when the phase is not finite.
     """
-    phase = np.exp(-1j * packet.p_dot_p * dtau / (2.0 * packet.mass_param))
-    if not np.isfinite(phase).all():
-        raise ValueError(f"free evolution phase is not finite for dtau = {dtau!r}")
-    return packet._evolved(packet.amplitudes * phase, dtau)
+    return packet._evolved(packet.amplitudes * packet._free_phase(dtau), dtau)
 
 
 def mass_moments(packet):
     """Mean and variance of the invariant mass squared -p.p."""
-    pp = packet.p_dot_p
-    prob = packet.weights * np.abs(packet.amplitudes) ** 2
-    prob = prob / np.sum(prob)
-    mean = float(np.sum(prob * (-pp)))
-    var = float(np.sum(prob * ((-pp) - mean) ** 2))
+    prob, m2 = packet.probability, packet.mass_squared
+    mean = float((prob * m2).sum())
+    var = float((prob * (m2 - mean) ** 2).sum())
     return mean, var
 
 
@@ -406,12 +437,15 @@ def time_energy_uncertainty(packet):
     window and give a wrong spread.
     """
     grid = packet.energy_grid
-    e, w = grid.e, grid.w
-    amps = packet.amplitudes if grid.order is None else packet.amplitudes[grid.order]
-    prob = w * np.abs(amps) ** 2
-    prob = prob / np.sum(prob)
-    e_mean = float(np.sum(prob * e))
-    de = float(np.sqrt(np.sum(prob * (e - e_mean) ** 2)))
+    e = grid.e
+    if grid.order is None:
+        amps, prob = packet.amplitudes, packet.probability
+    else:   # sorted, then normalised: the sum runs in the grid's order
+        amps = packet.amplitudes[grid.order]
+        prob = grid.w * np.abs(amps) ** 2
+        prob = prob / prob.sum()
+    e_mean = float((prob * e).sum())
+    de = float(np.sqrt((prob * (e - e_mean) ** 2).sum()))
 
     eps = max(e[-1] - e_mean, e_mean - e[0])
     chirp_step = eps * abs(packet.evolved_tau) * grid.step / packet.mass_param
@@ -422,7 +456,7 @@ def time_energy_uncertainty(packet):
     # roll the profile's circular mean, bin c, to t = 0
     c = round(np.arctan2(*(grid.circle @ pt)) / (2 * np.pi) * len(pt))
     pt = np.concatenate((pt[c:], pt[:c]))
-    total = np.sum(pt)
+    total = pt.sum()
     t_mean = float(pt @ grid.t / total)
     off = grid.t - t_mean
     dt = float(np.sqrt(pt @ (off * off) / total))

@@ -71,6 +71,15 @@ def test_free_k0_is_mass_operator():
         assert mdev(k0 - expect) < 1e-10
 
 
+@pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -1.0])
+def test_free_k0_and_field_tensor_refuse_a_mass_not_positive_and_finite(mass):
+    p = mk.four_vector(2.0, 0.3, -0.4, 0.5)
+    with pytest.raises(ValueError, match="mass parameter must be positive"):
+        dr.free_k0(p, mass)
+    with pytest.raises(ValueError, match="mass parameter must be positive"):
+        dr.FieldTensor.from_fields([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], mass=mass)
+
+
 def test_k_and_sigma_orthogonal_to_n():
     rng = np.random.default_rng(4)
     for _ in range(50):

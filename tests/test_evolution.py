@@ -308,6 +308,21 @@ def test_packet_refuses_non_finite_momenta(bad):
                           packet.mass_param, packet.n)
 
 
+@pytest.mark.parametrize("mass", [np.nan, np.inf, 0.0, -1.0])
+def test_packet_refuses_a_mass_not_positive_and_finite(mass):
+    # a NaN mass used to pass and surface as a bogus "undersamples" error
+    with pytest.raises(ValueError, match="mass parameter must be positive"):
+        ev.MomentumPacket.gaussian_energy_axis(35.0, 0.5, [0.0, 0.0, 1.0], mass)
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_packet_refuses_a_non_finite_tau(tau):
+    packet = make_packet()
+    with pytest.raises(ValueError, match="tau must be finite"):
+        ev.MomentumPacket(packet.momenta, packet.amplitudes, packet.weights,
+                          packet.mass_param, packet.n, tau)
+
+
 def test_free_evolution_is_unitary():
     packet = make_packet()
     for _ in range(100):
@@ -481,6 +496,80 @@ def test_sweep_with_cached_facts_equals_rebuilt_packets_bit_for_bit():
     assert (packet.amplitudes.tobytes(), packet.tau) == (rebuilt.amplitudes.tobytes(),
                                                         rebuilt.tau)
     assert packet.p_dot_p is first.p_dot_p     # carried along, not recomputed
+
+
+def _rebuilt(packet, dtau):
+    """`packet` evolved by `dtau` as a new, validated packet: p.p and the
+    phase computed afresh."""
+    pp = np.einsum("ka,ab,kb->k", packet.momenta, mk.METRIC, packet.momenta)
+    phase = np.exp(-1j * pp * dtau / (2.0 * packet.mass_param))
+    return ev.MomentumPacket(packet.momenta, packet.amplitudes * phase, packet.weights,
+                             packet.mass_param, packet.n, packet.tau + dtau)
+
+
+def test_sweep_with_mixed_dtau_equals_rebuilt_packets_bit_for_bit():
+    # the phase of the last dtau is kept: a repeated dtau reuses it, any
+    # other (0.0 after -0.0 too) computes its own
+    packet = rebuilt = config_packet()[0]
+    for dtau in (10.0, 10.0, 3.5, 10.0, 0.0, -0.0) * 3:
+        packet, rebuilt = ev.free_evolve(packet, dtau), _rebuilt(rebuilt, dtau)
+        assert (packet.amplitudes.tobytes(), packet.tau) == (rebuilt.amplitudes.tobytes(),
+                                                            rebuilt.tau)
+        assert ev.mass_moments(packet) == ev.mass_moments(rebuilt)
+        assert ev.time_energy_uncertainty(packet) == ev.time_energy_uncertainty(rebuilt)
+
+
+def test_free_phase_is_reused_only_for_the_same_bits_of_dtau():
+    # exp(-i p.p (+-0.0) / 2M) is 1 + 0j for either sign, so only the
+    # cache itself shows that 0.0 and -0.0 are different keys
+    packet = config_packet()[0]
+    phase = packet._free_phase(10.0)
+    assert packet._free_phase(10.0) is phase
+    zero = packet._free_phase(0.0)
+    assert zero is not phase and packet._free_phase(0.0) is zero
+    assert packet._free_phase(-0.0) is not zero
+
+
+def test_a_non_finite_phase_raises_after_a_cached_one():
+    packet = ev.free_evolve(make_packet(), 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dtau in (np.nan, np.nan, 1e308, 1e308):
+            with pytest.raises(ValueError, match="phase is not finite"):
+                ev.free_evolve(packet, dtau)
+    assert ev.free_evolve(packet, 10.0).amplitudes.tobytes() == \
+        _rebuilt(packet, 10.0).amplitudes.tobytes()
+
+
+def test_evolved_packet_reports_its_own_probability():
+    # _evolved keeps the facts of the grid, not those of the amplitudes
+    parent = make_packet()
+    before = ev.mass_moments(parent), ev.time_energy_uncertainty(parent)
+    amps = parent.amplitudes * np.cos(parent.momenta[:, 0] * 3.0)
+    amps = amps / np.sqrt(ev.MomentumPacket.norm_squared_of(amps, parent.weights))
+    child = parent._evolved(amps, 0.0)
+    valid = ev.MomentumPacket(parent.momenta, amps, parent.weights, parent.mass_param,
+                              parent.n)
+    after = ev.mass_moments(child), ev.time_energy_uncertainty(child)
+    assert after == (ev.mass_moments(valid), ev.time_energy_uncertainty(valid))
+    assert after[0] != before[0] and after[1] != before[1]
+    assert ev.mass_moments(parent) == before[0]
+
+
+def test_chains_that_branch_from_one_packet_get_their_own_phases():
+    root = config_packet()[0]
+    a = ev.free_evolve(root, 10.0)
+    b = ev.free_evolve(root, 3.5)
+    again = ev.free_evolve(root, 10.0)
+    a2, b2 = ev.free_evolve(a, 10.0), ev.free_evolve(b, 3.5)
+    b3, a3 = ev.free_evolve(b2, 10.0), ev.free_evolve(a2, 3.5)
+    for got, (start, steps) in ((a, (root, [10.0])), (b, (root, [3.5])),
+                                (again, (root, [10.0])), (a2, (root, [10.0, 10.0])),
+                                (b2, (root, [3.5, 3.5])), (a3, (root, [10.0, 10.0, 3.5])),
+                                (b3, (root, [3.5, 3.5, 10.0]))):
+        want = start
+        for dtau in steps:
+            want = _rebuilt(want, dtau)
+        assert (got.amplitudes.tobytes(), got.tau) == (want.amplitudes.tobytes(), want.tau)
 
 
 def test_unsorted_energy_grid_gives_the_spread_of_the_sorted_one():

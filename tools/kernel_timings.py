@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_12.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_14.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -20,10 +20,11 @@ it at 1000 samples, and the tau-evolution path of `shpqm evolve`: µs per
 step of `evolution.classical_integrate` over 20,000 free steps, and µs
 per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
 values) and on an interference scan (100,001 rows of 4 values), each
-written to a file.  Then the quantum tau sweep: µs per call of
-`free_evolve`, `mass_moments` and `time_energy_uncertainty` on the packet of
-`configs/evolve_quantum.cfg` one `dtau` into its sweep, and their sum, the
-cost of one tau step.  Last, the interference scan of
+written to a file.  Then the quantum tau sweep: µs per tau step, one
+`free_evolve` of the packet of `configs/evolve_quantum.cfg` one `dtau` into
+its sweep, then `mass_moments` and `time_energy_uncertainty` of the new
+packet, as each step of the sweep makes them (timing the calls one by one on
+a single packet would time only its cached facts).  Last, the interference scan of
 `configs/interference_example.cfg` at 400,001 samples: the fringe-period
 estimator alone (`interference._dtft_period`, or `_fourier_period` in a
 checkout that has only that), and `shpqm interference --format csv` end to
@@ -59,6 +60,7 @@ import numpy as np
 
 SIZES = (1, 100, 10_000)
 SUITE_SAMPLES = 1000
+SUITE_REPEATS = 9     # a suite is one call; a best of 3 was seen off by 1.7x
 EVOLVE_STEPS = 20_000
 SCAN_ROWS = 100_001
 PERIOD_SAMPLES = 400_001
@@ -66,7 +68,6 @@ RANDOM_ROWS = 100_000
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
-TAU_STEP = ("free_evolve", "mass_moments", "time_energy_uncertainty")
 WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
@@ -162,12 +163,12 @@ def suite_table(packages):
             kwargs = {"seed": 42, "samples": SUITE_SAMPLES}
         calls = {label: (lambda f=p.verification.SUITES[name]: f(**kwargs))
                  for label, p in packages.items()}
-        for label, seconds in best_seconds(calls, 3, 1).items():
+        for label, seconds in best_seconds(calls, SUITE_REPEATS, 1).items():
             table[label][name] = {"seconds": round(seconds, 5),
                                   "samples": kwargs.get("samples", 0)}
     calls = {label: (lambda p=p: p.verification.run_all(42, SUITE_SAMPLES))
              for label, p in packages.items()}
-    for label, seconds in best_seconds(calls, 3, 1).items():
+    for label, seconds in best_seconds(calls, SUITE_REPEATS, 1).items():
         table[label]["run_all"] = {"seconds": round(seconds, 5), "samples": SUITE_SAMPLES}
     return table
 
@@ -220,31 +221,31 @@ def evolve_table(packages):
     return table
 
 
-def tau_step_calls(package):
-    """{name: callable} for the three calls of one tau step of the quantum
-    sweep, on the packet of QUANTUM_CONFIG after one step of its dtau."""
+def tau_step_call(package):
+    """One tau step of the quantum sweep from the packet of QUANTUM_CONFIG
+    after one step of its dtau: free_evolve, then mass_moments and
+    time_energy_uncertainty of the new packet.  The packet has had one whole
+    step, so it carries what a sweep carries from step to step."""
     ev, values = package.evolution, package.cli.load_config(QUANTUM_CONFIG)
     get = lambda key: float(values.get(key, 0.0))
     dtau = get("dtau")
-    packet = ev.free_evolve(ev.MomentumPacket.gaussian_energy_axis(
+
+    def step(packet):
+        evolved = ev.free_evolve(packet, dtau)
+        ev.mass_moments(evolved)
+        ev.time_energy_uncertainty(evolved)
+        return evolved
+
+    packet = step(ev.MomentumPacket.gaussian_energy_axis(
         get("e_center"), get("e_width"), [get("px"), get("py"), get("pz")],
-        get("mass_param"), num=int(values.get("num", 256))), dtau)
-    return {"free_evolve": lambda: ev.free_evolve(packet, dtau),
-            "mass_moments": lambda: ev.mass_moments(packet),
-            "time_energy_uncertainty": lambda: ev.time_energy_uncertainty(packet)}
+        get("mass_param"), num=int(values.get("num", 256))))
+    return lambda: step(packet)
 
 
 def tau_step_table(packages):
-    table = {label: {} for label in packages}
-    calls = {label: tau_step_calls(p) for label, p in packages.items()}
-    for name in TAU_STEP:
-        best = best_seconds({label: c[name] for label, c in calls.items()}, 15, 300)
-        for label, seconds in best.items():
-            table[label][name] = {"us_per_call": round(seconds * 1e6, 3)}
-    for label in packages:
-        table[label]["tau_step_total"] = {"us_per_step": round(
-            sum(table[label][name]["us_per_call"] for name in TAU_STEP), 3)}
-    return table
+    calls = {label: tau_step_call(p) for label, p in packages.items()}
+    return {label: {"us_per_step": round(seconds * 1e6, 3)}
+            for label, seconds in best_seconds(calls, 15, 300).items()}
 
 
 def period_calls(package, path):
@@ -353,7 +354,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_12.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_14.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
