@@ -562,11 +562,9 @@ def test_chains_that_branch_from_one_packet_get_their_own_phases():
     again = ev.free_evolve(root, 10.0)
     a2, b2 = ev.free_evolve(a, 10.0), ev.free_evolve(b, 3.5)
     b3, a3 = ev.free_evolve(b2, 10.0), ev.free_evolve(a2, 3.5)
-    for got, (start, steps) in ((a, (root, [10.0])), (b, (root, [3.5])),
-                                (again, (root, [10.0])), (a2, (root, [10.0, 10.0])),
-                                (b2, (root, [3.5, 3.5])), (a3, (root, [10.0, 10.0, 3.5])),
-                                (b3, (root, [3.5, 3.5, 10.0]))):
-        want = start
+    for got, steps in ((a, [10.0]), (b, [3.5]), (again, [10.0]), (a2, [10.0, 10.0]),
+                       (b2, [3.5, 3.5]), (a3, [10.0, 10.0, 3.5]), (b3, [3.5, 3.5, 10.0])):
+        want = root
         for dtau in steps:
             want = _rebuilt(want, dtau)
         assert (got.amplitudes.tobytes(), got.tau) == (want.amplitudes.tobytes(), want.tau)
