@@ -73,6 +73,14 @@ _SIGMA_ALL.setflags(write=False)
 _SIGMA_BY_NU = _SIGMA_ALL.transpose(1, 0, 2, 3).reshape(4, 64)
 
 
+# The six (mu, nu) with mu < nu; an antisymmetric pair of indices is stored
+# as these six entries.
+PAIRS = np.triu_indices(4, 1)
+_SIGMA_PAIRS = _SIGMA_ALL[PAIRS]
+for _frozen in (*PAIRS, _SIGMA_PAIRS):
+    _frozen.setflags(write=False)
+
+
 def sigma(mu, nu):
     """Spin generator (i/4) [gamma^mu, gamma^nu]."""
     return _SIGMA_ALL[mu, nu]
@@ -105,11 +113,36 @@ def sigma_n(mu, nu, n):
     return sigma_n_all(n)[..., mu, nu, :, :]
 
 
-def sigma_n_all(n):
-    """All Sigma_n^{mu nu} stacked, shape (..., 4, 4, 4, 4)."""
+def sigma_n_pairs(n):
+    """Sigma_n^{mu nu} = Sigma^{mu nu} + K^mu n^nu - K^nu n^mu over PAIRS,
+    shape (..., 6, 4, 4): the six independent generators."""
     n = np.asarray(n, dtype=float)
-    k_n = k_all(n)[..., :, None, :, :] * n[..., None, :, None, None]   # K^mu n^nu
-    return _SIGMA_ALL + k_n - np.swapaxes(k_n, -4, -3)
+    k = k_all(n)
+    mu, nu = PAIRS
+    return (_SIGMA_PAIRS + k[..., mu, :, :] * n[..., nu, None, None]
+            - k[..., nu, :, :] * n[..., mu, None, None])
+
+
+def sigma_n_all(n):
+    """All Sigma_n^{mu nu} stacked, shape (..., 4, 4, 4, 4): the scatter of
+    sigma_n_pairs, exactly antisymmetric in (mu, nu)."""
+    pairs = sigma_n_pairs(n)
+    out = np.zeros(pairs.shape[:-3] + (4, 4, 4, 4), dtype=complex)
+    mu, nu = PAIRS
+    out[..., mu, nu, :, :] = pairs
+    out[..., nu, mu, :, :] = -pairs
+    return out
+
+
+def second_compound(lam):
+    """Lambda wedge Lambda on PAIRS, shape (..., 6, 6): an antisymmetric
+    T'^{ls} = Lambda^l_m Lambda^s_n T^{mn} has pairs C @ (pairs of T), where
+    C[(l, s), (m, n)] = Lambda^l_m Lambda^s_n - Lambda^l_n Lambda^s_m."""
+    lam = np.asarray(lam, dtype=float)
+    l_row, s_row = (i[:, None] for i in PAIRS)
+    m_col, n_col = PAIRS
+    return (lam[..., l_row, m_col] * lam[..., s_row, n_col]
+            - lam[..., l_row, n_col] * lam[..., s_row, m_col])
 
 
 def _p_dot_k(p, n):

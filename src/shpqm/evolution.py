@@ -52,8 +52,9 @@ class FreeModel:
     mass_param: float
 
     def __post_init__(self):
-        if not self.mass_param > 0:
-            raise ValueError(f"mass parameter must be positive, got {self.mass_param!r}")
+        if not 0 < self.mass_param < np.inf:
+            raise ValueError(
+                f"mass parameter must be positive and finite, got {self.mass_param!r}")
 
     def hamiltonian(self, x, p):
         return minkowski.dot(p, p) / (2.0 * self.mass_param)

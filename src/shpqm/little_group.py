@@ -62,8 +62,8 @@ def _unitary_factor(m):
 
 def momentum_wigner_d(a, p, m, rel_tol=1e-6):
     """Same construction on the momentum orbit, with L(p/m)."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got m = {m!r}")
     mass2 = -minkowski.dot(p, p)
     if p[0] <= 0 or abs(mass2 - m * m) > rel_tol * m * m:
         raise ValueError(f"momentum off shell: -p.p = {mass2!r}, m^2 = {m * m!r}")

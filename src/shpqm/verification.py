@@ -21,9 +21,18 @@ import numpy as np
 
 from . import dirac, little_group, minkowski, sl2c, spin_coupling
 
-# Samples drawn and evaluated together: bounds the (chunk, 4, 4, 4, 4)
+# Samples drawn and evaluated together: bounds the (chunk, 6, 4, 4)
 # temporaries of the operator suite to a few hundred kB.
-CHUNK = 50
+CHUNK = 200
+
+# Sigma^{mu nu} = _PAIR_SIGN[mu, nu] * (pair _PAIR_OF[mu, nu] of dirac.PAIRS):
+# the signed gather of an antisymmetric pair of indices, 0 on the diagonal
+_PAIR_OF = np.zeros((4, 4), dtype=int)
+_PAIR_OF[dirac.PAIRS] = _PAIR_OF[dirac.PAIRS[::-1]] = range(6)
+_PAIR_SIGN = np.zeros((4, 4))
+_PAIR_SIGN[dirac.PAIRS], _PAIR_SIGN[dirac.PAIRS[::-1]] = 1.0, -1.0
+# sum_m n_m Sigma^{m nu} = ((n_lower @ _FIRST_INDEX) @ pairs)[nu]
+_FIRST_INDEX = (_PAIR_SIGN[..., None] * np.eye(6)[_PAIR_OF]).reshape(4, 24)
 
 
 @dataclass(frozen=True)
@@ -157,11 +166,17 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     dev["k_commute_free"] = _sample_mdev(kt @ kl - kl @ kt)
     nl = minkowski.lower(n)
     kal = dirac.k_all(n)
-    sna = dirac.sigma_n_all(n)
+    rows = len(n)
+    pairs = dirac.sigma_n_pairs(n).reshape(rows, 6, 16)
+
+    def sigma_at(i, j):
+        return (_PAIR_SIGN[i, j][:, None] * pairs[idx, _PAIR_OF[i, j]]).reshape(rows, 4, 4)
+
     dev["k_n_orthogonal"] = _sample_mdev(np.einsum("...mab,...m->...ab", kal, nl))
-    dev["sigma_n_n_orthogonal"] = _sample_mdev(np.einsum("...mnab,...m->...nab", sna, nl))
+    dev["sigma_n_n_orthogonal"] = _sample_mdev(
+        (nl @ _FIRST_INDEX).reshape(rows, 4, 6) @ pairs)
     gm, gn = dirac.gamma_n(mu, n), dirac.gamma_n(nu, n)
-    s_mn = sna[idx, mu, nu]
+    s_mn = sigma_at(mu, nu)
     dev["sigma_n_projected_commutator"] = _sample_mdev(s_mn - 0.25j * (gm @ gn - gn @ gm))
     pi = dirac.projector_pi(n)
 
@@ -172,23 +187,18 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     dev["kk_commutator"] = _sample_mdev(k_mu @ k_nu - k_nu @ k_mu + 1j * s_mn)
     dev["sigma_k_commutator"] = _sample_mdev(
         s_mn @ k_la - k_la @ s_mn + 1j * (pi_at(nu, la) * k_mu - pi_at(mu, la) * k_nu))
-    s_ls = sna[idx, ls, sg]
+    s_ls = sigma_at(ls, sg)
     comm = s_mn @ s_ls - s_ls @ s_mn
-    closed = -1j * (pi_at(nu, ls) * sna[idx, mu, sg] + pi_at(mu, sg) * sna[idx, nu, ls]
-                    - pi_at(mu, ls) * sna[idx, nu, sg] - pi_at(nu, sg) * sna[idx, mu, ls])
+    closed = -1j * (pi_at(nu, ls) * sigma_at(mu, sg) + pi_at(mu, sg) * sigma_at(nu, ls)
+                    - pi_at(mu, ls) * sigma_at(nu, sg) - pi_at(nu, sg) * sigma_at(mu, ls))
     dev["sigma_sigma_commutator"] = _sample_mdev(comm - closed)
-    # covariance under a random group element
+    # covariance under a random group element: S^-1 Sigma_{n'} S, n' = Lambda n,
+    # carried back by Lambda^-1 wedge Lambda^-1, is Sigma_n
     lam = sl2c.spinor_map(a)
-    lam_inv = minkowski.inverse(lam)
     s = dirac.s_lambda(a)
-    s_inv = np.linalg.inv(s)
-    n_new = minkowski.moved(lam, n)
-    conj = s_inv[:, None, None] @ dirac.sigma_n_all(n_new) @ s[:, None, None]
-    # back[l, s] = lam_inv[l, m] lam_inv[s, n] conj[m, n]: two batched products
-    rows = len(n)
-    back = lam_inv @ conj.reshape(rows, 4, 64)
-    back = (lam_inv[:, None] @ back.reshape(rows, 4, 4, 16)).reshape(conj.shape)
-    dev["covariance"] = _sample_mdev(back - sna)
+    conj = np.linalg.inv(s)[:, None] @ dirac.sigma_n_pairs(minkowski.moved(lam, n)) @ s[:, None]
+    back = dirac.second_compound(minkowski.inverse(lam)) @ conj.reshape(rows, 6, 16)
+    dev["covariance"] = _sample_mdev(back - pairs)
     # projections: idempotent, mutually orthogonal, complete by pair; only
     # on samples away from p.n = 0 and p^2 + (p.n)^2 = 0
     away = (abs(pn) > 0.2) & (pp + pn**2 > 0.2)
@@ -275,14 +285,13 @@ def little_group_suite(seed=42, samples=1000, tolerance=1e-9):
 
 def rest_frame_suite(tolerance=1e-12):
     """Reductions at the rest fiber n0."""
-    n0 = minkowski.N0
-    dev_boost_part = max(_mdev(dirac.sigma_n(0, j, n0)) for j in range(1, 4))
+    sna = dirac.sigma_n_all(minkowski.N0)
+    dev_boost_part = max(_mdev(sna[0, j]) for j in range(1, 4))
     eig_dev = 0.0
     for i, j in ((1, 2), (2, 3), (3, 1)):
-        eigs = np.sort(np.linalg.eigvalsh(dirac.sigma_n(i, j, n0)))
+        eigs = np.sort(np.linalg.eigvalsh(sna[i, j]))
         eig_dev = max(eig_dev, _mdev(eigs - np.array([-0.5, -0.5, 0.5, 0.5])))
-    s12, s23, s31 = (dirac.sigma_n(1, 2, n0), dirac.sigma_n(2, 3, n0),
-                     dirac.sigma_n(3, 1, n0))
+    s12, s23, s31 = sna[1, 2], sna[2, 3], sna[3, 1]
     dev_su2 = _mdev(s12 @ s23 - s23 @ s12 - 1j * s31)
     return [
         IdentityResult("rest_boost_components",

@@ -74,7 +74,9 @@ KERNELS = [
     (_transport, ("a", "n")),
     (lg.check_su2, ("d",)),
     (dirac.k_all, ("n",)),
+    (dirac.sigma_n_pairs, ("n",)),
     (dirac.sigma_n_all, ("n",)),
+    (dirac.second_compound, ("lam",)),
     (dirac.gamma_dot, ("v",)),
     (dirac.projector_pi, ("n",)),
     (dirac.s_lambda, ("a",)),

@@ -272,6 +272,35 @@ def test_s_lambda_generators():
     assert mdev(sr - (np.eye(4) - 1j * eps * dr.sigma(1, 2))) < 1e-11
 
 
+def test_sigma_n_all_is_the_exact_antisymmetric_scatter_of_the_pairs():
+    rng = np.random.default_rng(15)
+    n = mk.rest_boosted(rng.normal(size=(200, 3)), rng.uniform(0.0, 1.5, 200))
+    for sample in (n, n[0]):
+        sna, pairs = dr.sigma_n_all(sample), dr.sigma_n_pairs(sample)
+        assert pairs.shape == sample.shape[:-1] + (6, 4, 4)
+        mu, nu = dr.PAIRS
+        assert sna[..., mu, nu, :, :].tobytes() == pairs.tobytes()
+        for i in range(4):
+            assert not sna[..., i, i, :, :].any()
+            for j in range(i + 1, 4):
+                assert sna[..., j, i, :, :].tobytes() == (-sna[..., i, j, :, :]).tobytes()
+
+
+def test_second_compound_is_a_homomorphism():
+    rng = np.random.default_rng(16)
+    lam1, lam2 = (sl2c.spinor_map(np.array([sl2c.random_sl2c(rng, 1.0) for _ in range(1000)]))
+                  for _ in range(2))
+    c = dr.second_compound
+    assert mdev(c(lam1 @ lam2) - c(lam1) @ c(lam2)) < 1e-13
+    assert mdev(c(mk.inverse(lam1)) @ c(lam1) - np.eye(6)) < 1e-13
+    # it moves the pairs of an antisymmetric tensor as Lambda T Lambda^T does
+    t = rng.normal(size=(4, 4))
+    t -= t.T
+    mu, nu = dr.PAIRS
+    assert mdev((lam1 @ t @ np.swapaxes(lam1, -1, -2))[:, mu, nu]
+                - c(lam1) @ t[mu, nu]) < 1e-13
+
+
 def test_sigma_n_covariance():
     rng = np.random.default_rng(13)
     for _ in range(50):

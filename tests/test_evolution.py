@@ -247,8 +247,8 @@ def test_overflowing_hamiltonian_or_bad_mass_raises_value_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="hamiltonian must be finite"):
             ev.classical_integrate(start, ev.FreeModel(1.0), 0.1, 5)
-    for mass in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="mass parameter must be positive"):
+    for mass in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mass parameter must be positive and finite"):
             ev.FreeModel(mass)
 
 

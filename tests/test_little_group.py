@@ -242,6 +242,13 @@ def test_momentum_wigner_d_matches_fiber_form():
                              mk.four_vector(1.0, 0, 0, 0), 2.0)
 
 
+@pytest.mark.parametrize("m", [np.nan, np.inf, 0.0, -1.0])
+def test_momentum_wigner_d_refuses_a_mass_not_positive_and_finite(m):
+    p = mk.four_vector(np.cosh(0.3), np.sinh(0.3), 0.0, 0.0)    # on shell at mass 1
+    with pytest.raises(ValueError, match=r"mass must be positive and finite, got m = "):
+        lg.momentum_wigner_d(sl2c.sl2c_boost([1.0, 0.0, 0.0], 0.5), p, m)
+
+
 def test_induced_transform_moves_labels_and_spin():
     rng = np.random.default_rng(6)
     for _ in range(50):

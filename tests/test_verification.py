@@ -1,8 +1,9 @@
 """Tests of the verification suites' reports and sampling."""
 
+import numpy as np
 import pytest
 
-from shpqm import cli, verification as vf
+from shpqm import cli, dirac, minkowski, sl2c, verification as vf
 
 SAMPLED = ("operator_algebra", "little_group", "norm", "coupling")
 
@@ -67,3 +68,39 @@ def test_verify_json_is_byte_identical_on_two_runs(tmp_path):
 def test_suites_reject_an_empty_sample():
     with pytest.raises(ValueError):
         vf.little_group_suite(seed=1, samples=0)
+
+
+def _swap_the_blocks_of_s_lambda(monkeypatch):
+    # S(Lambda) = ASSEMBLY diag(bar a, a) ASSEMBLY^dagger becomes
+    # ASSEMBLY diag(a, bar a) ASSEMBLY^dagger, which breaks covariance
+    swap = dirac.ASSEMBLY @ np.eye(4)[[2, 3, 0, 1]] @ dirac.ASSEMBLY.conj().T
+    s_lambda = dirac.s_lambda
+    monkeypatch.setattr(dirac, "s_lambda", lambda a: swap @ s_lambda(a) @ swap)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_six_pair_covariance_equals_the_sixteen_index_reference(monkeypatch, swapped):
+    # on one chunk: S^-1 Sigma_{n'}^{mn} S carried back by Lambda^-1 on each
+    # index, over all 16 (m, n), against Sigma_n
+    if swapped:
+        _swap_the_blocks_of_s_lambda(monkeypatch)
+    blocks = list(vf._per_sample(8, vf.CHUNK, vf.STREAMS["operator_algebra"],
+                                 lambda *blocks: dict(enumerate(blocks))).values())
+    n, a = minkowski.rest_boosted(*blocks[:2]), vf._element(*blocks[-4:])
+    lam = sl2c.spinor_map(a)
+    lam_inv, s = minkowski.inverse(lam), dirac.s_lambda(a)
+    conj = np.einsum("rab,rmnbc,rcd->rmnad", np.linalg.inv(s),
+                     dirac.sigma_n_all(minkowski.moved(lam, n)), s)
+    back = np.einsum("rmnad,rlm,rsn->rlsad", conj, lam_inv, lam_inv)
+    reference = vf._sample_mdev(back - dirac.sigma_n_all(n))
+    covariance = vf._operator_deviations(*blocks)["covariance"]
+    assert covariance.shape == reference.shape == (vf.CHUNK,)
+    assert (reference.max() > 1.0) == swapped
+    assert np.max(np.abs(covariance - reference)) <= 1e-14 * max(1.0, reference.max())
+
+
+def test_covariance_catches_a_spinor_representation_with_its_blocks_swapped(monkeypatch):
+    _swap_the_blocks_of_s_lambda(monkeypatch)
+    results = {r.identity: r for r in vf.operator_algebra_suite(3, 300)}
+    assert not results["covariance"].passed
+    assert results["covariance"].max_deviation > 10.0

@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_14.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_15.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -70,7 +70,8 @@ EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
 WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
-           "little_group.transport", "dirac.sigma_n_all", "dirac.s_lambda")
+           "little_group.transport", "dirac.sigma_n_pairs", "dirac.sigma_n_all",
+           "dirac.s_lambda")
 
 
 def load(src, alias):
@@ -111,7 +112,8 @@ def kernel(package, name, a, n):
     the inputs a, n."""
     module, fn = name.split(".")
     args = {"spinor_map": (a,), "canonical_boost": (n,), "wigner_d": (a, n),
-            "transport": (a, n), "sigma_n_all": (n,), "s_lambda": (a,)}[fn]
+            "transport": (a, n), "sigma_n_pairs": (n,), "sigma_n_all": (n,),
+            "s_lambda": (a,)}[fn]
     return getattr(getattr(package, module), fn, None), args
 
 
@@ -354,7 +356,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_14.json", help="JSON file to write")
+    parser.add_argument("--out", default="BENCH_15.json", help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
