@@ -74,10 +74,15 @@ _SIGMA_BY_NU = _SIGMA_ALL.transpose(1, 0, 2, 3).reshape(4, 64)
 
 
 # The six (mu, nu) with mu < nu; an antisymmetric pair of indices is stored
-# as these six entries.
+# as these six entries.  T^{mu nu} = PAIR_SIGN[mu, nu] * (pair PAIR_OF[mu, nu]
+# of T): the signed gather of any (mu, nu), 0 on the diagonal.
 PAIRS = np.triu_indices(4, 1)
+PAIR_OF = np.zeros((4, 4), dtype=int)
+PAIR_OF[PAIRS] = PAIR_OF[PAIRS[::-1]] = range(6)
+PAIR_SIGN = np.zeros((4, 4))
+PAIR_SIGN[PAIRS], PAIR_SIGN[PAIRS[::-1]] = 1.0, -1.0
 _SIGMA_PAIRS = _SIGMA_ALL[PAIRS]
-for _frozen in (*PAIRS, _SIGMA_PAIRS):
+for _frozen in (*PAIRS, PAIR_OF, PAIR_SIGN, _SIGMA_PAIRS):
     _frozen.setflags(write=False)
 
 
@@ -218,33 +223,31 @@ class FieldTensor:
         ])
         return cls(f, charge, mass)
 
-    def projected_lower(self, n):
-        """F projected into the foliation subspace on both indices."""
-        n = np.asarray(n, dtype=float)
-        pim = np.eye(4) + np.outer(n, minkowski.lower(n))  # pi^alpha_mu
-        return pim.T @ self.f_lower @ pim
+
+def _with_field(pairs, field):
+    """T^{mu nu} F_{mu nu} = 2 sum over PAIRS of T_p F_p for an antisymmetric
+    T given by its pairs, shape (6, 4, 4)."""
+    return 2.0 * np.einsum("pab,p->ab", pairs, field.f_lower[PAIRS])
 
 
 def spin_hamiltonian(p_kinetic, n, field):
     """Interacting evolution operator: kinetic scalar plus (e/2M) Sigma_n.F.
 
-    F enters through its projection into the surface orthogonal to n, which
-    changes nothing numerically since Sigma_n projects each index itself.
+    Only the projection of F into the surface orthogonal to n contributes,
+    since Sigma_n projects each index itself.
     """
     minkowski.check_unit_timelike_future(n)
     kinetic = minkowski.dot(p_kinetic, p_kinetic) / (2.0 * field.mass)
-    spin_term = np.einsum("mnab,mn->ab", sigma_n_all(n), field.projected_lower(n))
+    spin_term = _with_field(sigma_n_pairs(n), field)
     return kinetic * ID4 + (field.charge / (2.0 * field.mass)) * spin_term
 
 
 def dipole_rhs(n, field):
     """Spin coupling that becomes a pure electric dipole term in the n frame:
-    -i e gamma5 (K^mu n^nu - K^nu n^mu) F_{mu nu}."""
+    -i e gamma5 (K^mu n^nu - K^nu n^mu) F_{mu nu}, the bracket being
+    Sigma_n^{mu nu} - Sigma^{mu nu}."""
     minkowski.check_unit_timelike_future(n)
-    n = np.asarray(n, dtype=float)
-    k = k_all(n)
-    anti = (np.einsum("mab,n->mnab", k, n) - np.einsum("nab,m->mnab", k, n))
-    contracted = np.einsum("mnab,mn->ab", anti, field.f_lower)
+    contracted = _with_field(sigma_n_pairs(n) - _SIGMA_PAIRS, field)
     return -1.0j * field.charge * GAMMA5 @ contracted
 
 

@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import spin_coupling
 from .constants import HBAR_EV_FS, energy_spread_for_time_width, fringe_period_fs
 
 
@@ -49,10 +48,6 @@ class EmissionConfig:
     @property
     def emission_spacing_fs(self):
         return self.t_emit2_fs - self.t_emit1_fs
-
-    def spin_singlet(self):
-        """The spin singlet on the rest fiber."""
-        return spin_coupling.singlet()
 
 
 def envelope(t_fs, center_fs, sigma_fs):

@@ -18,6 +18,7 @@ import numpy as np
 from . import minkowski, sl2c
 
 SU2_TOL = 1e-10
+MASS_SHELL_TOL = 1e-6
 
 
 def check_su2(d):
@@ -60,15 +61,23 @@ def _unitary_factor(m):
     return check_su2(s / np.sqrt(sl2c.det(s))[..., None, None])
 
 
-def momentum_wigner_d(a, p, m, rel_tol=1e-6):
-    """Same construction on the momentum orbit, with L(p/m)."""
+def momentum_wigner_d(a, p, m):
+    """Same construction on the momentum orbit: wigner_d at the label of p
+    of mass m, with spatial part p/m and time part sqrt(1 + |p/m|^2) as
+    minkowski.moved builds a label.  a (..., 2, 2) and p (..., 4) broadcast
+    over their leading sample axes.  Each p must be on shell: p^0 equal to
+    E = sqrt(m^2 + |p|^2) within MASS_SHELL_TOL relative to p^0 (-p.p is
+    not formed: it cancels terms of size (p^0)^2)."""
     if not 0 < m < np.inf:
         raise ValueError(f"mass must be positive and finite, got m = {m!r}")
-    mass2 = -minkowski.dot(p, p)
-    if p[0] <= 0 or abs(mass2 - m * m) > rel_tol * m * m:
-        raise ValueError(f"momentum off shell: -p.p = {mass2!r}, m^2 = {m * m!r}")
-    # normalizing absorbs the residual off-shellness
-    return wigner_d(a, minkowski.unit_timelike(np.asarray(p, dtype=float) / m))
+    p = np.asarray(p, dtype=float)
+    label = p / m
+    label[..., 0] = np.sqrt(1.0 + (label[..., 1:] ** 2).sum(axis=-1))
+    p0, energy = p[..., 0], m * label[..., 0]
+    minkowski.require(np.isfinite(p0) & (abs(p0 - energy) <= MASS_SHELL_TOL * p0),
+                      lambda i: f"momentum off shell: p^0 = {float(p0[i])!r}, "
+                                f"sqrt(m^2 + |p|^2) = {float(energy[i])!r}")
+    return wigner_d(a, label)
 
 
 @dataclass(frozen=True)

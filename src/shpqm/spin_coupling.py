@@ -275,10 +275,9 @@ def _rep_matrix(j, d):
 def couple_sequence(states, j_targets):
     """Left-fold pairwise coupling of N spins to the given intermediate Js.
 
-    j_targets holds the N-1 totals J12, J123, ... (the M of a (J, M) tuple
-    is not read).  Returns the final J and the amplitudes of the product
-    state on |((j1 j2) J12, j3) J123 ...; J M> for M = -J..J; raises
-    ValueError when a J breaks the triangle rule.
+    j_targets holds the N-1 totals J12, J123, ...  Returns the final J and
+    the amplitudes of the product state on |((j1 j2) J12, j3) J123 ...; J M>
+    for M = -J..J; raises ValueError when a J breaks the triangle rule.
     """
     if len(states) < 2 or len(j_targets) != len(states) - 1:
         raise ValueError("need N >= 2 states and N-1 coupling targets")
@@ -287,8 +286,7 @@ def couple_sequence(states, j_targets):
     # tensor over (coupled M index, m_1 .. m_k) built step by step
     j_acc = states[0].j
     tensor = np.eye(_two_j(j_acc) + 1, dtype=complex)  # (M, m1)
-    for step, nxt in enumerate(states[1:]):
-        big_j = j_targets[step][0] if isinstance(j_targets[step], tuple) else j_targets[step]
+    for big_j, nxt in zip(j_targets, states[1:]):
         # out[M, ..., m2] = sum over m_acc of <j_acc m_acc; j m2 | J M> tensor[m_acc, ...]
         out = np.stack([
             np.moveaxis(np.tensordot(cg_matrix(j_acc, nxt.j, big_j, big_m), tensor,

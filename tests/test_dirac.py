@@ -208,6 +208,25 @@ def test_spin_hamiltonian_pure_electric_spin_term_zero_at_rest():
     assert mdev(h) < 1e-14
 
 
+def test_field_couplings_equal_the_sixteen_index_reference():
+    # F projected into the surface orthogonal to n, contracted with all
+    # sixteen Sigma_n^{mu nu}; K^mu n^nu - K^nu n^mu spelled out
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = mk.rest_boosted(rng.normal(size=3), rng.uniform(0.0, 3.0))
+        p = rng.normal(scale=2.0, size=4)
+        f = dr.FieldTensor.from_fields(rng.normal(size=3), rng.normal(size=3),
+                                       charge=rng.uniform(0.5, 2.0), mass=rng.uniform(0.5, 2.0))
+        pim = np.eye(4) + np.outer(n, mk.lower(n))      # pi^alpha_mu
+        spin = np.einsum("mnab,mn->ab", dr.sigma_n_all(n), pim.T @ f.f_lower @ pim)
+        h_ref = mk.dot(p, p) / (2 * f.mass) * np.eye(4) + f.charge / (2 * f.mass) * spin
+        k = dr.k_all(n)
+        anti = np.einsum("mab,n->mnab", k, n) - np.einsum("nab,m->mnab", k, n)
+        d_ref = -1j * f.charge * dr.GAMMA5 @ np.einsum("mnab,mn->ab", anti, f.f_lower)
+        for got, ref in ((dr.spin_hamiltonian(p, n, f), h_ref), (dr.dipole_rhs(n, f), d_ref)):
+            assert mdev(got - ref) <= 1e-12 * max(1.0, mdev(ref))
+
+
 def test_sector_hermiticity():
     rng = np.random.default_rng(9)
     f = dr.FieldTensor.from_fields([1.0, -0.5, 2.0], [0.3, 1.1, -0.7],

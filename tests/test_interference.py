@@ -59,7 +59,7 @@ def test_relative_coordinate_form_agrees():
 def test_total_state_antisymmetric():
     # spacetime factor symmetric, spin singlet antisymmetric
     cfg = reference_config()
-    singlet = cfg.spin_singlet()
+    singlet = sc.singlet()
     exchanged_spin = sc.exchange(singlet)
     t1, t2 = 0.4, 1.3
     total = itf.amplitude(cfg, t1, t2) * singlet.coefficients

@@ -242,6 +242,39 @@ def test_momentum_wigner_d_matches_fiber_form():
                              mk.four_vector(1.0, 0, 0, 0), 2.0)
 
 
+def test_momentum_wigner_d_at_large_rapidity_and_off_shell():
+    # p = m n exactly on shell at w = 20, where -p.p rounds to 0 (or less):
+    # the label is built from the spatial part, as minkowski.moved does
+    a = sl2c.sl2c_rotation([0.0, 0.6, 0.8], 1.1) @ sl2c.sl2c_boost([0.8, 0.0, 0.6], 0.9)
+    for axis in ("x", "y", [1.0, -2.0, 0.5]):
+        n = mk.rest_boosted(axis, 20.0)
+        for m in (1.0, 0.5, 3.0):
+            dev = np.abs(lg.momentum_wigner_d(a, m * n, m) - lg.wigner_d(a, n)).max()
+            assert dev <= 1e-15, (axis, m, dev)
+        for p0_scale in (1 + 1e-3, 1 - 1e-3):
+            p = n * [p0_scale, 1.0, 1.0, 1.0]
+            with pytest.raises(ValueError, match="momentum off shell"):
+                lg.momentum_wigner_d(a, p, 1.0)
+    for p in (-mk.rest_boosted("x", 0.3), [np.inf, 0.0, 0.0, 0.0], [1e300, 1e300, 0.0, 0.0],
+              [np.nan, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="momentum off shell"):
+            lg.momentum_wigner_d(a, p, 1.0)
+
+
+def test_momentum_wigner_d_batch_equals_the_per_sample_loop():
+    rng = np.random.default_rng(13)
+    a = np.array([sl2c.random_sl2c(rng) for _ in range(40)])
+    m = 1.7
+    p = m * mk.rest_boosted(rng.normal(size=(40, 3)), rng.uniform(0.0, 6.0, 40))
+    batch = lg.momentum_wigner_d(a, p, m)
+    assert batch.shape == (40, 2, 2)
+    for i in range(40):
+        assert batch[i].tobytes() == lg.momentum_wigner_d(a[i], p[i], m).tobytes()
+    p[3, 0] *= 1.01
+    with pytest.raises(ValueError, match=r"sample 3: momentum off shell"):
+        lg.momentum_wigner_d(a, p, m)
+
+
 @pytest.mark.parametrize("m", [np.nan, np.inf, 0.0, -1.0])
 def test_momentum_wigner_d_refuses_a_mass_not_positive_and_finite(m):
     p = mk.four_vector(np.cosh(0.3), np.sinh(0.3), 0.0, 0.0)    # on shell at mass 1

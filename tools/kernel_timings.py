@@ -1,6 +1,6 @@
 """Per-kernel and per-suite timings of shpqm checkouts, written to a JSON file.
 
-    python tools/kernel_timings.py --out BENCH_15.json change=src parent=../parent/src
+    python tools/kernel_timings.py --out BENCH_16.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
 none, the package of this repository is timed as `change`.  All checkouts are
@@ -15,8 +15,10 @@ For each kernel it times one call on N = 1, 100 and 10,000 samples: a single
 otherwise.  A kernel that rejects a batched input (code from before the
 kernels were batch-first) is timed as a Python loop of N single calls, and
 the entry says so; a kernel that a checkout lacks is recorded as absent.
-Then it times each verification suite as `run_all` calls
-it at 1000 samples, and the tau-evolution path of `shpqm evolve`: µs per
+Then it times each verification suite as `run_all` calls it at 1000
+samples, and `run_all` itself; it prints to stderr how far `run_all` is from
+the sum of its suites, since on a shared machine the two, timed apart, can
+disagree by ~1.3x.  Then the tau-evolution path of `shpqm evolve`: µs per
 step of `evolution.classical_integrate` over 20,000 free steps, and µs
 per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
 values) and on an interference scan (100,001 rows of 4 values), each
@@ -171,7 +173,11 @@ def suite_table(packages):
     calls = {label: (lambda p=p: p.verification.run_all(42, SUITE_SAMPLES))
              for label, p in packages.items()}
     for label, seconds in best_seconds(calls, SUITE_REPEATS, 1).items():
-        table[label]["run_all"] = {"seconds": round(seconds, 5), "samples": SUITE_SAMPLES}
+        gap = seconds - sum(entry["seconds"] for entry in table[label].values())
+        table[label]["run_all"] = {"seconds": round(seconds, 5), "samples": SUITE_SAMPLES,
+                                   "minus_suites_seconds": round(gap, 5)}
+        print(f"{label}: run_all {seconds:.5f} s, minus the sum of its suites {gap:+.5f} s",
+              file=sys.stderr)
     return table
 
 
@@ -356,7 +362,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=SRC",
                         help="checkouts to time (default: change=<this repository>/src)")
-    parser.add_argument("--out", default="BENCH_15.json", help="JSON file to write")
+    parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
     repo_src = Path(__file__).resolve().parents[1] / "src"
