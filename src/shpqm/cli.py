@@ -39,7 +39,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -58,17 +58,25 @@ def load_config(path):
 
 
 def cfg_get(cfg, key, cast=float, default=None):
+    """The value of `key`, cast; a key read is removed from cfg."""
     if key not in cfg:
         if default is not None:
             return default
         raise ConfigError(f"missing config key {key!r}")
+    text = cfg.pop(key)
     try:
-        value = cast(cfg[key])
+        value = cast(text)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
     if cast is float and not np.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {cfg[key]!r}")
+        raise ConfigError(f"config key {key!r} must be finite, got {text!r}")
     return value
+
+
+def _refuse_unread(cfg):
+    """Raise on the first key of cfg that no cfg_get has read."""
+    for key in cfg:
+        raise ConfigError(f"unknown config key {key!r}")
 
 
 @contextlib.contextmanager
@@ -77,19 +85,23 @@ def _output(path):
         yield sys.stdout
         sys.stdout.flush()      # a reader that closed stdout early raises here
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+        except OSError as exc:  # a missing directory, a directory, a full disk
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 CSV_BLOCK_ROWS = 1024   # per block of a table up to 4 columns wide; fewer if wider
-MAX_ROWS = 10_000_000   # steps, energy samples or scan samples: one CSV row each
+MAX_ROWS = 10_000_000   # CSV rows (steps, energy or scan samples), identity samples
 
 
 def _row_count(cfg, key, default=None, flag=None):
     """The int command-line value `flag` if given, else the int config value
     `key`; refused above MAX_ROWS before any array of that length is
-    allocated."""
+    allocated.  A flag overrides the key, which is then read but not parsed."""
     value = cfg_get(cfg, key, cast=int, default=default) if flag is None else flag
+    cfg.pop(key, None)
     if value > MAX_ROWS:
         source = f"config key {key!r}" if flag is None else f"--{key}"
         raise ConfigError(f"{source} must be at most {MAX_ROWS}, got {value}")
@@ -345,15 +357,14 @@ def cmd_constants(args):
 
 
 def cmd_verify(args):
-    if args.samples <= 0:
-        raise ConfigError("sample count must be positive")
+    samples = _row_count({}, "samples", flag=args.samples)
     if args.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {args.seed}")
-    report = verification.run_all(seed=args.seed, samples=args.samples)
+    report = verification.run_all(seed=args.seed, samples=samples)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
-        "samples": args.samples,
+        "samples": samples,
         "suites": {name: [r.to_dict() for r in results]
                    for name, results in report.items()},
         "all_passed": verification.all_passed(report),
@@ -388,20 +399,13 @@ def _parse_four_vector(text):
 def cmd_wigner(args):
     ax1, w1 = _parse_boost(args.boost1)
     ax2, w2 = _parse_boost(args.boost2)
-    if args.n is not None:
-        n = _parse_four_vector(args.n)
-        try:
-            minkowski.check_unit_timelike_future(n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        n = minkowski.N0
-    try:    # non-finite values are refused; numpy's warnings would add lines
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
-            d = little_group.transport(a, n)[2]
-    except ValueError as exc:   # e.g. a moved label Lambda n that overflows
-        raise ConfigError(f"induced rotation: {exc}") from exc
+    # checked here: transport would report a NaN n as a moved label not finite
+    n = (minkowski.N0 if args.n is None
+         else minkowski.check_unit_timelike_future(_parse_four_vector(args.n)))
+    # non-finite values are refused; numpy's warnings would add lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)
+        d = little_group.transport(a, n)[2]
     angle, axis = little_group.su2_angle_axis(d)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -418,33 +422,29 @@ def cmd_wigner(args):
 def cmd_interference(args):
     cfg = load_config(args.config)
     samples = _row_count(cfg, "samples", default=4001, flag=args.samples)
-    try:
-        emission = interference.EmissionConfig(
-            e1_ev=cfg_get(cfg, "e1_ev"),
-            e2_ev=cfg_get(cfg, "e2_ev"),
-            t_emit1_fs=cfg_get(cfg, "t_emit1_fs"),
-            t_emit2_fs=cfg_get(cfg, "t_emit2_fs"),
-            sigma_t_fs=cfg_get(cfg, "sigma_t_fs"),
-        )
-        result = interference.scan_interference(
-            emission, cfg_get(cfg, "dt_min_fs"), cfg_get(cfg, "dt_max_fs"), samples)
-        if args.format == "json":   # the period is estimated here, when read
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "fringe_period_fs": result.fringe_period_fs,
-                "predicted_period_fs": result.predicted_period_fs,
-                "visibility": result.visibility,
-                "flat_oscillation": result.flat_oscillation,
-                "feasibility": interference.feasibility_report(emission),
-            }
-    except ValueError as exc:    # AliasingError too; a ConfigError keeps its message
-        raise ConfigError(str(exc)) from exc
+    emission = interference.EmissionConfig(
+        e1_ev=cfg_get(cfg, "e1_ev"),
+        e2_ev=cfg_get(cfg, "e2_ev"),
+        t_emit1_fs=cfg_get(cfg, "t_emit1_fs"),
+        t_emit2_fs=cfg_get(cfg, "t_emit2_fs"),
+        sigma_t_fs=cfg_get(cfg, "sigma_t_fs"),
+    )
+    dt_range = cfg_get(cfg, "dt_min_fs"), cfg_get(cfg, "dt_max_fs")
+    _refuse_unread(cfg)
+    result = interference.scan_interference(emission, *dt_range, samples)
     if args.format == "csv":
         _write_csv(args.out, "delta_t_fs,probability,envelope,interference_term",
                    [result.dt_grid_fs, result.probability, result.envelope,
                     result.interference])
-    else:
-        _write_json(args.out, payload)
+    else:   # the period is estimated here, when read, before --out is opened
+        _write_json(args.out, {
+            "schema_version": SCHEMA_VERSION,
+            "fringe_period_fs": result.fringe_period_fs,
+            "predicted_period_fs": result.predicted_period_fs,
+            "visibility": result.visibility,
+            "flat_oscillation": result.flat_oscillation,
+            "feasibility": interference.feasibility_report(emission),
+        })
     return 0
 
 
@@ -461,20 +461,22 @@ def cmd_evolve(args):
                 p0 = np.array([cfg_get(cfg, k) for k in ("E0", "px0", "py0", "pz0")])
                 dtau = cfg_get(cfg, "dtau")
                 steps = _row_count(cfg, "steps")
+                _refuse_unread(cfg)
                 traj = evolution.classical_integrate(
                     evolution.PhasePoint(x0, p0), model, dtau, steps)
                 header = "tau,t,x,y,z,E,px,py,pz,K"
                 columns = [traj.tau, traj.x, traj.p, traj.k]
             elif mode == "quantum":
-                packet = evolution.MomentumPacket.gaussian_energy_axis(
-                    e_center=cfg_get(cfg, "e_center"),
-                    e_width=cfg_get(cfg, "e_width"),
-                    spatial_p=[cfg_get(cfg, k, default=0.0)
-                               for k in ("px", "py", "pz")],
-                    mass_param=cfg_get(cfg, "mass_param"),
-                    num=_row_count(cfg, "num", default=256),
-                )
-                packet = evolution.free_evolve(packet, cfg_get(cfg, "dtau"))
+                shape = dict(e_center=cfg_get(cfg, "e_center"),
+                             e_width=cfg_get(cfg, "e_width"),
+                             spatial_p=[cfg_get(cfg, k, default=0.0)
+                                        for k in ("px", "py", "pz")],
+                             mass_param=cfg_get(cfg, "mass_param"),
+                             num=_row_count(cfg, "num", default=256))
+                dtau = cfg_get(cfg, "dtau")
+                _refuse_unread(cfg)
+                packet = evolution.free_evolve(
+                    evolution.MomentumPacket.gaussian_energy_axis(**shape), dtau)
                 header = "p0,prob_density,phase"
                 # abs(a) ** 2 one amplitude at a time: the vectorised np.abs
                 # rounds some values differently in the last digit
@@ -485,8 +487,6 @@ def cmd_evolve(args):
     except evolution.StepRejectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:    # a ConfigError keeps its message
-        raise ConfigError(str(exc)) from exc
     _write_csv(args.out, header, columns)
     return 0
 
@@ -540,7 +540,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as exc:
+    except ValueError as exc:   # ConfigError, AliasingError, every domain check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -284,10 +284,10 @@ def sector_metric(n):
     return np.asarray(sign)[..., None, None] * (GAMMA[0] @ gamma_dot(n))
 
 
-def is_sector_hermitian(op, n, tol=1e-10):
-    """True when eta op = op^dagger eta in the n-sector scalar product."""
+def is_sector_hermitian(op, n):
+    """True when eta op = op^dagger eta, to 1e-10, in the n-sector scalar product."""
     eta = sector_metric(n)
-    return np.max(np.abs(eta @ op - op.conj().T @ eta)) <= tol
+    return np.max(np.abs(eta @ op - op.conj().T @ eta)) <= 1e-10
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def classical_integrate(state, model, dtau, steps):
     return Trajectory(tau, x, p, k)
 
 
-def poisson(f, g, at, h_scale=1e-5):
+def poisson(f, g, at):
     """Central-difference Poisson bracket {f, g} at a phase point.
 
     f and g are callables of (x, p) with x, p contravariant four-vectors;
@@ -203,8 +203,8 @@ def poisson(f, g, at, h_scale=1e-5):
     index placement handled through the metric.
     """
     x, p = at.x, at.p
-    hx = h_scale * max(np.max(np.abs(x)), 1.0)
-    hp = h_scale * max(np.max(np.abs(p)), 1.0)
+    hx = 1e-5 * max(np.max(np.abs(x)), 1.0)
+    hp = 1e-5 * max(np.max(np.abs(p)), 1.0)
 
     def grad_x(func):
         out = np.zeros(4)
@@ -367,7 +367,7 @@ class MomentumPacket:
 
     @classmethod
     def gaussian_energy_axis(cls, e_center, e_width, spatial_p, mass_param,
-                             n=None, num=256, span=8.0, tau=0.0):
+                             n=None, num=256, tau=0.0):
         """Gaussian packet along the p^0 axis at fixed spatial momentum.
 
         e_width is the standard deviation of |amplitude|^2 in p^0.
@@ -379,14 +379,14 @@ class MomentumPacket:
         n = minkowski.N0 if n is None else np.asarray(n, dtype=float)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                e = np.linspace(e_center - span * e_width, e_center + span * e_width, num)
+                e = np.linspace(e_center - 8.0 * e_width, e_center + 8.0 * e_width, num)
                 de = e[1] - e[0]
                 amps = (2 * np.pi * e_width**2) ** (-0.25) * np.exp(
                     -((e - e_center) ** 2) / (4 * e_width**2))
                 w = np.full(num, de)
                 amps = amps / np.sqrt(cls.norm_squared_of(amps, w))
         except ArithmeticError as exc:  # FloatingPointError, and Python's float errors
-            raise ValueError(f"energy grid {e_center!r} +- {span!r} * {e_width!r}"
+            raise ValueError(f"energy grid {e_center!r} +- 8.0 * {e_width!r}"
                              f" is out of floating-point range") from exc
         ps = np.zeros((num, 4))
         ps[:, 0] = e

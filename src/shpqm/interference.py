@@ -116,11 +116,11 @@ def coincidence_probability(config, dt_fs):
     return direct_part(config, dt_fs) + interference_part(config, dt_fs)
 
 
-def coincidence_probability_quadrature(config, dt_fs, span=12.0, num=4001):
+def coincidence_probability_quadrature(config, dt_fs):
     """Trapezoid quadrature of |A|^2 over the mean time (oracle)."""
     center = 0.5 * (config.t_emit1_fs + config.t_emit2_fs)
-    half = span * config.sigma_t_fs + abs(dt_fs)
-    t_mean = np.linspace(center - half, center + half, num)
+    half = 12.0 * config.sigma_t_fs + abs(dt_fs)
+    t_mean = np.linspace(center - half, center + half, 4001)
     vals = np.abs(amplitude_relative(config, t_mean, dt_fs)) ** 2
     return float(np.trapezoid(vals, t_mean))
 

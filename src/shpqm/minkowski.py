@@ -123,19 +123,19 @@ def classify(v):
     return CausalClass.SPACELIKE
 
 
-def is_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
-    """Per sample: n0 > 0 and n.n = -1 within tol relative to max(1, n0^2),
+def is_unit_timelike_future(n):
+    """Per sample: n0 > 0 and n.n = -1 within UNIT_TIMELIKE_TOL relative to max(1, n0^2),
     the size of the terms that cancel in n.n."""
     t, x, y, z = components(n)
     t2 = t * t
-    return (t > 0) & within(abs(-t2 + x * x + y * y + z * z + 1.0), tol, t2)
+    return (t > 0) & within(abs(-t2 + x * x + y * y + z * z + 1.0), UNIT_TIMELIKE_TOL, t2)
 
 
-def check_unit_timelike_future(n, tol=UNIT_TIMELIKE_TOL):
+def check_unit_timelike_future(n):
     """Return n as a float array; raise unless every sample is unit
     future-timelike."""
     n = np.asarray(n, dtype=float)
-    require(is_unit_timelike_future(n, tol),
+    require(is_unit_timelike_future(n),
             lambda i: f"expected unit future-timelike vector, got {n[i]!r} "
                       f"with n.n = {inner(n[i], n[i])}")
     return n

@@ -234,7 +234,7 @@ def exchange(state):
     """Interchange the two particles (transpose the coefficient matrix)."""
     if state.j1 != state.j2:
         raise ValueError("exchange defined for identical spins only")
-    return TwoBodySpinState(state.j1, state.j2, state.coefficients.T,
+    return TwoBodySpinState(state.j1, state.j2, np.swapaxes(state.coefficients, -1, -2),
                             state.n, state.tau, state.symmetry_tag)
 
 

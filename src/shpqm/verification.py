@@ -45,17 +45,7 @@ class IdentityResult:
         return self.max_deviation <= self.tolerance
 
     def to_dict(self):
-        return {
-            "identity": self.identity,
-            "description": self.description,
-            "samples": self.samples,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "informational": self.informational,
-            "convention_flags": list(self.convention_flags),
-            "worst_sample": self.worst_sample,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 def _mdev(x):
@@ -67,12 +57,67 @@ def _sample_mdev(x):
     return np.abs(x).reshape(len(x), -1).max(axis=1)
 
 
-def _sampled(identity, description, deviations, tolerance, **kwargs):
-    """Result over per-sample deviations, naming the worst sample."""
-    worst = int(np.argmax(deviations))
-    return IdentityResult(identity, description, len(deviations),
-                          float(deviations[worst]), tolerance,
-                          worst_sample=worst, **kwargs)
+# {suite: {identity: (description, tolerance)}}, in the order of the report
+IDENTITIES = {
+    "operator_algebra": {
+        "k_squares": ("squares of the longitudinal/transverse operators", 1e-9),
+        "k_commute_free": ("free-case commutation of K_T and K_L", 1e-9),
+        "k_n_orthogonal": ("K contracted with the foliation vector vanishes", 1e-9),
+        "sigma_n_n_orthogonal": ("projected spin contracted with n vanishes", 1e-9),
+        "sigma_n_projected_commutator":
+            ("projected spin equals (i/4) x projected gamma commutator", 1e-9),
+        "kk_commutator": ("[K, K] closes on the projected spin", 1e-9),
+        "sigma_k_commutator": ("[Sigma_n, K] closes on K with the projector", 1e-9),
+        "sigma_sigma_commutator": ("projected spin algebra closure", 1e-9),
+        "covariance": ("Sigma_n transforms as a tensor operator", 1e-9),
+        "projections": ("cone/energy/helicity projectors idempotent, orthogonal, "
+                        "complete", 1e-9),
+        "sigma_sigma_commutator_quoted_variant":
+            ("alternative sign pattern sometimes quoted for the spin closure "
+             "(does not hold; kept for reference)", 1e-9),
+    },
+    "little_group": {
+        "wigner_su2": ("induced rotation is in SU(2)", 1e-9),
+        "wigner_cocycle": ("composition law of the induced rotation", 1e-9),
+        "collinear_boosts": ("collinear boosts induce no rotation", 1e-9),
+    },
+    "rest_frame": {
+        "rest_boost_components":
+            ("boost components of the projected spin vanish at the rest fiber", 1e-12),
+        "rest_spin_eigenvalues": ("rotation components have eigenvalues +-1/2", 1e-9),
+        "rest_su2_closure": ("rotation components close the su(2) algebra", 1e-12),
+    },
+    "norm": {
+        "sector_norm_equality": ("sector norm equals the sum of two-spinor norms", 1e-10),
+        "sector_norm_invariance": ("sector norm is Lorentz invariant", 1e-10),
+    },
+    "coupling": {
+        "cg_orthogonality": ("Clebsch-Gordan change of basis is orthogonal", 1e-12),
+        "singlet_invariance": ("the singlet is invariant under the induced rotation "
+                               "up to a unit phase", 1e-10),
+    },
+}
+# recorded for reference, excluded from pass/fail
+INFORMATIONAL = {"sigma_sigma_commutator_quoted_variant"}
+FLAGGED = {"k_squares": dirac.CONVENTION_FLAGS}
+
+
+def _report(suite, deviations):
+    """The results of `suite`, in table order, from {identity: deviation}: an
+    array of per-sample deviations, whose worst sample is named, or a
+    (deviation, checks) pair for an unsampled identity."""
+    results = []
+    for identity, (description, tolerance) in IDENTITIES[suite].items():
+        dev = deviations[identity]
+        if isinstance(dev, tuple):
+            (value, checks), worst = dev, None
+        else:
+            worst = int(np.argmax(dev))
+            value, checks = dev[worst], len(dev)
+        results.append(IdentityResult(identity, description, checks, float(value), tolerance,
+                                      identity in INFORMATIONAL,
+                                      FLAGGED.get(identity, ()), worst))
+    return results
 
 
 # A stream draw(rng, rows) gives the next `rows` rows of one input variable
@@ -213,33 +258,8 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
 
 def operator_algebra_suite(seed=42, samples=1000):
     """Core operator identities over random (p, n, Lambda)."""
-    devs = _per_sample(seed, samples, STREAMS["operator_algebra"], _operator_deviations)
-    descriptions = {
-        "k_squares": "squares of the longitudinal/transverse operators",
-        "k_commute_free": "free-case commutation of K_T and K_L",
-        "k_n_orthogonal": "K contracted with the foliation vector vanishes",
-        "sigma_n_n_orthogonal": "projected spin contracted with n vanishes",
-        "sigma_n_projected_commutator":
-            "projected spin equals (i/4) x projected gamma commutator",
-        "kk_commutator": "[K, K] closes on the projected spin",
-        "sigma_k_commutator": "[Sigma_n, K] closes on K with the projector",
-        "sigma_sigma_commutator": "projected spin algebra closure",
-        "covariance": "Sigma_n transforms as a tensor operator",
-        "projections": "cone/energy/helicity projectors idempotent, "
-                       "orthogonal, complete",
-    }
-    results = [
-        _sampled(name, description, devs[name], 1e-9,
-                 convention_flags=dirac.CONVENTION_FLAGS if name == "k_squares" else ())
-        for name, description in descriptions.items()
-    ]
-    # informational: recorded for reference, excluded from pass/fail
-    results.append(_sampled(
-        "sigma_sigma_commutator_quoted_variant",
-        "alternative sign pattern sometimes quoted for the spin closure "
-        "(does not hold; kept for reference)",
-        devs["sigma_sigma_commutator_quoted_variant"], 1e-9, informational=True))
-    return results
+    return _report("operator_algebra", _per_sample(
+        seed, samples, STREAMS["operator_algebra"], _operator_deviations))
 
 
 def little_group_suite(seed=42, samples=1000):
@@ -259,18 +279,11 @@ def little_group_suite(seed=42, samples=1000):
         # collinear boosts compose without rotation at the rest fiber
         b = sl2c.sl2c_boost(axis, w[:, 0]) @ sl2c.sl2c_boost(axis, w[:, 1])
         d_b = little_group.transport(b, minkowski.N0)[2]
-        return {"su2": su2, "cocycle": _sample_mdev(lhs - rhs),
-                "collinear": _sample_mdev(d_b - np.eye(2))}
+        return {"wigner_su2": su2, "wigner_cocycle": _sample_mdev(lhs - rhs),
+                "collinear_boosts": _sample_mdev(d_b - np.eye(2))}
 
-    devs = _per_sample(seed, samples, STREAMS["little_group"], deviations)
-    return [
-        _sampled("wigner_su2", "induced rotation is in SU(2)",
-                 devs["su2"], 1e-9),
-        _sampled("wigner_cocycle", "composition law of the induced rotation",
-                 devs["cocycle"], 1e-9),
-        _sampled("collinear_boosts", "collinear boosts induce no rotation",
-                 devs["collinear"], 1e-9),
-    ]
+    return _report("little_group",
+                   _per_sample(seed, samples, STREAMS["little_group"], deviations))
 
 
 def rest_frame_suite():
@@ -283,17 +296,9 @@ def rest_frame_suite():
         eig_dev = max(eig_dev, _mdev(eigs - np.array([-0.5, -0.5, 0.5, 0.5])))
     s12, s23, s31 = sna[1, 2], sna[2, 3], sna[3, 1]
     dev_su2 = _mdev(s12 @ s23 - s23 @ s12 - 1j * s31)
-    return [
-        IdentityResult("rest_boost_components",
-                       "boost components of the projected spin vanish at "
-                       "the rest fiber", 3, dev_boost_part, 1e-12),
-        IdentityResult("rest_spin_eigenvalues",
-                       "rotation components have eigenvalues +-1/2",
-                       3, eig_dev, 1e-9),
-        IdentityResult("rest_su2_closure",
-                       "rotation components close the su(2) algebra",
-                       1, dev_su2, 1e-12),
-    ]
+    return _report("rest_frame", {"rest_boost_components": (dev_boost_part, 3),
+                                  "rest_spin_eigenvalues": (eig_dev, 3),
+                                  "rest_su2_closure": (dev_su2, 1)})
 
 
 def norm_suite(seed=42, samples=1000):
@@ -303,17 +308,11 @@ def norm_suite(seed=42, samples=1000):
         ref = (np.einsum("...a,...a->...", psi.conj(), psi).real
                + np.einsum("...a,...a->...", phi.conj(), phi).real)
         moved = dirac.assemble_spinor(dirac.transform_pair(pair, _element(*element)))
-        return {"equality": abs(dirac.sector_norm(dirac.assemble_spinor(pair)) - ref),
-                "invariance": abs(dirac.sector_norm(moved) - ref)}
+        return {"sector_norm_equality":
+                abs(dirac.sector_norm(dirac.assemble_spinor(pair)) - ref),
+                "sector_norm_invariance": abs(dirac.sector_norm(moved) - ref)}
 
-    devs = _per_sample(seed, samples, STREAMS["norm"], deviations)
-    return [
-        _sampled("sector_norm_equality",
-                 "sector norm equals the sum of two-spinor norms",
-                 devs["equality"], 1e-10),
-        _sampled("sector_norm_invariance", "sector norm is Lorentz invariant",
-                 devs["invariance"], 1e-10),
-    ]
+    return _report("norm", _per_sample(seed, samples, STREAMS["norm"], deviations))
 
 
 def coupling_suite(seed=42, samples=200):
@@ -335,17 +334,10 @@ def coupling_suite(seed=42, samples=200):
         s = spin_coupling.singlet(n)
         rot = spin_coupling.rotate_two(s, d)
         overlap = np.einsum("...ik,...ik->...", rot.coefficients.conj(), s.coefficients)
-        return {"singlet": abs(abs(overlap) - 1.0)}
+        return {"singlet_invariance": abs(abs(overlap) - 1.0)}
 
     devs = _per_sample(seed, samples, STREAMS["coupling"], deviations)
-    return [
-        IdentityResult("cg_orthogonality",
-                       "Clebsch-Gordan change of basis is orthogonal",
-                       4, dev_orth, 1e-12),
-        _sampled("singlet_invariance",
-                 "the singlet is invariant under the induced rotation "
-                 "up to a unit phase", devs["singlet"], 1e-10),
-    ]
+    return _report("coupling", {**devs, "cg_orthogonality": (dev_orth, 4)})
 
 
 SUITES = {

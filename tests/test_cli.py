@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shpqm import cli, interference
+from shpqm import cli, interference, verification
 
 REFERENCE_CFG = """\
 e1_ev = 35.0
@@ -335,6 +335,67 @@ def test_bad_config_value_exits_2_with_one_line(tmp_path, capsys, command, base,
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base, extra", [
+    ("evolve", CLASSICAL_CFG, "stesp = 5"),
+    ("evolve", QUANTUM_CFG, "nun = 8"),
+    ("evolve", QUANTUM_CFG, "p_x = 3.0"),
+    ("evolve", QUANTUM_CFG, "steps = 100"),     # a key of the classical mode
+    ("evolve", CLASSICAL_CFG, "num = 64"),      # a key of the quantum mode
+    ("interference", REFERENCE_CFG, "sample = 100"),
+], ids=["classical-misspelt", "quantum-misspelt", "quantum-misspelt-px",
+        "classical-key-in-quantum", "quantum-key-in-classical", "interference-misspelt"])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, base, extra):
+    cfg = write_cfg(tmp_path, base + extra + "\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    key = extra.split(" = ")[0]
+    assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+    assert not out.exists()
+
+
+def test_samples_flag_overrides_the_config_key_unparsed(tmp_path):
+    cfg = write_cfg(tmp_path, REFERENCE_CFG.replace("samples = 2001", "samples = abc"))
+    out = tmp_path / "scan.csv"
+    assert run_cli(["interference", "--config", cfg, "--format", "csv",
+                    "--samples", "2001", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2002
+
+
+def test_verify_samples_above_the_cap_exit_2_before_any_draw(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suites ran")
+
+    monkeypatch.setattr(verification, "run_all", refuse)
+    assert run_cli(["verify", "--samples", str(cli.MAX_ROWS + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --samples must be at most {cli.MAX_ROWS}, got {cli.MAX_ROWS + 1}\n")
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "out-in-missing-dir", "out-is-a-dir",
+                                  "out-on-a-full-device"])
+def test_unreadable_config_or_unwritable_out_exits_2_with_one_line(tmp_path, case):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(REFERENCE_CFG.encode("utf-8")
+                    + (b"# caf\xe9\n" if case == "config-not-utf8" else b""))
+    out = {"config-not-utf8": tmp_path / "scan.json",
+           "out-in-missing-dir": tmp_path / "missing" / "scan.json",
+           "out-is-a-dir": tmp_path / "dir",
+           "out-on-a-full-device": Path("/dev/full")}[case]
+    if case == "out-is-a-dir":
+        out.mkdir()
+    if case == "out-on-a-full-device" and not out.exists():
+        pytest.skip("no /dev/full here")
+    proc = subprocess.run(
+        [sys.executable, "-m", "shpqm.cli", "interference", "--config", str(cfg),
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["dir", "run.cfg"] if case == "out-is-a-dir" else ["run.cfg"])
+    assert case != "out-is-a-dir" or list(out.iterdir()) == []
 
 
 def test_csv_writer_matches_per_value_format(tmp_path):

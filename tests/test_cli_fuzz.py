@@ -3,7 +3,8 @@ config values.
 
 Every config value, however bad, must end in exit 0 with nothing on stderr,
 or in exit 2 with one line on stderr; exit 1 is reserved for the integrator's
-drift rejection.
+drift rejection.  A config that also holds a key the command does not read
+must end in exit 2.
 """
 
 import contextlib
@@ -43,6 +44,28 @@ MODES = {
                 "num": "int"},
 }
 
+# interference: tame values give a scan with >= 16 samples per fringe period;
+# samples may also come by flag
+ITF_TAME = {"e1_ev": st.floats(20.0, 30.0), "e2_ev": st.floats(20.0, 30.0),
+            "t_emit1_fs": st.floats(-2.0, 2.0), "t_emit2_fs": st.floats(-2.0, 2.0),
+            "sigma_t_fs": st.floats(0.1, 2.0), "dt_min_fs": st.floats(-6.0, -0.5),
+            "dt_max_fs": st.floats(0.5, 6.0)}
+ITF_KINDS = {**dict.fromkeys(ITF_TAME, "float"), "samples": "int"}
+
+# misspelt keys; the keys of the other command or mode are unknown too
+MISSPELT = ["stesp", "nun", "p_x", "dtua", "sampels", "Mode"]
+ALL_KEYS = {*MODES["classical"], *MODES["quantum"], *ITF_KINDS}
+
+
+def with_unknown_key(draw, values, known):
+    """values, sometimes with one more key that is not in `known`, and that
+    key or None."""
+    key = draw(st.one_of(st.none(), st.none(), st.none(),
+                         st.sampled_from(sorted({*MISSPELT, *ALL_KEYS} - known))))
+    if key is not None:
+        values[key] = draw(TAME["float"])
+    return values, key
+
 
 @st.composite
 def configs(draw, mode):
@@ -50,7 +73,7 @@ def configs(draw, mode):
     values = {key: draw(TAME[kind]) for key, kind in kinds.items()}
     for key in draw(st.lists(st.sampled_from(sorted(kinds)), max_size=3, unique=True)):
         values[key] = draw(WILD[kinds[key]])
-    return values
+    return with_unknown_key(draw, values, {"mode", *kinds})
 
 
 def run_cli(path, values, argv):
@@ -73,10 +96,12 @@ def test_evolve_config_values_exit_0_or_2_with_one_line(mode, tmp_path_factory):
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(configs(mode))
-    def check(values):
+    def check(config):
+        values, unknown = config
         code, err = run_cli(path, {"mode": mode, **values},
                             ["evolve", "--out", str(path.with_suffix(".csv"))])
         lines = err.splitlines()
+        assert unknown is None or code == 2, (unknown, code, err)
         if code == 0:
             assert err == ""
         elif code == 2:
@@ -88,15 +113,6 @@ def test_evolve_config_values_exit_0_or_2_with_one_line(mode, tmp_path_factory):
     check()
 
 
-# interference: tame values give a scan with >= 16 samples per fringe period;
-# samples may also come by flag
-ITF_TAME = {"e1_ev": st.floats(20.0, 30.0), "e2_ev": st.floats(20.0, 30.0),
-            "t_emit1_fs": st.floats(-2.0, 2.0), "t_emit2_fs": st.floats(-2.0, 2.0),
-            "sigma_t_fs": st.floats(0.1, 2.0), "dt_min_fs": st.floats(-6.0, -0.5),
-            "dt_max_fs": st.floats(0.5, 6.0)}
-ITF_KINDS = {**dict.fromkeys(ITF_TAME, "float"), "samples": "int"}
-
-
 @st.composite
 def interference_runs(draw):
     values = {key: repr(draw(tame)) for key, tame in ITF_TAME.items()}
@@ -106,7 +122,7 @@ def interference_runs(draw):
     flag = []
     if draw(st.booleans()):     # --samples overrides the config key
         flag = ["--samples", draw(st.one_of(st.integers(500, 3000).map(str), WILD_INTS))]
-    return values, flag
+    return (*with_unknown_key(draw, values, set(ITF_KINDS)), flag)
 
 
 def scan_csv(values, flag):
@@ -134,11 +150,12 @@ def test_interference_config_values_exit_0_or_2_with_one_line(fmt, tmp_path_fact
                          database=None)
     @hypothesis.given(interference_runs())
     def check(run):
-        values, flag = run
+        values, unknown, flag = run
         out.unlink(missing_ok=True)
         code, err = run_cli(path, values, ["interference", "--format", fmt,
                                            "--out", str(out), *flag])
         lines = err.splitlines()
+        assert unknown is None or code == 2, (unknown, code, err)
         if code == 2:
             assert len(lines) == 1 and lines[0].startswith("config error: "), err
             assert not out.exists()

@@ -122,6 +122,15 @@ def test_exchange_eigenvalues():
                          - triplet0.coefficients)) < 1e-12
 
 
+def test_exchange_on_a_batch_swaps_each_sample():
+    singlet = sc.singlet().coefficients
+    triplet0 = sc.couple_two(sc.spin_half(1, 0), sc.spin_half(0, 1), 1, 0).coefficients
+    batch = sc.TwoBodySpinState(0.5, 0.5, np.stack([singlet, triplet0]), mk.N0)
+    swapped = sc.exchange(batch).coefficients
+    assert swapped.shape == (2, 2, 2)
+    assert np.max(np.abs(swapped - np.stack([-singlet, triplet0]))) < 1e-12
+
+
 def test_total_spin_decompose_completeness():
     rng = np.random.default_rng(1)
     for _ in range(50):
