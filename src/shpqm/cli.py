@@ -2,9 +2,10 @@
 interference scans, evolution demos, and physical constants.
 
 Config files are flat ``key = value`` text with ``#`` comments.  Exit codes:
-0 success, 1 verification failure, 2 configuration error or stdout closed
-early.  All numeric output uses 17 significant digits so identical inputs
-give byte-identical files.
+0 success, 1 verification failure, 2 bad input (a configuration error or a
+refused integration step) or output that cannot be written.  All numeric
+output uses 17 significant digits so identical inputs give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -451,42 +452,38 @@ def cmd_interference(args):
 def cmd_evolve(args):
     cfg = load_config(args.config)
     mode = cfg_get(cfg, "mode", cast=str)
-    try:
-        # evolution refuses every non-finite result itself; numpy's overflow
-        # warnings on the way there would be more lines on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            if mode == "classical":
-                model = evolution.FreeModel(cfg_get(cfg, "mass_param"))
-                x0 = np.array([cfg_get(cfg, k) for k in ("t0", "x0", "y0", "z0")])
-                p0 = np.array([cfg_get(cfg, k) for k in ("E0", "px0", "py0", "pz0")])
-                dtau = cfg_get(cfg, "dtau")
-                steps = _row_count(cfg, "steps")
-                _refuse_unread(cfg)
-                traj = evolution.classical_integrate(
-                    evolution.PhasePoint(x0, p0), model, dtau, steps)
-                header = "tau,t,x,y,z,E,px,py,pz,K"
-                columns = [traj.tau, traj.x, traj.p, traj.k]
-            elif mode == "quantum":
-                shape = dict(e_center=cfg_get(cfg, "e_center"),
-                             e_width=cfg_get(cfg, "e_width"),
-                             spatial_p=[cfg_get(cfg, k, default=0.0)
-                                        for k in ("px", "py", "pz")],
-                             mass_param=cfg_get(cfg, "mass_param"),
-                             num=_row_count(cfg, "num", default=256))
-                dtau = cfg_get(cfg, "dtau")
-                _refuse_unread(cfg)
-                packet = evolution.free_evolve(
-                    evolution.MomentumPacket.gaussian_energy_axis(**shape), dtau)
-                header = "p0,prob_density,phase"
-                # abs(a) ** 2 one amplitude at a time: the vectorised np.abs
-                # rounds some values differently in the last digit
-                columns = [packet.momenta[:, 0], [abs(a) ** 2 for a in packet.amplitudes],
-                           np.angle(packet.amplitudes)]
-            else:
-                raise ConfigError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    except evolution.StepRejectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # evolution refuses every non-finite result itself; numpy's overflow
+    # warnings on the way there would be more lines on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "classical":
+            model = evolution.FreeModel(cfg_get(cfg, "mass_param"))
+            x0 = np.array([cfg_get(cfg, k) for k in ("t0", "x0", "y0", "z0")])
+            p0 = np.array([cfg_get(cfg, k) for k in ("E0", "px0", "py0", "pz0")])
+            dtau = cfg_get(cfg, "dtau")
+            steps = _row_count(cfg, "steps")
+            _refuse_unread(cfg)
+            traj = evolution.classical_integrate(
+                evolution.PhasePoint(x0, p0), model, dtau, steps)
+            header = "tau,t,x,y,z,E,px,py,pz,K"
+            columns = [traj.tau, traj.x, traj.p, traj.k]
+        elif mode == "quantum":
+            shape = dict(e_center=cfg_get(cfg, "e_center"),
+                         e_width=cfg_get(cfg, "e_width"),
+                         spatial_p=[cfg_get(cfg, k, default=0.0)
+                                    for k in ("px", "py", "pz")],
+                         mass_param=cfg_get(cfg, "mass_param"),
+                         num=_row_count(cfg, "num", default=256))
+            dtau = cfg_get(cfg, "dtau")
+            _refuse_unread(cfg)
+            packet = evolution.free_evolve(
+                evolution.MomentumPacket.gaussian_energy_axis(**shape), dtau)
+            header = "p0,prob_density,phase"
+            # abs(a) ** 2 one amplitude at a time: the vectorised np.abs
+            # rounds some values differently in the last digit
+            columns = [packet.momenta[:, 0], [abs(a) ** 2 for a in packet.amplitudes],
+                       np.angle(packet.amplitudes)]
+        else:
+            raise ConfigError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     _write_csv(args.out, header, columns)
     return 0
 
@@ -543,13 +540,14 @@ def main(argv=None):
     except ValueError as exc:   # ConfigError, AliasingError, every domain check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout early; what is still buffered goes to
-        # devnull, so the flush at exit adds no second message
+    except OSError as exc:
+        # stdout was closed early or is full (a failed --out is a
+        # ConfigError); what is still buffered goes to devnull, so the flush
+        # at exit adds no second message
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: output closed before it was fully written", file=sys.stderr)
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

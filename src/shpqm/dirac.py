@@ -237,7 +237,7 @@ def spin_hamiltonian(p_kinetic, n, field):
     since Sigma_n projects each index itself.
     """
     minkowski.check_unit_timelike_future(n)
-    kinetic = minkowski.dot(p_kinetic, p_kinetic) / (2.0 * field.mass)
+    kinetic = minkowski.inner(p_kinetic, p_kinetic) / (2.0 * field.mass)
     spin_term = _with_field(sigma_n_pairs(n), field)
     return kinetic * ID4 + (field.charge / (2.0 * field.mass)) * spin_term
 

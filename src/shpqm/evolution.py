@@ -19,7 +19,7 @@ import numpy as np
 from . import minkowski
 
 
-class StepRejectionError(RuntimeError):
+class StepRejectionError(ValueError):
     """The integrator drifted the conserved Hamiltonian beyond tolerance."""
 
 
@@ -57,7 +57,7 @@ class FreeModel:
                 f"mass parameter must be positive and finite, got {self.mass_param!r}")
 
     def hamiltonian(self, x, p):
-        return minkowski.dot(p, p) / (2.0 * self.mass_param)
+        return minkowski.inner(p, p) / (2.0 * self.mass_param)
 
     def dx_dtau(self, x, p):
         # dx^mu/dtau = dK/dp_mu = p^mu / M
@@ -66,7 +66,7 @@ class FreeModel:
     def dp_dtau(self, x, p):
         return np.zeros(4)
 
-    def exact_flow(self, x1, p1, factors, steps):
+    def exact_flow(self, x1, p1, dtau, steps):
         """x after each of `steps` RK4 steps from (x1, p1), as a (steps, 4)
         array, bit for bit as the stepwise loop gives it.
 
@@ -76,7 +76,7 @@ class FreeModel:
         k = p1 / self.mass_param
         rows = np.empty((steps, 4))
         rows[0] = x1
-        rows[1:] = factors[2] * (k + (k + k) + (k + k) + k)
+        rows[1:] = dtau / 6.0 * (k + 2 * k + 2 * k + k)
         return np.add.accumulate(rows)
 
 
@@ -90,11 +90,11 @@ class PotentialModel(FreeModel):
     exact_flow = None   # dp/dtau depends on x: stepped by RK4
 
     def hamiltonian(self, x, p):
-        return super().hamiltonian(x, p) + self.potential(minkowski.dot(x, x))
+        return super().hamiltonian(x, p) + self.potential(minkowski.inner(x, x))
 
     def dp_dtau(self, x, p):
         # dp^mu/dtau = -g^{mu nu} dV/dx^nu = -V'(x.x) * 2 x^mu
-        return -2.0 * self.potential_prime(minkowski.dot(x, x)) * x
+        return -2.0 * self.potential_prime(minkowski.inner(x, x)) * x
 
 
 @dataclass(frozen=True)
@@ -127,28 +127,18 @@ def _drift_error(k_old, k_new):
         f" (scale {scale:.3e}); reduce dtau")
 
 
-def _rk4(model, x0, p0, factors):
-    """One fixed-step RK4 update (x1, p1) of Hamilton's equations.
-
-    The factors dtau/2, dtau, dtau/6 come as four-vectors and 2 k as k + k:
-    numpy is much slower with a scalar operand, and the floats are the same.
-    """
-    half, full, sixth = factors
+def _rk4(model, x0, p0, dtau):
+    """One fixed-step RK4 update (x1, p1) of Hamilton's equations."""
+    half, sixth = 0.5 * dtau, dtau / 6.0
     k1x, k1p = model.dx_dtau(x0, p0), model.dp_dtau(x0, p0)
     x, p = x0 + half * k1x, p0 + half * k1p
     k2x, k2p = model.dx_dtau(x, p), model.dp_dtau(x, p)
     x, p = x0 + half * k2x, p0 + half * k2p
     k3x, k3p = model.dx_dtau(x, p), model.dp_dtau(x, p)
-    x, p = x0 + full * k3x, p0 + full * k3p
+    x, p = x0 + dtau * k3x, p0 + dtau * k3p
     k4x, k4p = model.dx_dtau(x, p), model.dp_dtau(x, p)
-    return (x0 + sixth * (k1x + (k2x + k2x) + (k3x + k3x) + k4x),
-            p0 + sixth * (k1p + (k2p + k2p) + (k3p + k3p) + k4p))
-
-
-def classical_step(state, model, dtau):
-    """One fixed-step RK4 update of Hamilton's equations, as a PhasePoint."""
-    run = classical_integrate(state, model, dtau, 1)
-    return PhasePoint(run.x[1], run.p[1], run.tau[1])
+    return (x0 + sixth * (k1x + 2 * k2x + 2 * k3x + k4x),
+            p0 + sixth * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
 def classical_integrate(state, model, dtau, steps):
@@ -158,8 +148,8 @@ def classical_integrate(state, model, dtau, steps):
     the rest from the flow, bit for bit as RK4 gives them; any other model
     is stepped by RK4 throughout.  Each RK4 step checks the drift of K.
 
-    Raises StepRejectionError when a step changes K by more than 1e-6
-    relative, and ValueError when a state or its K is not finite.
+    Raises StepRejectionError, a ValueError, when a step changes K by more
+    than 1e-6 relative, and ValueError when a state or its K is not finite.
     """
     if not (np.isfinite(dtau) and dtau > 0):
         raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
@@ -170,13 +160,12 @@ def classical_integrate(state, model, dtau, steps):
     tau = np.add.accumulate(tau)    # in sequence, as t = t + dtau per step
     k = np.empty(steps + 1)
     x, p = np.empty((steps + 1, 4)), np.empty((steps + 1, 4))
-    factors = np.full(4, 0.5 * dtau), np.full(4, float(dtau)), np.full(4, dtau / 6.0)
     xi, pi = state.x, state.p
     k_old = model.hamiltonian(xi, pi)
     x[0], p[0], k[0] = xi, pi, k_old
     flow = getattr(model, "exact_flow", None)
     for i in range(1, (steps if flow is None else min(steps, 1)) + 1):
-        xi, pi = _rk4(model, xi, pi, factors)
+        xi, pi = _rk4(model, xi, pi, dtau)
         k_new = model.hamiltonian(xi, pi)
         x[i], p[i], k[i] = xi, pi, k_new
         error = _drift_error(k_old, k_new)
@@ -188,7 +177,7 @@ def classical_integrate(state, model, dtau, steps):
     if flow is not None and steps:
         # p and K stay as the RK4 step left them (it turns a -0.0 in p0 into
         # p0 + 0 = 0.0); the flow gives x
-        x[1:], p[1:], k[1:] = flow(xi, pi, factors, steps), pi, k_old
+        x[1:], p[1:], k[1:] = flow(xi, pi, dtau, steps), pi, k_old
     _check_finite(tau, x, p)
     if not np.isfinite(k).all():
         raise ValueError("hamiltonian must be finite")
@@ -202,31 +191,23 @@ def poisson(f, g, at):
     the bracket is sum_mu (df/dx^mu dg/dp_mu - df/dp^mu dg/dx_mu) with the
     index placement handled through the metric.
     """
-    x, p = at.x, at.p
-    hx = 1e-5 * max(np.max(np.abs(x)), 1.0)
-    hp = 1e-5 * max(np.max(np.abs(p)), 1.0)
+    z = np.concatenate((at.x, at.p))
+    h = np.repeat([1e-5 * max(np.max(np.abs(at.x)), 1.0),
+                   1e-5 * max(np.max(np.abs(at.p)), 1.0)], 4)
 
-    def grad_x(func):
-        out = np.zeros(4)
-        for mu in range(4):
-            dx = np.zeros(4)
-            dx[mu] = hx
-            out[mu] = (func(x + dx, p) - func(x - dx, p)) / (2 * hx)
-        return out  # d/dx^mu (covariant index result)
+    def grad(func):
+        out = np.zeros(8)
+        for i in range(8):
+            dz = np.zeros(8)
+            dz[i] = h[i]
+            up, down = z + dz, z - dz
+            out[i] = (func(up[:4], up[4:]) - func(down[:4], down[4:])) / (2 * h[i])
+        return out  # d/dx^mu, then d/dp^mu
 
-    def grad_p(func):
-        out = np.zeros(4)
-        for mu in range(4):
-            dp = np.zeros(4)
-            dp[mu] = hp
-            out[mu] = (func(x, p + dp) - func(x, p - dp)) / (2 * hp)
-        return out  # d/dp^mu
-
-    df_dx, dg_dx = grad_x(f), grad_x(g)
-    df_dp, dg_dp = grad_p(f), grad_p(g)
+    df, dg = grad(f), grad(g)
     # dg/dp_mu = g^{mu nu} dg/dp^nu; contraction pairs x^mu with p_mu
     metric = minkowski.METRIC
-    return float(df_dx @ metric @ dg_dp - df_dp @ metric @ dg_dx)
+    return float(df[:4] @ metric @ dg[4:] - df[4:] @ metric @ dg[:4])
 
 
 class EnergyGrid(NamedTuple):

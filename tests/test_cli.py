@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shpqm import cli, interference, verification
+from shpqm import cli, evolution, interference, verification
 
 REFERENCE_CFG = """\
 e1_ev = 35.0
@@ -355,6 +355,20 @@ def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, base, e
     assert not out.exists()
 
 
+def test_refused_step_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    message = "hamiltonian drifted by 1.000e-03 in one step (scale 1.000e+00); reduce dtau"
+
+    def drift(*args):
+        raise evolution.StepRejectionError(message)
+
+    monkeypatch.setattr(evolution, "classical_integrate", drift)
+    out = tmp_path / "traj.csv"
+    assert run_cli(["evolve", "--config", write_cfg(tmp_path, CLASSICAL_CFG),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_samples_flag_overrides_the_config_key_unparsed(tmp_path):
     cfg = write_cfg(tmp_path, REFERENCE_CFG.replace("samples = 2001", "samples = abc"))
     out = tmp_path / "scan.csv"
@@ -646,6 +660,20 @@ def test_closed_stdout_exits_2_with_one_line():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 2
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants"],
+    ["interference", "--config", str(CONFIGS / "interference_example.cfg"), "--format", "csv"],
+], ids=["constants", "interference-csv"])
+def test_full_stdout_exits_2_with_one_line(argv):
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full here")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "shpqm.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: No space left on device\n"
 
 
 def test_console_entry_point():

@@ -104,8 +104,8 @@ def test_integrate_equals_reference_rk4_bit_for_bit(model, start, dtau):
     tau, xs, ps, ks = _reference_run(start, model, dtau, 300)
     for got, want in ((traj.tau, tau), (traj.x, xs), (traj.p, ps), (traj.k, ks)):
         assert np.asarray(want).tobytes() == got.tobytes()
-    step = ev.classical_step(start, model, dtau)
-    assert (step.tau, step.x.tobytes(), step.p.tobytes()) == (
+    step = ev.classical_integrate(start, model, dtau, 1)
+    assert (step.tau[1], step.x[1].tobytes(), step.p[1].tobytes()) == (
         tau[1], xs[1].tobytes(), ps[1].tobytes())
     empty = ev.classical_integrate(start, model, dtau, 0)
     assert empty.x.shape == (1, 4) and empty.k.tolist() == ks[:1]
@@ -137,10 +137,9 @@ def _rk4_loop(tau0, x0, p0, model, dtau, steps):
     """classical_integrate as it stepped every model before the free flow:
     one _rk4 call per step, from a state that may be a stack of runs sharing
     the model (tau0 (n,), x0 and p0 (n, 4)); the checks are left out."""
-    factors = np.full(4, 0.5 * dtau), np.full(4, dtau), np.full(4, dtau / 6.0)
     tau, xs, ps = [tau0], [x0], [p0]
     for _ in range(steps):
-        x, p = ev._rk4(model, xs[-1], ps[-1], factors)
+        x, p = ev._rk4(model, xs[-1], ps[-1], dtau)
         tau.append(tau[-1] + dtau)
         xs.append(x)
         ps.append(p)
@@ -279,8 +278,8 @@ def test_poisson_generates_the_flow():
     k = lambda x, p: model.hamiltonian(x, p)
     bracket = ev.poisson(f, k, start)
     dtau = 1e-3
-    after = ev.classical_step(start, model, dtau)
-    numeric = (f(after.x, after.p) - f(start.x, start.p)) / dtau
+    after = ev.classical_integrate(start, model, dtau, 1)
+    numeric = (f(after.x[1], after.p[1]) - f(start.x, start.p)) / dtau
     assert bracket == pytest.approx(numeric, abs=1e-6)
 
 

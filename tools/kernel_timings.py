@@ -10,14 +10,14 @@ a time, and keeping each one's best block: the speed of a shared machine
 drifts by tens of percent within seconds, and alternating exposes the
 checkouts to the same drift.
 
+Every checkout must be from commit b6fd038 on, the first to have every
+function timed below (the last added was `dirac.sigma_n_pairs`).
+
 For each kernel it times one call on N = 1, 100 and 10,000 samples: a single
 (2, 2) or (4,) input at N = 1, one batched call on a leading sample axis
-otherwise.  A kernel that rejects a batched input (code from before the
-kernels were batch-first) is timed as a Python loop of N single calls, and
-the entry says so; a kernel that a checkout lacks is recorded as absent.
-Then it times each verification suite as `run_all` calls it at 1000
-samples, and `run_all` itself; it prints to stderr how far `run_all` is from
-the sum of its suites, since on a shared machine the two, timed apart, can
+otherwise.  Then it times each verification suite as `run_all` calls it at
+1000 samples, and `run_all` itself; it prints to stderr how far `run_all` is
+from the sum of its suites, since on a shared machine the two, timed apart, can
 disagree by ~1.3x.  Then the tau-evolution path of `shpqm evolve`: µs per
 step of `evolution.classical_integrate` over 20,000 free steps, and µs
 per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
@@ -28,19 +28,19 @@ its sweep, then `mass_moments` and `time_energy_uncertainty` of the new
 packet, as each step of the sweep makes them (timing the calls one by one on
 a single packet would time only its cached facts).  Last, the interference scan of
 `configs/interference_example.cfg` at 400,001 samples: the fringe-period
-estimator alone (`interference._dtft_period`, or `_fourier_period` in a
-checkout that has only that), and `shpqm interference --format csv` end to
-end through `cli.main`, written to a file.  Last, `csv_format`: µs per value
-of the CLI's CSV writer (`cli._write_csv`) on three tables, each written to
-a file: the interference scan and the trajectory above, and 100,000 rows of
-4 random float64 bit patterns, whose nan, inf and extreme values send most
-blocks to the writer's %-formatting fallback (its worst case).  Last,
-`cli_dispatch`: µs per `cli.main(["wigner", ...])` call with stdout
-captured, per `cli.build_parser()` call as `main` makes it, per parser build
-(the function under a cache, if there is one), and per transport op: the
-benchmark's N = 1 op of one `induced_transform`, one `transform_pair` with
-`assemble_spinor` and `sector_norm`, and that wigner query.  Uses only the
-standard library and numpy.
+estimator alone (`interference._dtft_period`), and `shpqm interference
+--format csv` end to end through `cli.main`, written to a file.  Last,
+`csv_format`: µs per value of the CLI's CSV writer (`cli._write_csv`) on
+three tables, each written to a file: the interference scan and the
+trajectory above, and 100,000 rows of 4 random float64 bit patterns, whose
+nan, inf and extreme values send most blocks to the writer's %-formatting
+fallback (its worst case).  Last, `cli_dispatch`: µs per
+`cli.main(["wigner", ...])` call with stdout captured, per
+`cli.build_parser()` call as `main` makes it, per parser build (the function
+under its cache), and per transport op: the benchmark's N = 1 op of one
+`induced_transform`, one `transform_pair` with `assemble_spinor` and
+`sector_norm`, and that wigner query.  Uses only the standard library and
+numpy.
 """
 
 from __future__ import annotations
@@ -110,49 +110,30 @@ def kernel_inputs(package, count, seed=0):
 
 
 def kernel(package, name, a, n):
-    """A kernel of `package` (None if it lacks one) with its arguments for
-    the inputs a, n."""
+    """A kernel of `package` with its arguments for the inputs a, n."""
     module, fn = name.split(".")
     args = {"spinor_map": (a,), "canonical_boost": (n,), "wigner_d": (a, n),
             "transport": (a, n), "sigma_n_pairs": (n,), "sigma_n_all": (n,),
             "s_lambda": (a,)}[fn]
-    return getattr(getattr(package, module), fn, None), args
-
-
-def accepts_batch(fn, args, size):
-    try:
-        out = fn(*args)
-        return np.shape(out[0] if isinstance(out, tuple) else out)[:1] == (size,)
-    except (ValueError, IndexError, TypeError):
-        return False
+    return getattr(getattr(package, module), fn), args
 
 
 def kernel_table(packages, inputs):
     table = {label: {name: {} for name in KERNELS} for label in packages}
     for size in SIZES:
         for name in KERNELS:
-            calls, modes = {}, {}
+            calls = {}
             for label, package in packages.items():
                 fn, args = kernel(package, name, *(x[:size] for x in inputs))
-                if fn is None:
-                    table[label][name] = "absent"
-                elif size == 1:
-                    single = tuple(x[0] for x in args)
-                    calls[label], modes[label] = (lambda f=fn, s=single: f(*s)), "single"
-                elif accepts_batch(fn, args, size):
-                    calls[label], modes[label] = (lambda f=fn, s=args: f(*s)), "batched"
-                else:
-                    calls[label] = lambda f=fn, s=args: [f(*x) for x in zip(*s)]
-                    modes[label] = "loop of single calls"
+                if size == 1:
+                    args = tuple(x[0] for x in args)
+                calls[label] = lambda f=fn, s=args: f(*s)
             number = 1000 if size == 1 else max(1, 10_000 // size)
             repeats = 15 if size == 1 else 5
-            if any(mode.startswith("loop") for mode in modes.values()):
-                number, repeats = 1, 3
             for label, seconds in best_seconds(calls, repeats, number).items():
                 us = seconds * 1e6
                 table[label][name][f"N={size}"] = {
-                    "us_per_call": round(us, 3), "us_per_sample": round(us / size, 4),
-                    "mode": modes[label]}
+                    "us_per_call": round(us, 3), "us_per_sample": round(us / size, 4)}
     return table
 
 
@@ -199,15 +180,11 @@ def evolve_calls(package, path):
     the CSV writers writing to `path`."""
     ev, cli = package.evolution, package.cli
     start, model, traj, scan = sample_tables(package)
-    if hasattr(cli, "_write_csv"):
-        write_traj = lambda: cli._write_csv(path, "tau,t,x,y,z,E,px,py,pz,K",
-                                            [traj.tau, traj.x, traj.p, traj.k])
-        write_scan = lambda: cli._write_csv(
-            path, "delta_t_fs,probability,envelope,interference_term",
-            [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference])
-    else:   # checkouts from before the shared writer: one writer per table
-        write_traj = lambda: cli._write_text(path, cli._classical_csv(traj, model))
-        write_scan = lambda: cli._write_text(path, cli._interference_csv(scan))
+    write_traj = lambda: cli._write_csv(path, "tau,t,x,y,z,E,px,py,pz,K",
+                                        [traj.tau, traj.x, traj.p, traj.k])
+    write_scan = lambda: cli._write_csv(
+        path, "delta_t_fs,probability,envelope,interference_term",
+        [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference])
     return {"classical_integrate": (lambda: ev.classical_integrate(
                 start, model, 0.01, EVOLVE_STEPS), EVOLVE_STEPS),
             "evolve_csv": (write_traj, EVOLVE_STEPS + 1),
@@ -266,12 +243,10 @@ def period_calls(package, path):
         "e1_ev", "e2_ev", "t_emit1_fs", "t_emit2_fs", "sigma_t_fs")))
     scan = itf.scan_interference(emission, float(values["dt_min_fs"]),
                                  float(values["dt_max_fs"]), PERIOD_SAMPLES)
-    name = "_dtft_period" if hasattr(itf, "_dtft_period") else "_fourier_period"
-    estimator = getattr(itf, name)
     argv = ["interference", "--config", str(EXAMPLE_CONFIG), "--format", "csv",
             "--samples", str(PERIOD_SAMPLES), "--out", path]
-    return {"period_estimator": (lambda: estimator(scan.dt_grid_fs, scan.interference),
-                                 f"interference.{name}"),
+    return {"period_estimator": (lambda: itf._dtft_period(scan.dt_grid_fs, scan.interference),
+                                 "interference._dtft_period"),
             "scan_cli_csv": (lambda: cli.main(argv), "shpqm interference --format csv")}
 
 
@@ -290,11 +265,8 @@ def period_table(packages):
 
 def csv_format_calls(package, path):
     """{table: (callable, values written)} for `cli._write_csv` of `package`
-    writing each table of `csv_format` to `path`; None if it has no such
-    writer."""
+    writing each table of `csv_format` to `path`."""
     cli = package.cli
-    if not hasattr(cli, "_write_csv"):
-        return None
     _, _, traj, scan = sample_tables(package)
     bits = np.random.default_rng(8).integers(0, 2**64, (RANDOM_ROWS, 4), dtype=np.uint64)
     tables = {"scan": [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference],
@@ -310,13 +282,10 @@ def csv_format_table(packages):
     with tempfile.TemporaryDirectory() as tmp:
         calls = {label: csv_format_calls(p, str(Path(tmp) / f"{label}.csv"))
                  for label, p in packages.items()}
-        present = {label: c for label, c in calls.items() if c is not None}
-        for label in packages.keys() - present.keys():
-            table[label] = "absent"
         for name in ("scan", "trajectory", "random_bits"):
-            best = best_seconds({label: c[name][0] for label, c in present.items()}, 5, 1)
+            best = best_seconds({label: c[name][0] for label, c in calls.items()}, 5, 1)
             for label, seconds in best.items():
-                count = present[label][name][1]
+                count = calls[label][name][1]
                 table[label][name] = {"us_per_value": round(seconds * 1e6 / count, 4),
                                       "values": count, "seconds": round(seconds, 5)}
     return table
@@ -344,7 +313,7 @@ def dispatch_calls(package):
         wigner()
 
     return {"main_wigner": wigner, "build_parser": cli.build_parser,
-            "parser_build": getattr(cli.build_parser, "__wrapped__", cli.build_parser),
+            "parser_build": cli.build_parser.__wrapped__,
             "transport_op": transport}
 
 
