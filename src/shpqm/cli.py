@@ -480,8 +480,9 @@ def cmd_evolve(args):
             header = "p0,prob_density,phase"
             # abs(a) ** 2 one amplitude at a time: the vectorised np.abs
             # rounds some values differently in the last digit
-            columns = [packet.momenta[:, 0], [abs(a) ** 2 for a in packet.amplitudes],
-                       np.angle(packet.amplitudes)]
+            density = np.fromiter((abs(a) ** 2 for a in packet.amplitudes), float,
+                                  count=len(packet.amplitudes))
+            columns = [packet.momenta[:, 0], density, np.angle(packet.amplitudes)]
         else:
             raise ConfigError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     _write_csv(args.out, header, columns)

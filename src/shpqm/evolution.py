@@ -9,6 +9,7 @@ uncertainty product.
 
 from __future__ import annotations
 
+import cmath
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -213,18 +214,26 @@ def poisson(f, g, at):
 class EnergyGrid(NamedTuple):
     """Facts about a packet's energy axis p^0, sorted: `order` sorts the
     samples (None when they already are), `e` and `w` are the sorted
-    energies and weights, `root_w` the square roots of w, `step` the uniform
-    spacing, `t` the 2 pi fftfreq time grid of the padded transform, and
-    `circle` (sin, cos) of step t, which goes once around that periodic
-    grid, shape (2, len(t))."""
+    energies and weights, `root_w` the square roots of w and `step` the
+    uniform spacing.
+
+    The rest serve the time profile, the DFT of the N samples zero-padded to
+    L = TIME_PAD N bins, taken as TIME_PAD N-point transforms: `roots` is
+    exp(-2 pi i k / L) for k < L, which shifts the profile by whole bins;
+    `twiddle` is exp(-2 pi i j n / L), shape (TIME_PAD, N), whose row j
+    turns bin m of an N-point transform into bin TIME_PAD m + j of the
+    padded one; `moments` holds 1, t and t^2 of each bin, t being the 2 pi
+    fftfreq time grid, in that (j, m) order and each twice (for the real and
+    the imaginary part), shape (3, 2 L)."""
 
     order: np.ndarray | None
     e: np.ndarray
     w: np.ndarray
     root_w: np.ndarray
     step: float
-    t: np.ndarray
-    circle: np.ndarray
+    roots: np.ndarray
+    twiddle: np.ndarray
+    moments: np.ndarray
 
 
 TIME_PAD = 8    # the time profile is a DFT zero-padded to TIME_PAD times the grid
@@ -313,10 +322,12 @@ class MomentumPacket:
         if not (step > 0 and np.ptp(gaps) <= 1e-9 * np.max(np.abs(gaps))):
             raise ValueError("time profile needs a uniform energy grid")
         w = self.weights if order is None else self.weights[order]
-        t = np.fft.fftfreq(TIME_PAD * len(e), d=step) * 2 * np.pi
-        turn = step * t
-        return EnergyGrid(order, e, w, np.sqrt(w), step, t,
-                          np.stack((np.sin(turn), np.cos(turn))))
+        size = TIME_PAD * len(e)
+        roots = np.exp(-2j * np.pi / size * np.arange(size))
+        twiddle = roots[np.outer(np.arange(TIME_PAD), np.arange(len(e)))]
+        t = (np.fft.fftfreq(size, d=step) * 2 * np.pi).reshape(-1, TIME_PAD).T
+        moments = np.repeat(np.stack((np.ones_like(t), t, t * t)).reshape(3, -1), 2, axis=1)
+        return EnergyGrid(order, e, w, np.sqrt(w), step, roots, twiddle, moments)
 
     def _free_phase(self, dtau):
         """exp(-i p.p dtau / 2M) of each sample; raises ValueError when it is
@@ -387,8 +398,8 @@ def free_evolve(packet, dtau):
 def mass_moments(packet):
     """Mean and variance of the invariant mass squared -p.p."""
     prob, m2 = packet.probability, packet.mass_squared
-    mean = float((prob * m2).sum())
-    var = float((prob * (m2 - mean) ** 2).sum())
+    mean = float(prob @ m2)
+    var = float(prob @ (m2 - mean) ** 2)
     return mean, var
 
 
@@ -401,9 +412,10 @@ def time_energy_uncertainty(packet):
     (hbar = 1): a Gaussian saturates dt * dE = 1/2.
 
     The transform gives the profile on a periodic window of width 2 pi / dE,
-    read around the profile's circular mean: a phase linear in E only
-    shifts the profile (free evolution shifts it by E_c tau / M, E_c the mean
-    energy), and the spread does not depend on where it sits.  Writing
+    read around the profile's circular mean (to the nearest bin, moved to
+    t = 0 before the transform): a phase linear in E only shifts the
+    profile (free evolution shifts it by E_c tau / M, E_c the mean energy),
+    and the spread does not depend on where it sits.  Writing
     E = E_c + eps, free evolution also chirps the amplitude by the phase
     eps^2 tau / 2M, with tau the packet's evolved_tau; raises ValueError
     when that chirp changes by more than pi between neighbouring samples
@@ -418,20 +430,22 @@ def time_energy_uncertainty(packet):
         amps = packet.amplitudes[grid.order]
         prob = grid.w * np.abs(amps) ** 2
         prob = prob / prob.sum()
-    e_mean = float((prob * e).sum())
-    de = float(np.sqrt((prob * (e - e_mean) ** 2).sum()))
+    e_mean = float(prob @ e)
+    de = float(np.sqrt(prob @ (e - e_mean) ** 2))
 
     eps = max(e[-1] - e_mean, e_mean - e[0])
     chirp_step = eps * abs(packet.evolved_tau) * grid.step / packet.mass_param
     if not chirp_step <= np.pi:
         raise ValueError(f"energy grid undersamples the evolution phase after tau ="
                          f" {packet.evolved_tau!r}: {chirp_step:.3e} rad per sample > pi")
-    pt = np.abs(np.fft.fft(amps * grid.root_w, n=len(grid.t))) ** 2
-    # roll the profile's circular mean, bin c, to t = 0
-    c = round(np.arctan2(*(grid.circle @ pt)) / (2 * np.pi) * len(pt))
-    pt = np.concatenate((pt[c:], pt[:c]))
-    total = pt.sum()
-    t_mean = float(pt @ grid.t / total)
-    off = grid.t - t_mean
-    dt = float(np.sqrt(pt @ (off * off) / total))
+    y = amps * grid.root_w
+    # the profile pt of L bins has its circular mean at bin c, the angle of
+    # sum_k pt_k exp(2 pi i k / L) = L sum_n y_n conj(y_(n-1)); y times
+    # exp(-2 pi i c n / L) moves that bin to t = 0
+    c = round(cmath.phase(np.vdot(y[:-1], y[1:])) / (2 * np.pi) * len(grid.roots))
+    y = y * grid.roots.take(c * np.arange(len(y)), mode="wrap")
+    v = np.fft.fft(y * grid.twiddle).view(float)
+    total, t_sum, t2_sum = grid.moments @ (v * v).ravel()
+    t_mean = t_sum / total
+    dt = float(np.sqrt(t2_sum / total - t_mean * t_mean))
     return dt, de, dt * de

@@ -97,11 +97,16 @@ class InducedPacketState:
             raise ValueError("spin coefficients must have length 2")
         if abs(np.linalg.norm(spin) - 1.0) > 1e-10:
             raise ValueError("spin coefficients must be normalized")
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width!r}")
+        center_x = np.asarray(self.center_x, dtype=float)
+        center_p = np.asarray(self.center_p, dtype=float)
+        for name, value in (("center_x", center_x), ("center_p", center_p)):
+            if value.shape != (4,) or not np.isfinite(value).all():
+                raise ValueError(f"{name} must be a finite four-vector")
         object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "center_x", np.asarray(self.center_x, dtype=float))
-        object.__setattr__(self, "center_p", np.asarray(self.center_p, dtype=float))
+        object.__setattr__(self, "center_x", center_x)
+        object.__setattr__(self, "center_p", center_p)
 
 
 def induced_transform(state, a):

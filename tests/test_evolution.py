@@ -594,3 +594,82 @@ def test_time_profile_needs_a_uniform_grid_of_two_or_more_samples():
                                packet.mass_param, packet.n)
     with pytest.raises(ValueError, match="at least 2 energy samples"):
         ev.time_energy_uncertainty(single)
+
+
+def _padded_spread(packet):
+    """time_energy_uncertainty the long way: one DFT zero-padded to TIME_PAD N
+    bins, rolled so that the bin of its circular mean sits at t = 0, and
+    moments taken in two passes."""
+    grid, mass, tau = packet.energy_grid, packet.mass_param, packet.evolved_tau
+    e = grid.e
+    amps = packet.amplitudes if grid.order is None else packet.amplitudes[grid.order]
+    prob = grid.w * np.abs(amps) ** 2
+    prob = prob / prob.sum()
+    e_mean = (prob * e).sum()
+    de = np.sqrt((prob * (e - e_mean) ** 2).sum())
+    chirp_step = max(e[-1] - e_mean, e_mean - e[0]) * abs(tau) * grid.step / mass
+    if not chirp_step <= np.pi:
+        raise ValueError(f"energy grid undersamples the evolution phase after tau ="
+                         f" {tau!r}: {chirp_step:.3e} rad per sample > pi")
+    t = np.fft.fftfreq(ev.TIME_PAD * len(e), d=grid.step) * 2 * np.pi
+    pt = np.abs(np.fft.fft(amps * grid.root_w, n=len(t))) ** 2
+    c = round(np.arctan2(np.sin(grid.step * t) @ pt, np.cos(grid.step * t) @ pt)
+              / (2 * np.pi) * len(pt))
+    pt = np.concatenate((pt[c:], pt[:c]))
+    t_mean = pt @ t / pt.sum()
+    dt = np.sqrt(pt @ (t - t_mean) ** 2 / pt.sum())
+    return dt, de, dt * de
+
+
+def _reference_cases(rng):
+    """(name, packet) of seeded packets on sorted and shuffled grids, each
+    evolved to a chirp of 0 to 1.2 times its guard, and of a profile that
+    free evolution moves past the window."""
+    for num in (2, 3, 255, 256, 257, 1000):
+        for shuffled in (False, True):
+            for shape in ("gaussian", "noise", "single-bin"):
+                step = rng.uniform(0.01, 2.0)
+                e = rng.uniform(-50.0, 50.0) + step * np.arange(num)
+                weights = np.full(num, step)
+                if shape == "gaussian":     # with a random shift of its profile
+                    amps = np.exp(-((e - e[num // 2]) / (0.1 * step * num + step)) ** 2
+                                  + 1j * rng.uniform(-np.pi, np.pi) / step * e)
+                elif shape == "noise":
+                    amps = rng.normal(size=num) + 1j * rng.normal(size=num)
+                else:                       # one sample: a flat profile
+                    amps = np.zeros(num, complex)
+                    amps[rng.integers(num)] = 1.0
+                amps = amps / np.sqrt(ev.MomentumPacket.norm_squared_of(amps, weights))
+                momenta = np.zeros((num, 4))
+                momenta[:, 0] = e
+                perm = rng.permutation(num) if shuffled else np.arange(num)
+                mass = rng.uniform(0.5, 2.0)
+                packet = ev.MomentumPacket(momenta[perm], amps[perm], weights[perm], mass,
+                                           mk.N0)
+                prob = weights * np.abs(amps) ** 2
+                e_mean = prob @ e / prob.sum()
+                eps = max(e[-1] - e_mean, e_mean - e[0])
+                for chirp in (0.0, 0.4, 0.9, 0.999, 1.2):
+                    tau = rng.choice((-1, 1)) * chirp * np.pi * mass / (eps * step)
+                    yield (f"{num}-{shape}-{'shuffled' if shuffled else 'sorted'}-{chirp}",
+                           ev.free_evolve(packet, tau))
+    # free evolution moves this profile by 175 and 700 on a window 200 wide
+    for tau in (5.0, 20.0):
+        yield f"shifted-{tau}", ev.free_evolve(ev.MomentumPacket.gaussian_energy_axis(
+            35.0, 0.5, [0.0, 0.0, 0.0], 1.0), tau)
+
+
+def test_time_profile_matches_the_padded_transform():
+    refused = 0
+    for name, packet in _reference_cases(np.random.default_rng(19)):
+        try:
+            want = _padded_spread(packet)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ev.time_energy_uncertainty(packet)
+            assert str(got.value) == str(exc), name
+            refused += 1
+            continue
+        got = ev.time_energy_uncertainty(packet)
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), name
+    assert refused == 36    # the chirps of 1.2 times the guard

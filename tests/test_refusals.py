@@ -31,6 +31,12 @@ REFUSALS = {
         N0, [1.0, 1.0], np.zeros(4), np.zeros(4)), "must be normalized"),
     "induced-width-0": (lambda: lg.InducedPacketState(
         N0, [1.0, 0.0], np.zeros(4), np.zeros(4), 0.0), "width must be positive"),
+    "induced-width-nan": (lambda: lg.InducedPacketState(
+        N0, [1.0, 0.0], np.zeros(4), np.zeros(4), np.nan), "positive and finite, got nan"),
+    "induced-center-nan": (lambda: lg.InducedPacketState(
+        N0, [1.0, 0.0], [np.nan] * 4, np.zeros(4)), "center_x must be a finite four-vector"),
+    "induced-momentum-3": (lambda: lg.InducedPacketState(
+        N0, [1.0, 0.0], np.zeros(4), np.zeros(3)), "center_p must be a finite four-vector"),
     "field-not-antisymmetric": (lambda: dirac.FieldTensor(np.eye(4), 1.0, 1.0),
                                 "exactly antisymmetric"),
     "spin-0.3": (lambda: sc.SpinState(0.3, [1.0], N0), "not a half-integer spin"),

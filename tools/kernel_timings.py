@@ -26,7 +26,8 @@ written to a file.  Then the quantum tau sweep: µs per tau step, one
 `free_evolve` of the packet of `configs/evolve_quantum.cfg` one `dtau` into
 its sweep, then `mass_moments` and `time_energy_uncertainty` of the new
 packet, as each step of the sweep makes them (timing the calls one by one on
-a single packet would time only its cached facts).  Last, the interference scan of
+a single packet would time only its cached facts), and beside it µs per
+call of each of the three, clocked within the steps.  Last, the interference scan of
 `configs/interference_example.cfg` at 400,001 samples: the fringe-period
 estimator alone (`interference._dtft_period`), and `shpqm interference
 --format csv` end to end through `cli.main`, written to a file.  Last,
@@ -71,6 +72,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
 WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
+TAU_STEP_CALLS = ("free_evolve", "mass_moments", "time_energy_uncertainty")
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_pairs", "dirac.sigma_n_all",
            "dirac.s_lambda")
@@ -209,28 +211,42 @@ def evolve_table(packages):
 def tau_step_call(package):
     """One tau step of the quantum sweep from the packet of QUANTUM_CONFIG
     after one step of its dtau: free_evolve, then mass_moments and
-    time_energy_uncertainty of the new packet.  The packet has had one whole
-    step, so it carries what a sweep carries from step to step."""
+    time_energy_uncertainty of the new packet, returning the seconds of each
+    call.  The packet has had one whole step, so it carries what a sweep
+    carries from step to step."""
     ev, values = package.evolution, package.cli.load_config(QUANTUM_CONFIG)
     get = lambda key: float(values.get(key, 0.0))
     dtau = get("dtau")
 
     def step(packet):
+        t0 = perf_counter()
         evolved = ev.free_evolve(packet, dtau)
+        t1 = perf_counter()
         ev.mass_moments(evolved)
+        t2 = perf_counter()
         ev.time_energy_uncertainty(evolved)
-        return evolved
+        return evolved, (t1 - t0, t2 - t1, perf_counter() - t2)
 
     packet = step(ev.MomentumPacket.gaussian_energy_axis(
         get("e_center"), get("e_width"), [get("px"), get("py"), get("pz")],
-        get("mass_param"), num=int(values.get("num", 256))))
-    return lambda: step(packet)
+        get("mass_param"), num=int(values.get("num", 256))))[0]
+    return lambda: step(packet)[1]
 
 
 def tau_step_table(packages):
+    """µs per tau step and per call of each of its three calls, each the
+    best over 15 alternating blocks of 300 steps; the step's own clock
+    reads are part of its total."""
     calls = {label: tau_step_call(p) for label, p in packages.items()}
-    return {label: {"us_per_step": round(seconds * 1e6, 3)}
-            for label, seconds in best_seconds(calls, 15, 300).items()}
+    best = {label: np.full(1 + len(TAU_STEP_CALLS), np.inf) for label in calls}
+    for _ in range(15):
+        for label, step in calls.items():
+            t0 = perf_counter()
+            parts = [step() for _ in range(300)]
+            block = [perf_counter() - t0, *np.sum(parts, axis=0)]
+            best[label] = np.minimum(best[label], np.array(block) * 1e6 / 300)
+    keys = ("us_per_step", *(f"{name}_us" for name in TAU_STEP_CALLS))
+    return {label: dict(zip(keys, np.round(us, 3).tolist())) for label, us in best.items()}
 
 
 def period_calls(package, path):
