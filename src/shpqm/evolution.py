@@ -238,18 +238,20 @@ class EnergyGrid(NamedTuple):
 
 TIME_PAD = 8    # the time profile is a DFT zero-padded to TIME_PAD times the grid
 
+DISTRIBUTION_FACTS = ("probability", "_mass_moments", "_energy_moments")
+
 
 @dataclass(frozen=True)
 class MomentumPacket:
     """Momentum-space packet on a discrete grid of four-momenta.
 
-    momenta has shape (N, 4); amplitudes shape (N,); weights are the
-    quadrature weights of the grid so that sum(w |a|^2) = 1.  The facts that
-    depend on the grid alone (p.p, -p.p, the energy grid and the free phase
-    of the last dtau) are computed on first use and carried along by
-    free_evolve; the probability w |a|^2 / sum depends on the amplitudes and
-    is computed once per packet.  evolved_tau is the free evolution applied
-    since the amplitudes were set: 0 when built, whatever tau is.
+    momenta has shape (N, 4); amplitudes shape (N,); weights, finite and
+    non-negative, are the quadrature weights of the grid: sum(w |a|^2) = 1.
+    The facts of the grid (p.p, the energy grid, the free phase of the last
+    dtau) and of the distribution w |a|^2 (DISTRIBUTION_FACTS) are computed
+    on first use and carried along by free_evolve, whose unit-modulus phase
+    changes neither; _evolved drops the latter.  evolved_tau is the free
+    evolution applied since the amplitudes were set: 0 when built, whatever tau is.
     """
 
     momenta: np.ndarray
@@ -270,6 +272,13 @@ class MomentumPacket:
             raise ValueError("momenta must be finite")
         if amps.shape != (ps.shape[0],) or w.shape != (ps.shape[0],):
             raise ValueError("amplitudes and weights must match the grid")
+        bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))
+        if bad.size:
+            raise ValueError(f"weights must be finite and >= 0,"
+                             f" got {w[bad[0]]} at index {bad[0]}")
+        bad = np.flatnonzero(~np.isfinite(amps))
+        if bad.size:
+            raise ValueError(f"amplitudes must be finite, got {amps[bad[0]]} at index {bad[0]}")
         if not 0 < self.mass_param < np.inf:
             raise ValueError(f"mass parameter must be positive and finite,"
                              f" got {self.mass_param!r}")
@@ -297,15 +306,31 @@ class MomentumPacket:
         return np.einsum("ka,ab,kb->k", self.momenta, minkowski.METRIC, self.momenta)
 
     @cached_property
-    def mass_squared(self):
-        """-p.p of each sample, the invariant mass squared, shape (N,)."""
-        return -self.p_dot_p
-
-    @cached_property
     def probability(self):
-        """w |a|^2 / sum(w |a|^2) of each sample, in the packet's order."""
+        """w |a|^2 / sum(w |a|^2) of each sample, in the packet's order; the
+        packet it was computed on hands it down its free evolution."""
         prob = self.weights * np.abs(self.amplitudes) ** 2
         return prob / prob.sum()
+
+    @cached_property
+    def _mass_moments(self):
+        prob, m2 = self.probability, -self.p_dot_p
+        mean = float(prob @ m2)
+        return mean, float(prob @ (m2 - mean) ** 2)
+
+    @cached_property
+    def _energy_moments(self):
+        """(mean, spread, max |p^0 - mean|) of p^0, summed in the energy grid's order."""
+        grid = self.energy_grid
+        if grid.order is None:
+            prob = self.probability
+        else:   # sorted, then normalised: the sum runs in the grid's order
+            prob = grid.w * np.abs(self.amplitudes[grid.order]) ** 2
+            prob = prob / prob.sum()
+        e = grid.e
+        e_mean = float(prob @ e)
+        return (e_mean, float(np.sqrt(prob @ (e - e_mean) ** 2)),
+                max(e[-1] - e_mean, e_mean - e[0]))
 
     @cached_property
     def energy_grid(self):
@@ -350,11 +375,12 @@ class MomentumPacket:
     def _evolved(self, amplitudes, dtau):
         """This packet evolved by `dtau` to new amplitudes of the same norm,
         built without validation; it keeps the cached facts that depend on
-        the grid alone and drops its probability."""
+        the grid alone and drops those of the distribution."""
         packet = object.__new__(type(self))
         packet.__dict__.update(self.__dict__, amplitudes=amplitudes, tau=self.tau + dtau,
                                evolved_tau=self.evolved_tau + dtau)
-        packet.__dict__.pop("probability", None)
+        for name in DISTRIBUTION_FACTS:
+            packet.__dict__.pop(name, None)
         return packet
 
     @classmethod
@@ -390,26 +416,29 @@ def free_evolve(packet, dtau):
     """Multiply each amplitude by exp(-i (p.p) dtau / 2M).
 
     The phase has unit modulus, so the packet keeps its norm and is not
-    validated again; raises ValueError when the phase is not finite.
+    validated again, and keeps w |a|^2: it gets what `packet` has computed of
+    DISTRIBUTION_FACTS.  Raises ValueError when the phase is not finite.
     """
-    return packet._evolved(packet.amplitudes * packet._free_phase(dtau), dtau)
+    child = packet._evolved(packet.amplitudes * packet._free_phase(dtau), dtau)
+    child.__dict__.update((name, packet.__dict__[name])
+                          for name in DISTRIBUTION_FACTS if name in packet.__dict__)
+    return child
 
 
 def mass_moments(packet):
-    """Mean and variance of the invariant mass squared -p.p."""
-    prob, m2 = packet.probability, packet.mass_squared
-    mean = float(prob @ m2)
-    var = float(prob @ (m2 - mean) ** 2)
-    return mean, var
+    """Mean and variance of the invariant mass squared -p.p; computed once,
+    they are carried along free evolution, which conserves them exactly."""
+    return packet._mass_moments
 
 
 def time_energy_uncertainty(packet):
     """(dt, dE, product) from the p^0 marginal of the packet.
 
-    dE is the standard deviation of p^0 under |amplitude|^2; dt is the
-    spread of the conjugate (time) profile obtained by discrete Fourier
-    transform of the amplitude along the energy axis.  Natural units
-    (hbar = 1): a Gaussian saturates dt * dE = 1/2.
+    dE is the standard deviation of p^0 under |amplitude|^2, a fact of the
+    distribution that free evolution carries; dt is the spread of the
+    conjugate (time) profile obtained by discrete Fourier transform of the
+    amplitude along the energy axis.  Natural units (hbar = 1): a Gaussian
+    saturates dt * dE = 1/2.
 
     The transform gives the profile on a periodic window of width 2 pi / dE,
     read around the profile's circular mean (to the nearest bin, moved to
@@ -423,21 +452,12 @@ def time_energy_uncertainty(packet):
     window and give a wrong spread.
     """
     grid = packet.energy_grid
-    e = grid.e
-    if grid.order is None:
-        amps, prob = packet.amplitudes, packet.probability
-    else:   # sorted, then normalised: the sum runs in the grid's order
-        amps = packet.amplitudes[grid.order]
-        prob = grid.w * np.abs(amps) ** 2
-        prob = prob / prob.sum()
-    e_mean = float(prob @ e)
-    de = float(np.sqrt(prob @ (e - e_mean) ** 2))
-
-    eps = max(e[-1] - e_mean, e_mean - e[0])
+    _, de, eps = packet._energy_moments
     chirp_step = eps * abs(packet.evolved_tau) * grid.step / packet.mass_param
     if not chirp_step <= np.pi:
         raise ValueError(f"energy grid undersamples the evolution phase after tau ="
                          f" {packet.evolved_tau!r}: {chirp_step:.3e} rad per sample > pi")
+    amps = packet.amplitudes if grid.order is None else packet.amplitudes[grid.order]
     y = amps * grid.root_w
     # the profile pt of L bins has its circular mean at bin c, the angle of
     # sum_k pt_k exp(2 pi i k / L) = L sum_n y_n conj(y_(n-1)); y times

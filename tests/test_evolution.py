@@ -482,6 +482,7 @@ def test_sweep_with_cached_facts_equals_rebuilt_packets_bit_for_bit():
     # computes p.p and the energy grid afresh each time
     packet, dtau = config_packet()
     rebuilt = first = packet
+    conserved = _distribution_moments(first)
     for step in range(2000):
         packet = ev.free_evolve(packet, dtau)
         pp = np.einsum("ka,ab,kb->k", rebuilt.momenta, mk.METRIC, rebuilt.momenta)
@@ -489,12 +490,27 @@ def test_sweep_with_cached_facts_equals_rebuilt_packets_bit_for_bit():
         rebuilt = ev.MomentumPacket(rebuilt.momenta, rebuilt.amplitudes * phase,
                                     rebuilt.weights, rebuilt.mass_param, rebuilt.n,
                                     rebuilt.tau + dtau)
-        assert ev.mass_moments(packet) == ev.mass_moments(rebuilt)
+        _assert_conserved(packet, rebuilt, conserved)
         if step % 250 == 0:
-            assert ev.time_energy_uncertainty(packet) == ev.time_energy_uncertainty(rebuilt)
+            assert ev.time_energy_uncertainty(packet)[0] == \
+                ev.time_energy_uncertainty(rebuilt)[0]
     assert (packet.amplitudes.tobytes(), packet.tau) == (rebuilt.amplitudes.tobytes(),
                                                         rebuilt.tau)
     assert packet.p_dot_p is first.p_dot_p     # carried along, not recomputed
+
+
+def _distribution_moments(packet):
+    """(mass mean, mass variance, dE) of `packet`, the facts of w |a|^2."""
+    return (*ev.mass_moments(packet), ev.time_energy_uncertainty(packet)[1])
+
+
+def _assert_conserved(packet, rebuilt, conserved):
+    """The mass moments and dE of `packet` are `conserved`, those of the
+    sweep's first packet, bit for bit, and within 1e-12 relative of those of
+    `rebuilt`, a validated packet with the same amplitudes."""
+    got = _distribution_moments(packet)
+    assert got == conserved
+    np.testing.assert_allclose(got, _distribution_moments(rebuilt), rtol=1e-12, atol=0)
 
 
 def _rebuilt(packet, dtau):
@@ -510,12 +526,13 @@ def test_sweep_with_mixed_dtau_equals_rebuilt_packets_bit_for_bit():
     # the phase of the last dtau is kept: a repeated dtau reuses it, any
     # other (0.0 after -0.0 too) computes its own
     packet = rebuilt = config_packet()[0]
+    conserved = _distribution_moments(packet)
     for dtau in (10.0, 10.0, 3.5, 10.0, 0.0, -0.0) * 3:
         packet, rebuilt = ev.free_evolve(packet, dtau), _rebuilt(rebuilt, dtau)
         assert (packet.amplitudes.tobytes(), packet.tau) == (rebuilt.amplitudes.tobytes(),
                                                             rebuilt.tau)
-        assert ev.mass_moments(packet) == ev.mass_moments(rebuilt)
-        assert ev.time_energy_uncertainty(packet) == ev.time_energy_uncertainty(rebuilt)
+        _assert_conserved(packet, rebuilt, conserved)
+        assert ev.time_energy_uncertainty(packet)[0] == ev.time_energy_uncertainty(rebuilt)[0]
 
 
 def test_free_phase_is_reused_only_for_the_same_bits_of_dtau():
@@ -567,6 +584,25 @@ def test_chains_that_branch_from_one_packet_get_their_own_phases():
         for dtau in steps:
             want = _rebuilt(want, dtau)
         assert (got.amplitudes.tobytes(), got.tau) == (want.amplitudes.tobytes(), want.tau)
+
+
+def test_free_evolution_conserves_the_distribution_moments_exactly():
+    # K = p.p / 2M commutes with p, so free evolution leaves w |a|^2 as it is:
+    # along a sweep the mass moments and dE stay those of the first packet
+    root, dtau = config_packet()
+    conserved = _distribution_moments(root)
+    for sweep in ([dtau] * 2000, [10.0, 10.0, 3.5, 10.0, 0.0, -0.0, -3.5, 0.0] * 3):
+        packet = rebuilt = root
+        for step in sweep:
+            packet, rebuilt = ev.free_evolve(packet, step), _rebuilt(rebuilt, step)
+            _assert_conserved(packet, rebuilt, conserved)
+    # two chains that branch from the root, stepped in turn
+    chains = [[root, root], [root, root]]
+    for steps in zip([10.0, 10.0, 3.5, -0.0], [3.5, 3.5, 10.0, 0.0]):
+        for chain, step in zip(chains, steps):
+            chain[:] = ev.free_evolve(chain[0], step), _rebuilt(chain[1], step)
+            assert chain[0].amplitudes.tobytes() == chain[1].amplitudes.tobytes()
+            _assert_conserved(*chain, conserved)
 
 
 def test_unsorted_energy_grid_gives_the_spread_of_the_sorted_one():

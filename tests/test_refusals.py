@@ -25,6 +25,20 @@ REFUSALS = {
     "packet-amplitudes": (lambda: ev.MomentumPacket(
         PACKET.momenta, PACKET.amplitudes[1:], PACKET.weights, 1.0, N0),
         "must match the grid"),
+    # unit amplitudes on weights (2, -1, 2, -2) pass the norm check; on these
+    # momenta the mass variance read -1.14e5
+    "packet-weight-negative": (lambda: ev.MomentumPacket(
+        PACKET.momenta[:4], np.ones(4, complex), [2.0, -1.0, 2.0, -2.0], 1.0, N0),
+        "weights must be finite and >= 0, got -1.0 at index 1"),
+    "packet-weight-nan": (lambda: ev.MomentumPacket(
+        PACKET.momenta[:3], np.ones(3, complex), [0.5, 0.5, np.nan], 1.0, N0),
+        "weights must be finite and >= 0, got nan at index 2"),
+    "packet-weight-inf": (lambda: ev.MomentumPacket(
+        PACKET.momenta[:2], np.ones(2, complex), [np.inf, 0.0], 1.0, N0),
+        "weights must be finite and >= 0, got inf at index 0"),
+    "packet-amplitude-inf": (lambda: ev.MomentumPacket(
+        PACKET.momenta, np.where(np.arange(8) == 5, np.inf, PACKET.amplitudes),
+        PACKET.weights, 1.0, N0), "amplitudes must be finite, got (inf+0j) at index 5"),
     "induced-three-spins": (lambda: lg.InducedPacketState(
         N0, [1.0, 0.0, 0.0], np.zeros(4), np.zeros(4)), "length 2"),
     "induced-unnormalised": (lambda: lg.InducedPacketState(

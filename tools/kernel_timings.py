@@ -27,7 +27,10 @@ written to a file.  Then the quantum tau sweep: µs per tau step, one
 its sweep, then `mass_moments` and `time_energy_uncertainty` of the new
 packet, as each step of the sweep makes them (timing the calls one by one on
 a single packet would time only its cached facts), and beside it µs per
-call of each of the three, clocked within the steps.  Last, the interference scan of
+call of each of the three, clocked within the steps; for the step it gives
+the median and quartiles of its blocks beside the best.  Then `tau_sweep`:
+µs per step of a whole sweep of 2,000 such steps from a fresh packet, as the
+benchmark's evolve op runs it.  Last, the interference scan of
 `configs/interference_example.cfg` at 400,001 samples: the fringe-period
 estimator alone (`interference._dtft_period`), and `shpqm interference
 --format csv` end to end through `cli.main`, written to a file.  Last,
@@ -73,6 +76,7 @@ EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
 WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
 TAU_STEP_CALLS = ("free_evolve", "mass_moments", "time_energy_uncertainty")
+SWEEP_STEPS = 2000
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_pairs", "dirac.sigma_n_all",
            "dirac.s_lambda")
@@ -208,15 +212,25 @@ def evolve_table(packages):
     return table
 
 
+def quantum_start(package):
+    """(fresh packet, dtau) of QUANTUM_CONFIG, the packet built afresh on
+    each call of the first."""
+    ev, values = package.evolution, package.cli.load_config(QUANTUM_CONFIG)
+    get = lambda key: float(values.get(key, 0.0))
+    return (lambda: ev.MomentumPacket.gaussian_energy_axis(
+                get("e_center"), get("e_width"), [get("px"), get("py"), get("pz")],
+                get("mass_param"), num=int(values.get("num", 256))),
+            get("dtau"))
+
+
 def tau_step_call(package):
     """One tau step of the quantum sweep from the packet of QUANTUM_CONFIG
     after one step of its dtau: free_evolve, then mass_moments and
     time_energy_uncertainty of the new packet, returning the seconds of each
     call.  The packet has had one whole step, so it carries what a sweep
     carries from step to step."""
-    ev, values = package.evolution, package.cli.load_config(QUANTUM_CONFIG)
-    get = lambda key: float(values.get(key, 0.0))
-    dtau = get("dtau")
+    ev = package.evolution
+    fresh, dtau = quantum_start(package)
 
     def step(packet):
         t0 = perf_counter()
@@ -227,26 +241,67 @@ def tau_step_call(package):
         ev.time_energy_uncertainty(evolved)
         return evolved, (t1 - t0, t2 - t1, perf_counter() - t2)
 
-    packet = step(ev.MomentumPacket.gaussian_energy_axis(
-        get("e_center"), get("e_width"), [get("px"), get("py"), get("pz")],
-        get("mass_param"), num=int(values.get("num", 256))))[0]
+    packet = step(fresh())[0]
     return lambda: step(packet)[1]
+
+
+def spread(us):
+    """{best, median, q1, q3} of the block times `us`, rounded."""
+    q1, median, q3 = np.percentile(us, [25, 50, 75])
+    return {"best": round(float(np.min(us)), 3), "median": round(float(median), 3),
+            "q1": round(float(q1), 3), "q3": round(float(q3), 3)}
 
 
 def tau_step_table(packages):
     """µs per tau step and per call of each of its three calls, each the
-    best over 15 alternating blocks of 300 steps; the step's own clock
-    reads are part of its total."""
+    best over 15 alternating blocks of 300 steps, and the median and
+    quartiles of the step over those blocks; the step's own clock reads are
+    part of its total."""
     calls = {label: tau_step_call(p) for label, p in packages.items()}
-    best = {label: np.full(1 + len(TAU_STEP_CALLS), np.inf) for label in calls}
+    blocks = {label: [] for label in calls}
     for _ in range(15):
         for label, step in calls.items():
             t0 = perf_counter()
             parts = [step() for _ in range(300)]
-            block = [perf_counter() - t0, *np.sum(parts, axis=0)]
-            best[label] = np.minimum(best[label], np.array(block) * 1e6 / 300)
+            blocks[label].append([perf_counter() - t0, *np.sum(parts, axis=0)])
     keys = ("us_per_step", *(f"{name}_us" for name in TAU_STEP_CALLS))
-    return {label: dict(zip(keys, np.round(us, 3).tolist())) for label, us in best.items()}
+    table = {}
+    for label, block in blocks.items():
+        us = np.array(block) * 1e6 / 300
+        table[label] = dict(zip(keys, np.round(us.min(axis=0), 3).tolist()))
+        table[label]["us_per_step_blocks"] = spread(us[:, 0])
+    return table
+
+
+def tau_sweep_call(package):
+    """A sweep of SWEEP_STEPS tau steps from a fresh packet of
+    QUANTUM_CONFIG, each step free_evolve, then mass_moments and
+    time_energy_uncertainty of the new packet, as the benchmark's evolve op
+    makes them."""
+    ev = package.evolution
+    fresh, dtau = quantum_start(package)
+
+    def sweep():
+        packet = fresh()
+        for _ in range(SWEEP_STEPS):
+            packet = ev.free_evolve(packet, dtau)
+            ev.mass_moments(packet)
+            ev.time_energy_uncertainty(packet)
+    return sweep
+
+
+def tau_sweep_table(packages):
+    """µs per step of a whole tau sweep: best, median and quartiles of 9
+    alternating sweeps."""
+    calls = {label: tau_sweep_call(p) for label, p in packages.items()}
+    sweeps = {label: [] for label in calls}
+    for _ in range(9):
+        for label, sweep in calls.items():
+            t0 = perf_counter()
+            sweep()
+            sweeps[label].append((perf_counter() - t0) * 1e6 / SWEEP_STEPS)
+    return {label: {"steps": SWEEP_STEPS, "us_per_step": spread(us)}
+            for label, us in sweeps.items()}
 
 
 def period_calls(package, path):
@@ -356,16 +411,19 @@ def main(argv=None):
     inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
     kernels, suites = kernel_table(packages, inputs), suite_table(packages)
     evolve, tau_step = evolve_table(packages), tau_step_table(packages)
+    tau_sweep = tau_sweep_table(packages)
     period, csv_format = period_table(packages), csv_format_table(packages)
     dispatch = dispatch_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        "method": "checkouts loaded side by side; best block, blocks alternating"}}
+        "method": "checkouts loaded side by side; best block, blocks alternating"
+                  " (tau_step and tau_sweep also median and quartiles)"}}
     for label in packages:
         data[label] = {"kernels": kernels[label], "suites_s": suites[label],
                        "evolve": evolve[label], "tau_step": tau_step[label],
+                       "tau_sweep": tau_sweep[label],
                        "scan_period": period[label], "csv_format": csv_format[label],
                        "cli_dispatch": dispatch[label]}
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
