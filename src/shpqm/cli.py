@@ -400,9 +400,7 @@ def _parse_four_vector(text):
 def cmd_wigner(args):
     ax1, w1 = _parse_boost(args.boost1)
     ax2, w2 = _parse_boost(args.boost2)
-    # checked here: transport would report a NaN n as a moved label not finite
-    n = (minkowski.N0 if args.n is None
-         else minkowski.check_unit_timelike_future(_parse_four_vector(args.n)))
+    n = minkowski.N0 if args.n is None else _parse_four_vector(args.n)   # transport checks it
     # non-finite values are refused; numpy's warnings would add lines
     with np.errstate(over="ignore", invalid="ignore"):
         a = sl2c.sl2c_boost(ax1, w1) @ sl2c.sl2c_boost(ax2, w2)

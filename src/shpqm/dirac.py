@@ -53,14 +53,6 @@ ID4 = np.eye(4, dtype=complex)
 CONVENTION_FLAGS = ("gamma_dot_n_squared_plus_one", "gamma5_squared_plus_one")
 
 
-def gamma(mu):
-    return GAMMA[mu]
-
-
-def gamma5():
-    return GAMMA5
-
-
 def gamma_dot(v):
     """gamma.v = gamma^mu v_mu (covariant contraction)."""
     return np.einsum("...m,mab->...ab", minkowski.lower(v), GAMMA)
@@ -182,10 +174,8 @@ def free_k0(p, m_param, n=None):
 
     The result is independent of n; n only selects the split into K_T, K_L.
     """
-    if not 0 < m_param < np.inf:
-        raise ValueError(f"mass parameter must be positive and finite, got {m_param!r}")
-    if n is None:
-        n = minkowski.N0
+    minkowski.positive(m_param, "mass parameter")
+    n = minkowski.N0 if n is None else minkowski.check_unit_timelike_future(n)
     kt, kl = k_t(p, n), k_l(p, n)
     return (kt @ kt - kl @ kl) / (2.0 * m_param)
 
@@ -202,19 +192,20 @@ class FieldTensor:
     mass: float
 
     def __post_init__(self):
-        f = np.asarray(self.f_lower, dtype=float)
+        f = minkowski.four_vectors(self.f_lower, "field tensor")
         if f.shape != (4, 4) or np.max(np.abs(f + f.T)) != 0.0:
             raise ValueError("field tensor must be exactly antisymmetric 4x4")
-        if not 0 < self.mass < np.inf:
-            raise ValueError(f"mass parameter must be positive and finite, got {self.mass!r}")
+        if not np.isfinite(self.charge):
+            raise ValueError(f"charge must be finite, got {self.charge!r}")
+        minkowski.positive(self.mass, "mass parameter")
         f = f.copy()
         f.setflags(write=False)
         object.__setattr__(self, "f_lower", f)
 
     @classmethod
     def from_fields(cls, e_field, b_field, charge=1.0, mass=1.0):
-        ex, ey, ez = np.asarray(e_field, dtype=float)
-        bx, by, bz = np.asarray(b_field, dtype=float)
+        ex, ey, ez = minkowski.real(e_field, "e_field")
+        bx, by, bz = minkowski.real(b_field, "b_field")
         f = np.array([
             [0.0, ex, ey, ez],
             [-ex, 0.0, bz, -by],
@@ -301,7 +292,7 @@ class TwoSpinorPair:
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=complex))
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
+        object.__setattr__(self, "n", minkowski.four_vectors(self.n, "n"))
 
 
 @dataclass(frozen=True)
@@ -314,7 +305,7 @@ class FourSpinor:
     def __post_init__(self):
         object.__setattr__(self, "components",
                            np.asarray(self.components, dtype=complex))
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
+        object.__setattr__(self, "n", minkowski.four_vectors(self.n, "n"))
 
 
 def _matvec(m, v):

@@ -10,6 +10,7 @@ uncertainty product.
 from __future__ import annotations
 
 import cmath
+import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,13 +34,10 @@ class PhasePoint:
     tau: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if x.shape != (4,) or p.shape != (4,):
-            raise ValueError("x and p must be four-vectors")
-        _check_finite(self.tau, x, p)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
+        for name in ("x", "p"):
+            object.__setattr__(self, name, minkowski.four_vectors(getattr(self, name), name))
+        if not np.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,7 @@ class FreeModel:
     mass_param: float
 
     def __post_init__(self):
-        if not 0 < self.mass_param < np.inf:
-            raise ValueError(
-                f"mass parameter must be positive and finite, got {self.mass_param!r}")
+        minkowski.positive(self.mass_param, "mass parameter")
 
     def hamiltonian(self, x, p):
         return minkowski.inner(p, p) / (2.0 * self.mass_param)
@@ -109,11 +105,6 @@ class Trajectory:
     k: np.ndarray
 
 
-def _check_finite(tau, x, p):
-    if not (np.isfinite(tau).all() and np.isfinite(x).all() and np.isfinite(p).all()):
-        raise ValueError("phase point must be finite")
-
-
 DRIFT_TOLERANCE = 1e-6
 
 
@@ -152,10 +143,9 @@ def classical_integrate(state, model, dtau, steps):
     Raises StepRejectionError, a ValueError, when a step changes K by more
     than 1e-6 relative, and ValueError when a state or its K is not finite.
     """
-    if not (np.isfinite(dtau) and dtau > 0):
-        raise ValueError(f"dtau must be positive and finite, got {dtau!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps!r}")
+    minkowski.positive(dtau, "dtau")
+    if not (isinstance(steps, numbers.Integral) and steps >= 0):
+        raise ValueError(f"steps must be non-negative and an integer, got {steps!r}")
     tau = np.full(steps + 1, float(dtau))
     tau[0] = state.tau
     tau = np.add.accumulate(tau)    # in sequence, as t = t + dtau per step
@@ -172,14 +162,18 @@ def classical_integrate(state, model, dtau, steps):
         error = _drift_error(k_old, k_new)
         if error is not None:
             # a non-finite state is the error to report, not its drift
-            _check_finite(tau[:i + 1], x[:i + 1], p[:i + 1])
+            for states in (x[:i + 1], p[:i + 1]):
+                minkowski.four_vectors(states, "phase point")
             raise error
         k_old = k_new
     if flow is not None and steps:
         # p and K stay as the RK4 step left them (it turns a -0.0 in p0 into
         # p0 + 0 = 0.0); the flow gives x
         x[1:], p[1:], k[1:] = flow(xi, pi, dtau, steps), pi, k_old
-    _check_finite(tau, x, p)
+    if not np.isfinite(tau[-1]):    # tau only grows, so its last value is the largest
+        raise ValueError(f"phase point must be finite, got tau = {tau[-1]!r}")
+    for states in (x, p):
+        minkowski.four_vectors(states, "phase point")
     if not np.isfinite(k).all():
         raise ValueError("hamiltonian must be finite")
     return Trajectory(tau, x, p, k)
@@ -263,15 +257,11 @@ class MomentumPacket:
     evolved_tau: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        ps = np.asarray(self.momenta, dtype=float)
+        ps = minkowski.four_vectors(self.momenta, "momenta")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
-        if ps.ndim != 2 or ps.shape[1] != 4:
-            raise ValueError("momenta must have shape (N, 4)")
-        if not np.isfinite(ps).all():
-            raise ValueError("momenta must be finite")
-        if amps.shape != (ps.shape[0],) or w.shape != (ps.shape[0],):
-            raise ValueError("amplitudes and weights must match the grid")
+        w = minkowski.real(self.weights, "weights")
+        if ps.ndim != 2 or amps.shape != ps.shape[:1] or w.shape != ps.shape[:1]:
+            raise ValueError("momenta (N, 4), amplitudes and weights must match the grid")
         bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))
         if bad.size:
             raise ValueError(f"weights must be finite and >= 0,"
@@ -279,18 +269,15 @@ class MomentumPacket:
         bad = np.flatnonzero(~np.isfinite(amps))
         if bad.size:
             raise ValueError(f"amplitudes must be finite, got {amps[bad[0]]} at index {bad[0]}")
-        if not 0 < self.mass_param < np.inf:
-            raise ValueError(f"mass parameter must be positive and finite,"
-                             f" got {self.mass_param!r}")
+        minkowski.positive(self.mass_param, "mass parameter")
         if not np.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau!r}")
         if not abs(self.norm_squared_of(amps, w) - 1.0) <= 1e-8:
             raise ValueError("packet must be normalized to 1 within 1e-8")
-        minkowski.check_unit_timelike_future(self.n)
         object.__setattr__(self, "momenta", ps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
+        object.__setattr__(self, "n", minkowski.check_unit_timelike_future(self.n))
 
     @staticmethod
     def norm_squared_of(amps, weights):
@@ -362,7 +349,10 @@ class MomentumPacket:
         0.0 and -0.0 are different keys), and only once it has passed the
         check: a sweep at a fixed dtau computes it once.
         """
-        key = struct.pack("d", dtau)
+        try:
+            key = struct.pack("d", dtau)
+        except struct.error:
+            raise TypeError(f"dtau must be a real number, got {dtau!r}") from None
         cached = self.__dict__.get("_phase")
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -390,11 +380,9 @@ class MomentumPacket:
 
         e_width is the standard deviation of |amplitude|^2 in p^0.
         """
-        if num < 2:
-            raise ValueError(f"energy grid needs at least 2 samples, got {num!r}")
-        if not e_width > 0:
-            raise ValueError(f"energy width must be positive, got {e_width!r}")
-        n = minkowski.N0 if n is None else np.asarray(n, dtype=float)
+        if not (isinstance(num, numbers.Integral) and num >= 2):
+            raise ValueError(f"energy grid needs at least 2 samples (integer num), got {num!r}")
+        minkowski.positive(e_width, "energy width")
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 e = np.linspace(e_center - 8.0 * e_width, e_center + 8.0 * e_width, num)
@@ -408,8 +396,9 @@ class MomentumPacket:
                              f" is out of floating-point range") from exc
         ps = np.zeros((num, 4))
         ps[:, 0] = e
-        ps[:, 1:] = np.asarray(spatial_p, dtype=float)
-        return cls(ps, amps.astype(complex), w, mass_param, n, tau)
+        ps[:, 1:] = minkowski.real(spatial_p, "spatial_p")
+        return cls(ps, amps.astype(complex), w, mass_param,
+                   minkowski.N0 if n is None else n, tau)
 
 
 def free_evolve(packet, dtau):

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import minkowski
 from .constants import HBAR_EV_FS, energy_spread_for_time_width, fringe_period_fs
 
 
@@ -36,10 +37,12 @@ class EmissionConfig:
     sigma_t_fs: float
 
     def __post_init__(self):
-        if not self.sigma_t_fs > 0:
-            raise ValueError("pulse width must be positive")
-        if not (self.e1_ev > 0 and self.e2_ev > 0):
-            raise ValueError("energies must be positive")
+        minkowski.positive(self.sigma_t_fs, "pulse width")
+        minkowski.positive(self.e1_ev, "energy e1_ev")
+        minkowski.positive(self.e2_ev, "energy e2_ev")
+        if not np.isfinite([self.t_emit1_fs, self.t_emit2_fs]).all():
+            raise ValueError(f"emission times must be finite, got {self.t_emit1_fs!r},"
+                             f" {self.t_emit2_fs!r}")
 
     @property
     def delta_e_ev(self):

@@ -49,8 +49,8 @@ def transport(a, n):
     vector map of A, n_new = minkowski.moved(Lambda, n) and D = D(Lambda, n_new), the
     spin rotation: the unitary factor of A L(n) = L(n_new) D.  a (..., 2, 2)
     and n (..., 4) broadcast over their leading sample axes."""
-    lam = sl2c.spinor_map(a)
-    return lam, minkowski.moved(lam, n), _unitary_factor(a @ sl2c.canonical_boost(n))
+    lam, boost = sl2c.spinor_map(a), sl2c.canonical_boost(n)   # checks n before moved
+    return lam, minkowski.moved(lam, n), _unitary_factor(a @ boost)
 
 
 def _unitary_factor(m):
@@ -68,9 +68,8 @@ def momentum_wigner_d(a, p, m):
     over their leading sample axes.  Each p must be on shell: p^0 equal to
     E = sqrt(m^2 + |p|^2) within MASS_SHELL_TOL relative to p^0 (-p.p is
     not formed: it cancels terms of size (p^0)^2)."""
-    if not 0 < m < np.inf:
-        raise ValueError(f"mass must be positive and finite, got m = {m!r}")
-    p = np.asarray(p, dtype=float)
+    minkowski.positive(m, "mass")
+    p = minkowski.real(p, "p")
     label = p / m
     label[..., 0] = np.sqrt(1.0 + (label[..., 1:] ** 2).sum(axis=-1))
     p0, energy = p[..., 0], m * label[..., 0]
@@ -97,16 +96,10 @@ class InducedPacketState:
             raise ValueError("spin coefficients must have length 2")
         if abs(np.linalg.norm(spin) - 1.0) > 1e-10:
             raise ValueError("spin coefficients must be normalized")
-        if not 0 < self.width < np.inf:
-            raise ValueError(f"width must be positive and finite, got {self.width!r}")
-        center_x = np.asarray(self.center_x, dtype=float)
-        center_p = np.asarray(self.center_p, dtype=float)
-        for name, value in (("center_x", center_x), ("center_p", center_p)):
-            if value.shape != (4,) or not np.isfinite(value).all():
-                raise ValueError(f"{name} must be a finite four-vector")
+        minkowski.positive(self.width, "width")
+        for name in ("center_x", "center_p"):
+            object.__setattr__(self, name, minkowski.four_vectors(getattr(self, name), name))
         object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "center_x", center_x)
-        object.__setattr__(self, "center_p", center_p)
 
 
 def induced_transform(state, a):

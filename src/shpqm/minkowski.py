@@ -13,6 +13,7 @@ same code.  Checks hold per sample and name the first failing one.
 from __future__ import annotations
 
 import enum
+import numbers
 
 import numpy as np
 
@@ -43,10 +44,7 @@ class CausalClass(enum.Enum):
 
 
 def four_vector(t, x=0.0, y=0.0, z=0.0):
-    v = np.array([t, x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("four-vector components must be finite")
-    return v
+    return four_vectors([t, x, y, z], "four-vector components")
 
 
 def require(ok, message):
@@ -63,6 +61,37 @@ def require(ok, message):
         raise ValueError(where + message(i))
 
 
+def real(v, name):
+    """v as a float array; raises ValueError unless its dtype is bool, integer or float."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return np.asarray(a, dtype=float)
+
+
+def _four(v, name):
+    a = real(v, name)
+    if a.shape[-1:] != (4,):
+        raise ValueError(f"{name} must be four-vectors (last axis 4), got shape {a.shape}")
+    return a
+
+
+def four_vectors(v, name):
+    """v as a float (..., 4) array; raises ValueError, naming `name` and the
+    first bad sample, unless v is real with last axis 4 and finite entries."""
+    a = _four(v, name)
+    if not np.isfinite(a).all():
+        require(np.isfinite(a).all(axis=-1),
+                lambda i: f"{name} must be finite, got {a[i].tolist()}")
+    return a
+
+
+def positive(x, name):
+    """Raise ValueError unless x is a real number, finite and > 0."""
+    if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 def axis_vector(axis):
     """Unit spatial 3-vector from 'x'/'y'/'z' or a (..., 3) array of
     nonzero 3-vectors."""
@@ -71,7 +100,7 @@ def axis_vector(axis):
             return _AXES[axis].copy()
         except KeyError:
             raise ValueError(f"unknown axis {axis!r}") from None
-    a = np.asarray(axis, dtype=float)
+    a = real(axis, "axis")
     if a.shape[-1:] != (3,):
         raise ValueError("axis must be a nonzero 3-vector")
     norm = np.sqrt((a * a).sum(axis=-1))
@@ -123,16 +152,18 @@ def classify(v):
 
 def is_unit_timelike_future(n):
     """Per sample: n0 > 0 and n.n = -1 within UNIT_TIMELIKE_TOL relative to max(1, n0^2),
-    the size of the terms that cancel in n.n."""
+    the size of the terms that cancel in n.n; an n0^2 that overflows (an
+    infinite n0 among them) would make that tolerance infinite, so it fails."""
     t, x, y, z = components(n)
     t2 = t * t
-    return (t > 0) & within(abs(-t2 + x * x + y * y + z * z + 1.0), UNIT_TIMELIKE_TOL, t2)
+    return ((t > 0) & (t2 < np.inf)
+            & within(abs(-t2 + x * x + y * y + z * z + 1.0), UNIT_TIMELIKE_TOL, t2))
 
 
 def check_unit_timelike_future(n):
     """Return n as a float array; raise unless every sample is unit
     future-timelike."""
-    n = np.asarray(n, dtype=float)
+    n = _four(n, "n")   # the unit-norm test refuses NaN and inf
     require(is_unit_timelike_future(n),
             lambda i: f"expected unit future-timelike vector, got {n[i]!r} "
                       f"with n.n = {inner(n[i], n[i])}")
@@ -141,14 +172,11 @@ def check_unit_timelike_future(n):
 
 def unit_timelike(v):
     """v / sqrt(-v.v): the unit vector along each finite timelike v."""
-    v = np.asarray(v, dtype=float)
+    v = four_vectors(v, "v")
     t, x, y, z = components(v)
     norm2 = t * t - x * x - y * y - z * z
-    # a non-finite component makes norm2 inf or nan
-    require(np.isfinite(norm2) & (norm2 > 0.0), lambda i: (
-        f"expected a timelike vector, got {v[i]!r} with v.v = {-norm2[i]}"
-        if np.isfinite(v[i]).all() else
-        f"four-vector components must be finite, got {v[i]!r}"))
+    require(np.isfinite(norm2) & (norm2 > 0.0),     # norm2 may overflow
+            lambda i: f"expected a timelike vector, got {v[i]!r} with v.v = {-norm2[i]}")
     return v / np.sqrt(norm2)[..., None]
 
 
@@ -171,7 +199,7 @@ def check_proper_lorentz(lam, tol=LORENTZ_TOL):
     The metric tolerance is relative to s = max(1, max|lam|)^2, the size of
     the products in lam^T g lam, and the determinant tolerance to s^2.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = real(lam, "Lorentz matrix")
     if lam.shape[-2:] != (4, 4):
         raise ValueError("Lorentz matrix must be 4x4")
     size2 = abs(lam).max(axis=(-2, -1)) ** 2

@@ -132,9 +132,8 @@ class SpinState:
             raise ValueError("coefficient vector length must be 2j+1")
         if abs(np.linalg.norm(c) - 1.0) > 1e-10:
             raise ValueError("spin coefficients must be normalized")
-        minkowski.check_unit_timelike_future(self.n)
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
+        object.__setattr__(self, "n", minkowski.check_unit_timelike_future(self.n))
 
 
 def spin_half(up_amp, down_amp, n=None, tau=0.0):
@@ -173,9 +172,8 @@ class TwoBodySpinState:
             want = c_t if self.symmetry_tag == "symmetric" else -c_t
             if np.max(np.abs(c - want)) > 1e-9:
                 raise ValueError(f"coefficients are not {self.symmetry_tag}")
-        minkowski.check_unit_timelike_future(self.n)
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=float))
+        object.__setattr__(self, "n", minkowski.check_unit_timelike_future(self.n))
 
 
 def _check_fiber(a, b):

@@ -22,7 +22,7 @@ def test_clifford_algebra():
 
 
 def test_gamma5_properties():
-    g5 = dr.gamma5()
+    g5 = dr.GAMMA5
     assert mdev(g5 @ g5 - np.eye(4)) < 1e-14
     for mu in range(4):
         assert mdev(g5 @ dr.GAMMA[mu] + dr.GAMMA[mu] @ g5) < 1e-14

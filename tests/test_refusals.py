@@ -1,16 +1,24 @@
-"""Constructors and functions refuse malformed input with a ValueError."""
+"""Constructors and functions refuse malformed input with a ValueError or
+TypeError whose message is one line, and no numpy warning on the way."""
 
+import warnings
+
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from shpqm import dirac, evolution as ev, little_group as lg, minkowski as mk
-from shpqm import spin_coupling as sc
+from shpqm import dirac, evolution as ev, interference as itf, little_group as lg
+from shpqm import minkowski as mk, sl2c, spin_coupling as sc
 
 N0 = mk.N0
 UP, DOWN = sc.spin_half(1, 0), sc.spin_half(0, 1)
 SPIN_ONE = sc.SpinState(1.0, [1.0, 0.0, 0.0], N0)
 HALF_ONE = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])     # (2j1+1, 2j2+1) for 1/2, 1
 PACKET = ev.MomentumPacket.gaussian_energy_axis(35.0, 0.5, [0.0, 0.0, 1.0], 511000.0, num=8)
+START = ev.PhasePoint(np.zeros(4), mk.four_vector(1.0, 0.1, 0.0, 0.0))
+I2 = np.eye(2, dtype=complex)
+N3 = [1.0, 0.0, 0.0]
 
 REFUSALS = {
     "four-vector-nan": (lambda: mk.four_vector(np.nan), "must be finite"),
@@ -21,7 +29,7 @@ REFUSALS = {
                       "must be four-vectors"),
     "packet-momenta-3": (lambda: ev.MomentumPacket(
         PACKET.momenta[:, 1:], PACKET.amplitudes, PACKET.weights, 1.0, N0),
-        "shape (N, 4)"),
+        "momenta must be four-vectors"),
     "packet-amplitudes": (lambda: ev.MomentumPacket(
         PACKET.momenta, PACKET.amplitudes[1:], PACKET.weights, 1.0, N0),
         "must match the grid"),
@@ -48,9 +56,9 @@ REFUSALS = {
     "induced-width-nan": (lambda: lg.InducedPacketState(
         N0, [1.0, 0.0], np.zeros(4), np.zeros(4), np.nan), "positive and finite, got nan"),
     "induced-center-nan": (lambda: lg.InducedPacketState(
-        N0, [1.0, 0.0], [np.nan] * 4, np.zeros(4)), "center_x must be a finite four-vector"),
+        N0, [1.0, 0.0], [np.nan] * 4, np.zeros(4)), "center_x must be finite"),
     "induced-momentum-3": (lambda: lg.InducedPacketState(
-        N0, [1.0, 0.0], np.zeros(4), np.zeros(3)), "center_p must be a finite four-vector"),
+        N0, [1.0, 0.0], np.zeros(4), np.zeros(3)), "center_p must be four-vectors"),
     "field-not-antisymmetric": (lambda: dirac.FieldTensor(np.eye(4), 1.0, 1.0),
                                 "exactly antisymmetric"),
     "spin-0.3": (lambda: sc.SpinState(0.3, [1.0], N0), "not a half-integer spin"),
@@ -74,11 +82,129 @@ REFUSALS = {
         0.5, 1.0, HALF_ONE, N0)), "identical spins only"),
     "couple-sequence-targets": (lambda: sc.couple_sequence([UP, DOWN, UP], [1.0]),
                                 "N-1 coupling targets"),
+    # a foliation vector of three components used to raise IndexError
+    "packet-n-3": (lambda: ev.MomentumPacket(
+        PACKET.momenta, PACKET.amplitudes, PACKET.weights, 1.0, N3),
+        "n must be four-vectors (last axis 4), got shape (3,)"),
+    "wigner-d-n-3": (lambda: lg.wigner_d(I2, N3), "n must be four-vectors"),
+    "canonical-boost-n-3": (lambda: sl2c.canonical_boost(N3), "n must be four-vectors"),
+    "spin-state-n-3": (lambda: sc.SpinState(0.5, [1.0, 0.0], N3), "n must be four-vectors"),
+    "induced-n-3": (lambda: lg.InducedPacketState(N3, [1.0, 0.0], np.zeros(4), np.zeros(4)),
+                    "n must be four-vectors"),
+    "transport-n-3": (lambda: lg.transport(I2, N3), "n must be four-vectors"),
+    # complex input used to lose its imaginary part with a ComplexWarning
+    "packet-weights-complex": (lambda: ev.MomentumPacket(
+        PACKET.momenta, PACKET.amplitudes, PACKET.weights + 1j, 1.0, N0),
+        "weights must be real numbers, got dtype complex128"),
+    "packet-n-complex": (lambda: ev.MomentumPacket(
+        PACKET.momenta, PACKET.amplitudes, PACKET.weights, 1.0, N0 + 0j),
+        "n must be real numbers, got dtype complex128"),
+    "phase-point-x-complex": (lambda: ev.PhasePoint(np.zeros(4) + 1j, np.zeros(4)),
+                              "x must be real numbers, got dtype complex128"),
+    "transport-n-complex": (lambda: lg.transport(I2, N0 + 1j), "n must be real numbers"),
+    # free_evolve's phase cache raised struct.error
+    "free-evolve-dtau-str": (lambda: ev.free_evolve(PACKET, "1"),
+                             "dtau must be a real number, got '1'"),
+    "free-evolve-dtau-none": (lambda: ev.free_evolve(PACKET, None),
+                              "dtau must be a real number, got None"),
+    "free-evolve-dtau-complex": (lambda: ev.free_evolve(PACKET, 1j),
+                                 "dtau must be a real number, got 1j"),
+    "integrate-dtau-str": (lambda: ev.classical_integrate(START, ev.FreeModel(1.0), "0.1", 3),
+                           "dtau must be positive and finite, got '0.1'"),
+    "integrate-steps-2.5": (lambda: ev.classical_integrate(START, ev.FreeModel(1.0), 0.1, 2.5),
+                            "steps must be non-negative and an integer, got 2.5"),
+    "gaussian-num-2.5": (lambda: ev.MomentumPacket.gaussian_energy_axis(
+        35.0, 0.5, [0.0, 0.0, 1.0], 511000.0, num=2.5),
+        "energy grid needs at least 2 samples (integer num), got 2.5"),
+    "field-charge-nan": (lambda: dirac.FieldTensor(np.zeros((4, 4)), np.nan, 1.0),
+                         "charge must be finite, got nan"),
+    "field-mass-str": (lambda: dirac.FieldTensor(np.zeros((4, 4)), 1.0, "1"),
+                       "mass parameter must be positive and finite, got '1'"),
+    "emission-t1-nan": (lambda: itf.EmissionConfig(30.0, 38.0, np.nan, 0.6, 0.7),
+                        "emission times must be finite, got nan, 0.6"),
+    "emission-e1-inf": (lambda: itf.EmissionConfig(np.inf, 38.0, 0.1, 0.6, 0.7),
+                        "energy e1_ev must be positive and finite, got inf"),
+    "emission-sigma-inf": (lambda: itf.EmissionConfig(30.0, 38.0, 0.1, 0.6, np.inf),
+                           "pulse width must be positive and finite, got inf"),
 }
 
 
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_malformed_input_is_refused(call, message):
-    with pytest.raises(ValueError) as info:
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, TypeError)) as info:
+            call()
     assert message in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+# Every public entry point that takes a foliation vector n and checks it.
+# The batch kernels that verify runs on drawn samples (k_all, sigma_n_pairs,
+# k_l, moved, ...) trust their input and are not listed.
+FIELD = dirac.FieldTensor.from_fields([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+P = mk.four_vector(2.0, 0.3, -0.4, 0.5)
+HALF_HALF = np.eye(2) / np.sqrt(2)
+TAKES_N = {
+    "check_unit_timelike_future": mk.check_unit_timelike_future,
+    "four_vectors": lambda n: mk.four_vectors(n, "n"),
+    "unit_timelike": mk.unit_timelike,
+    "canonical_boost": sl2c.canonical_boost,
+    "wigner_d": lambda n: lg.wigner_d(I2, n),
+    "transport": lambda n: lg.transport(I2, n),
+    "InducedPacketState": lambda n: lg.InducedPacketState(
+        n, [1.0, 0.0], np.zeros(4), np.zeros(4)),
+    "free_k0": lambda n: dirac.free_k0(P, 1.0, n),
+    "spin_hamiltonian": lambda n: dirac.spin_hamiltonian(P, n, FIELD),
+    "dipole_rhs": lambda n: dirac.dipole_rhs(n, FIELD),
+    "projections": lambda n: dirac.projections(P, n),
+    "TwoSpinorPair": lambda n: dirac.TwoSpinorPair([1.0, 0.0], [0.0, 1.0], n),
+    "FourSpinor": lambda n: dirac.FourSpinor(np.full(4, 0.5), n),
+    "SpinState": lambda n: sc.SpinState(0.5, [1.0, 0.0], n),
+    "spin_half": lambda n: sc.spin_half(1.0, 0.0, n),
+    "TwoBodySpinState": lambda n: sc.TwoBodySpinState(0.5, 0.5, HALF_HALF, n),
+    "MomentumPacket": lambda n: ev.MomentumPacket(
+        PACKET.momenta, PACKET.amplitudes, PACKET.weights, 1.0, n),
+    "gaussian_energy_axis": lambda n: ev.MomentumPacket.gaussian_energy_axis(
+        35.0, 0.5, [0.0, 0.0, 1.0], 511000.0, n, num=8),
+}
+# None stands for the rest frame N0 in these
+N_DEFAULTS_TO_REST = {"free_k0", "spin_half", "gaussian_energy_axis"}
+
+_UNIT_N = st.builds(mk.rest_boosted, st.sampled_from("xyz"), st.floats(0.0, 3.0))
+_SPOILED_ENTRY = st.tuples(_UNIT_N, st.integers(0, 3),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def _spoil(case):
+    n, i, value = case
+    n = n.copy()
+    n[i] = value
+    return n
+
+
+MALFORMED_N = st.one_of(
+    # wrong last axis, single and batched
+    st.integers(0, 7).filter(lambda k: k != 4).flatmap(
+        lambda k: st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)),
+    st.sampled_from([(2, 3), (3, 5), (4, 3), (1, 1)]).map(np.ones),
+    # complex, with or without an imaginary part
+    st.tuples(_UNIT_N, st.floats(-1.0, 1.0)).map(lambda c: c[0] + 1j * c[1]),
+    _SPOILED_ENTRY.map(_spoil),     # NaN or inf
+    st.text(max_size=6),
+    st.just(None),
+    st.sampled_from([[], np.empty(0), (), np.empty((0, 3))]),
+)
+
+
+@pytest.mark.parametrize("name", TAKES_N)
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(n=MALFORMED_N)
+def test_malformed_n_is_refused_by_every_entry_point(name, n):
+    if n is None and name in N_DEFAULTS_TO_REST:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, TypeError)) as info:
+            TAKES_N[name](n)
+    assert "\n" not in str(info.value), str(info.value)
