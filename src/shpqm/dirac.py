@@ -195,8 +195,7 @@ class FieldTensor:
         f = minkowski.four_vectors(self.f_lower, "field tensor")
         if f.shape != (4, 4) or np.max(np.abs(f + f.T)) != 0.0:
             raise ValueError("field tensor must be exactly antisymmetric 4x4")
-        if not np.isfinite(self.charge):
-            raise ValueError(f"charge must be finite, got {self.charge!r}")
+        minkowski.finite(self.charge, "charge")
         minkowski.positive(self.mass, "mass parameter")
         f = f.copy()
         f.setflags(write=False)

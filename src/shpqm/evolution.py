@@ -36,8 +36,7 @@ class PhasePoint:
     def __post_init__(self):
         for name in ("x", "p"):
             object.__setattr__(self, name, minkowski.four_vectors(getattr(self, name), name))
-        if not np.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau!r}")
+        minkowski.finite(self.tau, "tau")
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,7 @@ class MomentumPacket:
         if bad.size:
             raise ValueError(f"amplitudes must be finite, got {amps[bad[0]]} at index {bad[0]}")
         minkowski.positive(self.mass_param, "mass parameter")
-        if not np.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau!r}")
+        minkowski.finite(self.tau, "tau")
         if not abs(self.norm_squared_of(amps, w) - 1.0) <= 1e-8:
             raise ValueError("packet must be normalized to 1 within 1e-8")
         object.__setattr__(self, "momenta", ps)

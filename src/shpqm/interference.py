@@ -40,9 +40,8 @@ class EmissionConfig:
         minkowski.positive(self.sigma_t_fs, "pulse width")
         minkowski.positive(self.e1_ev, "energy e1_ev")
         minkowski.positive(self.e2_ev, "energy e2_ev")
-        if not np.isfinite([self.t_emit1_fs, self.t_emit2_fs]).all():
-            raise ValueError(f"emission times must be finite, got {self.t_emit1_fs!r},"
-                             f" {self.t_emit2_fs!r}")
+        minkowski.finite(self.t_emit1_fs, "t_emit1_fs")
+        minkowski.finite(self.t_emit2_fs, "t_emit2_fs")
 
     @property
     def delta_e_ev(self):

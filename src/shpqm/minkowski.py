@@ -86,6 +86,12 @@ def four_vectors(v, name):
     return a
 
 
+def finite(x, name):
+    """Raise ValueError unless x is a real number and finite."""
+    if not (isinstance(x, numbers.Real) and -np.inf < x < np.inf):
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
+
+
 def positive(x, name):
     """Raise ValueError unless x is a real number, finite and > 0."""
     if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
@@ -150,23 +156,28 @@ def classify(v):
     return CausalClass.SPACELIKE
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_unit_timelike_future(n):
     """Per sample: n0 > 0 and n.n = -1 within UNIT_TIMELIKE_TOL relative to max(1, n0^2),
     the size of the terms that cancel in n.n; an n0^2 that overflows (an
-    infinite n0 among them) would make that tolerance infinite, so it fails."""
+    infinite n0 among them) would make that tolerance infinite, so it fails,
+    without a numpy warning."""
     t, x, y, z = components(n)
     t2 = t * t
     return ((t > 0) & (t2 < np.inf)
             & within(abs(-t2 + x * x + y * y + z * z + 1.0), UNIT_TIMELIKE_TOL, t2))
 
 
+@np.errstate(over="ignore", invalid="ignore")     # n.n may overflow
+def _not_unit_timelike_future(n):
+    return f"expected unit future-timelike vector, got {n!r} with n.n = {inner(n, n)}"
+
+
 def check_unit_timelike_future(n):
     """Return n as a float array; raise unless every sample is unit
     future-timelike."""
     n = _four(n, "n")   # the unit-norm test refuses NaN and inf
-    require(is_unit_timelike_future(n),
-            lambda i: f"expected unit future-timelike vector, got {n[i]!r} "
-                      f"with n.n = {inner(n[i], n[i])}")
+    require(is_unit_timelike_future(n), lambda i: _not_unit_timelike_future(n[i]))
     return n
 
 

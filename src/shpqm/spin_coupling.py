@@ -132,6 +132,7 @@ class SpinState:
             raise ValueError("coefficient vector length must be 2j+1")
         if abs(np.linalg.norm(c) - 1.0) > 1e-10:
             raise ValueError("spin coefficients must be normalized")
+        minkowski.finite(self.tau, "tau")
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "n", minkowski.check_unit_timelike_future(self.n))
 
@@ -172,6 +173,7 @@ class TwoBodySpinState:
             want = c_t if self.symmetry_tag == "symmetric" else -c_t
             if np.max(np.abs(c - want)) > 1e-9:
                 raise ValueError(f"coefficients are not {self.symmetry_tag}")
+        minkowski.finite(self.tau, "tau")
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "n", minkowski.check_unit_timelike_future(self.n))
 

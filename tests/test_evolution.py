@@ -317,7 +317,7 @@ def test_packet_refuses_a_mass_not_positive_and_finite(mass):
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
 def test_packet_refuses_a_non_finite_tau(tau):
     packet = make_packet()
-    with pytest.raises(ValueError, match="tau must be finite"):
+    with pytest.raises(ValueError, match="tau must be a finite real number"):
         ev.MomentumPacket(packet.momenta, packet.amplitudes, packet.weights,
                           packet.mass_param, packet.n, tau)
 

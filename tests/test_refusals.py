@@ -19,6 +19,32 @@ PACKET = ev.MomentumPacket.gaussian_energy_axis(35.0, 0.5, [0.0, 0.0, 1.0], 5110
 START = ev.PhasePoint(np.zeros(4), mk.four_vector(1.0, 0.1, 0.0, 0.0))
 I2 = np.eye(2, dtype=complex)
 N3 = [1.0, 0.0, 0.0]
+HALF_HALF = np.eye(2) / np.sqrt(2)
+
+# Every constructor argument that must be a finite real number.
+TAKES_SCALAR = {
+    "PhasePoint.tau": lambda x: ev.PhasePoint(np.zeros(4), np.zeros(4), x),
+    "MomentumPacket.tau": lambda x: ev.MomentumPacket(
+        PACKET.momenta, PACKET.amplitudes, PACKET.weights, 1.0, N0, x),
+    "gaussian_energy_axis.tau": lambda x: ev.MomentumPacket.gaussian_energy_axis(
+        35.0, 0.5, [0.0, 0.0, 1.0], 511000.0, num=8, tau=x),
+    "SpinState.tau": lambda x: sc.SpinState(0.5, [1.0, 0.0], N0, x),
+    "spin_half.tau": lambda x: sc.spin_half(1.0, 0.0, tau=x),
+    "singlet.tau": lambda x: sc.singlet(tau=x),
+    "TwoBodySpinState.tau": lambda x: sc.TwoBodySpinState(0.5, 0.5, HALF_HALF, N0, x),
+    "FieldTensor.charge": lambda x: dirac.FieldTensor(np.zeros((4, 4)), x, 1.0),
+    "EmissionConfig.t_emit1_fs": lambda x: itf.EmissionConfig(30.0, 38.0, x, 0.6, 0.7),
+    "EmissionConfig.t_emit2_fs": lambda x: itf.EmissionConfig(30.0, 38.0, 0.1, x, 0.7),
+}
+# SpinState and TwoBodySpinState took any tau, so couple_two joined spins at
+# tau = NaN and 5; PhasePoint and MomentumPacket took a complex tau
+BAD_TAU = {"nan": np.nan, "inf": np.inf, "complex": 1j, "str": "0.5"}
+TAU_REFUSALS = {
+    f"{constructor}-{kind}": (lambda make=TAKES_SCALAR[constructor], tau=tau: make(tau),
+                              f"tau must be a finite real number, got {tau!r}")
+    for constructor in ("PhasePoint.tau", "MomentumPacket.tau", "SpinState.tau",
+                        "TwoBodySpinState.tau")
+    for kind, tau in BAD_TAU.items()}
 
 REFUSALS = {
     "four-vector-nan": (lambda: mk.four_vector(np.nan), "must be finite"),
@@ -117,15 +143,23 @@ REFUSALS = {
         35.0, 0.5, [0.0, 0.0, 1.0], 511000.0, num=2.5),
         "energy grid needs at least 2 samples (integer num), got 2.5"),
     "field-charge-nan": (lambda: dirac.FieldTensor(np.zeros((4, 4)), np.nan, 1.0),
-                         "charge must be finite, got nan"),
+                         "charge must be a finite real number, got nan"),
     "field-mass-str": (lambda: dirac.FieldTensor(np.zeros((4, 4)), 1.0, "1"),
                        "mass parameter must be positive and finite, got '1'"),
     "emission-t1-nan": (lambda: itf.EmissionConfig(30.0, 38.0, np.nan, 0.6, 0.7),
-                        "emission times must be finite, got nan, 0.6"),
+                        "t_emit1_fs must be a finite real number, got nan"),
     "emission-e1-inf": (lambda: itf.EmissionConfig(np.inf, 38.0, 0.1, 0.6, 0.7),
                         "energy e1_ev must be positive and finite, got inf"),
     "emission-sigma-inf": (lambda: itf.EmissionConfig(30.0, 38.0, 0.1, 0.6, np.inf),
                            "pulse width must be positive and finite, got inf"),
+    "field-charge-complex": (lambda: TAKES_SCALAR["FieldTensor.charge"](1j),
+                             "charge must be a finite real number, got 1j"),
+    "emission-t2-complex": (lambda: TAKES_SCALAR["EmissionConfig.t_emit2_fs"](0.6 + 1j),
+                            "t_emit2_fs must be a finite real number, got (0.6+1j)"),
+    # n0^2 overflows: numpy's overflow warning used to come before the refusal
+    "unit-n-overflow": (lambda: mk.check_unit_timelike_future([1e200, 0.0, 0.0, 0.0]),
+                        "expected unit future-timelike vector"),
+    **TAU_REFUSALS,
 }
 
 
@@ -144,7 +178,6 @@ def test_malformed_input_is_refused(call, message):
 # k_l, moved, ...) trust their input and are not listed.
 FIELD = dirac.FieldTensor.from_fields([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])
 P = mk.four_vector(2.0, 0.3, -0.4, 0.5)
-HALF_HALF = np.eye(2) / np.sqrt(2)
 TAKES_N = {
     "check_unit_timelike_future": mk.check_unit_timelike_future,
     "four_vectors": lambda n: mk.four_vectors(n, "n"),
@@ -207,4 +240,27 @@ def test_malformed_n_is_refused_by_every_entry_point(name, n):
         warnings.simplefilter("error")
         with pytest.raises((ValueError, TypeError)) as info:
             TAKES_N[name](n)
+    assert "\n" not in str(info.value), str(info.value)
+
+
+MALFORMED_SCALAR = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, np.float64(np.nan)]),
+    # complex, with or without an imaginary part
+    st.complex_numbers(max_magnitude=10.0),
+    st.text(max_size=6),
+    st.just(None),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+    st.floats(-1.0, 1.0).map(lambda x: np.array([x])),
+)
+
+
+@pytest.mark.parametrize("name", TAKES_SCALAR)
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(x=MALFORMED_SCALAR)
+def test_malformed_scalar_is_refused_by_every_constructor(name, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            TAKES_SCALAR[name](x)
+    assert "must be a finite real number" in str(info.value), str(info.value)
     assert "\n" not in str(info.value), str(info.value)

@@ -3,54 +3,50 @@
     python tools/kernel_timings.py --out BENCH_16.json change=src parent=../parent/src
 
 Each LABEL=SRC argument names a directory holding a `shpqm` package; with
-none, the package of this repository is timed as `change`.  All checkouts are
-loaded side by side in one interpreter (each under its own module name), and
-every figure is taken by alternating between them, a short block of calls at
-a time, and keeping each one's best block: the speed of a shared machine
-drifts by tens of percent within seconds, and alternating exposes the
-checkouts to the same drift.
-
+none, the package of this repository is timed as `change`.  The checkouts
+are loaded side by side in one interpreter, each under its own module name.
 Every checkout must be from commit b6fd038 on, the first to have every
-function timed below (the last added was `dirac.sigma_n_pairs`).
+function timed below.
 
-For each kernel it times one call on N = 1, 100 and 10,000 samples: a single
-(2, 2) or (4,) input at N = 1, one batched call on a leading sample axis
-otherwise.  Then it times each verification suite as `run_all` calls it at
-1000 samples, and `run_all` itself; it prints to stderr how far `run_all` is
-from the sum of its suites, since on a shared machine the two, timed apart, can
-disagree by ~1.3x.  Then the tau-evolution path of `shpqm evolve`: µs per
-step of `evolution.classical_integrate` over 20,000 free steps, and µs
-per row of the CLI's CSV writer on that trajectory (20,001 rows of 10
-values) and on an interference scan (100,001 rows of 4 values), each
-written to a file.  Then the quantum tau sweep: µs per tau step, one
-`free_evolve` of the packet of `configs/evolve_quantum.cfg` one `dtau` into
-its sweep, then `mass_moments` and `time_energy_uncertainty` of the new
-packet, as each step of the sweep makes them (timing the calls one by one on
-a single packet would time only its cached facts), and beside it µs per
-call of each of the three, clocked within the steps; for the step it gives
-the median and quartiles of its blocks beside the best.  Then `tau_sweep`:
-µs per step of a whole sweep of 2,000 such steps from a fresh packet, as the
-benchmark's evolve op runs it.  Last, the interference scan of
-`configs/interference_example.cfg` at 400,001 samples: the fringe-period
-estimator alone (`interference._dtft_period`), and `shpqm interference
---format csv` end to end through `cli.main`, written to a file.  Last,
-`csv_format`: µs per value of the CLI's CSV writer (`cli._write_csv`) on
-three tables, each written to a file: the interference scan and the
-trajectory above, and 100,000 rows of 4 random float64 bit patterns, whose
-nan, inf and extreme values send most blocks to the writer's %-formatting
-fallback (its worst case).  Last, `cli_dispatch`: µs per
-`cli.main(["wigner", ...])` call with stdout captured, per
-`cli.build_parser()` call as `main` makes it, per parser build (the function
-under its cache), and per transport op: the benchmark's N = 1 op of one
-`induced_transform`, one `transform_pair` with `assemble_spinor` and
-`sector_norm`, and that wigner query.  Uses only the standard library and
-numpy.
+One protocol times every entry.  Each checkout's callable runs in BLOCKS
+blocks, the checkouts' blocks alternating, so that all of them see the same
+drift of a shared machine.  A block repeats the call as often as the slowest
+checkout needs to fill BLOCK_SECONDS.  Every figure is given as the best,
+median and quartiles (q1, q3) of its blocks, in the entry's unit.  A callable
+may also return {part: seconds}, clocked inside it; each part then gets the
+same four figures.
+
+The sections of each checkout's JSON:
+- `kernels`: one call on N = 1, 100 and 10,000 samples (a single input at
+  N = 1, one batched call otherwise) of `spinor_map`, `canonical_boost`,
+  `wigner_d`, `transport`, `sigma_n_pairs`, `sigma_n_all` and `s_lambda`.
+- `suites_s`: `verification.run_all` at 1000 samples, with each entry of
+  `verification.SUITES` clocked inside that same call, and `run_all` less
+  the sum of its suites.
+- `evolve`: `classical_integrate` over 20,000 free steps, and the CLI's CSV
+  writer on that trajectory and on a 100,001-row interference scan.
+- `tau_step`: one tau step of the sweep of `configs/evolve_quantum.cfg`
+  (`free_evolve`, then `mass_moments` and `time_energy_uncertainty` of the
+  new packet), with each of the three calls clocked inside the step.
+- `tau_sweep`: a whole sweep of 2,000 such steps from a fresh packet, as the
+  benchmark's evolve op runs it.
+- `scan_period`: the fringe-period estimator (`interference._dtft_period`)
+  and `shpqm interference --format csv` through `cli.main`, on the scan of
+  `configs/interference_example.cfg` at 400,001 samples.
+- `csv_format`: `cli._write_csv` on the scan and the trajectory above, and
+  on 100,000 rows of 4 random float64 bit patterns, whose nan, inf and
+  extreme values send most blocks to the writer's %-formatting fallback.
+- `cli_dispatch`: a `shpqm wigner` query through `cli.main`, the parser as
+  `main` gets it and as built, and the benchmark's N = 1 transport op.
+Files are written to a temporary directory.  Uses only the standard library
+and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
@@ -59,24 +55,25 @@ import os
 import platform
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
+BLOCKS = 9
+BLOCK_SECONDS = 0.01
 SIZES = (1, 100, 10_000)
-SUITE_SAMPLES = 1000
-SUITE_REPEATS = 9     # a suite is one call; a best of 3 was seen off by 1.7x
+SUITE_SEED, SUITE_SAMPLES = 42, 1000
 EVOLVE_STEPS = 20_000
 SCAN_ROWS = 100_001
 PERIOD_SAMPLES = 400_001
 RANDOM_ROWS = 100_000
+SWEEP_STEPS = 2000
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EXAMPLE_CONFIG = CONFIGS / "interference_example.cfg"
 QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
 WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
-TAU_STEP_CALLS = ("free_evolve", "mass_moments", "time_energy_uncertainty")
-SWEEP_STEPS = 2000
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_pairs", "dirac.sigma_n_all",
            "dirac.s_lambda")
@@ -94,17 +91,49 @@ def load(src, alias):
     return package
 
 
-def best_seconds(calls, repeats, number):
-    """{label: best over `repeats` of the mean time of `number` calls}, the
-    labels' blocks alternating."""
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(repeats):
-        for label, fn in calls.items():
+def calls_per_block(calls):
+    """The number of calls that fills BLOCK_SECONDS for the slowest of
+    `calls`, doubled from 1; the trials warm each callable up."""
+    def fill(fn):
+        number = 1
+        while True:
             t0 = perf_counter()
             for _ in range(number):
                 fn()
-            best[label] = min(best[label], (perf_counter() - t0) / number)
-    return best
+            if perf_counter() - t0 >= BLOCK_SECONDS:
+                return number
+            number *= 2
+    return min(fill(fn) for fn in calls)
+
+
+def time_blocks(calls, blocks, number):
+    """{label: {part: seconds per call in each block}} for the callables
+    `calls`, each run `number` times a block for `blocks` blocks, the labels'
+    blocks alternating.  Part "" is the block's own clock; a callable that
+    returns {part: seconds}, clocked inside it, adds those parts."""
+    times = {label: {} for label in calls}
+    for _ in range(blocks):
+        for label, fn in calls.items():
+            clocked = []
+            t0 = perf_counter()
+            for _ in range(number):
+                got = fn()
+                if type(got) is dict:
+                    clocked.append(got)
+            block = Counter({"": perf_counter() - t0})
+            for got in clocked:
+                block.update(got)
+            for part, seconds in block.items():
+                times[label].setdefault(part, []).append(seconds / number)
+    return {label: {part: np.array(s) for part, s in parts.items()}
+            for label, parts in times.items()}
+
+
+def summary(values):
+    """{best, median, q1, q3} of `values`, to 4 significant digits."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {name: float(f"{value:.4g}") for name, value in
+            (("best", np.min(values)), ("median", median), ("q1", q1), ("q3", q3))}
 
 
 def kernel_inputs(package, count, seed=0):
@@ -124,48 +153,33 @@ def kernel(package, name, a, n):
     return getattr(getattr(package, module), fn), args
 
 
-def kernel_table(packages, inputs):
-    table = {label: {name: {} for name in KERNELS} for label in packages}
-    for size in SIZES:
-        for name in KERNELS:
-            calls = {}
-            for label, package in packages.items():
-                fn, args = kernel(package, name, *(x[:size] for x in inputs))
-                if size == 1:
-                    args = tuple(x[0] for x in args)
-                calls[label] = lambda f=fn, s=args: f(*s)
-            number = 1000 if size == 1 else max(1, 10_000 // size)
-            repeats = 15 if size == 1 else 5
-            for label, seconds in best_seconds(calls, repeats, number).items():
-                us = seconds * 1e6
-                table[label][name][f"N={size}"] = {
-                    "us_per_call": round(us, 3), "us_per_sample": round(us / size, 4)}
-    return table
+def suite_call(verification, samples):
+    """A call of `verification.run_all` that returns {suite: seconds} for each
+    entry of `verification.SUITES`, clocked inside that call, with "run_all"
+    and "minus_suites" (run_all less the sum of its suites).  Each suite's
+    `samples` argument goes into `samples`.  The suites are wrapped in place
+    for the call and restored after it, also when one raises."""
+    def clocked(name, fn, clock):
+        def suite(*args, **kwargs):
+            samples[name] = kwargs.get("samples", 0)
+            t0 = perf_counter()
+            result = fn(*args, **kwargs)
+            clock[name] = perf_counter() - t0
+            return result
+        return suite
 
-
-def suite_table(packages):
-    table = {label: {} for label in packages}
-    for name in next(iter(packages.values())).verification.SUITES:
-        if name == "rest_frame":
-            kwargs = {}
-        elif name == "coupling":     # run_all's share for this suite
-            kwargs = {"seed": 42, "samples": max(10, SUITE_SAMPLES // 5)}
-        else:
-            kwargs = {"seed": 42, "samples": SUITE_SAMPLES}
-        calls = {label: (lambda f=p.verification.SUITES[name]: f(**kwargs))
-                 for label, p in packages.items()}
-        for label, seconds in best_seconds(calls, SUITE_REPEATS, 1).items():
-            table[label][name] = {"seconds": round(seconds, 5),
-                                  "samples": kwargs.get("samples", 0)}
-    calls = {label: (lambda p=p: p.verification.run_all(42, SUITE_SAMPLES))
-             for label, p in packages.items()}
-    for label, seconds in best_seconds(calls, SUITE_REPEATS, 1).items():
-        gap = seconds - sum(entry["seconds"] for entry in table[label].values())
-        table[label]["run_all"] = {"seconds": round(seconds, 5), "samples": SUITE_SAMPLES,
-                                   "minus_suites_seconds": round(gap, 5)}
-        print(f"{label}: run_all {seconds:.5f} s, minus the sum of its suites {gap:+.5f} s",
-              file=sys.stderr)
-    return table
+    def call():
+        clock, originals = {}, dict(verification.SUITES)
+        verification.SUITES.update(
+            {name: clocked(name, fn, clock) for name, fn in originals.items()})
+        try:
+            t0 = perf_counter()
+            verification.run_all(SUITE_SEED, SUITE_SAMPLES)
+            clock["run_all"] = perf_counter() - t0
+        finally:
+            verification.SUITES.update(originals)
+        return {**clock, "minus_suites": clock["run_all"] - sum(clock[n] for n in originals)}
+    return call
 
 
 def sample_tables(package):
@@ -181,37 +195,6 @@ def sample_tables(package):
     return start, model, traj, scan
 
 
-def evolve_calls(package, path):
-    """{name: (callable, work units)} for the `shpqm evolve` path of `package`,
-    the CSV writers writing to `path`."""
-    ev, cli = package.evolution, package.cli
-    start, model, traj, scan = sample_tables(package)
-    write_traj = lambda: cli._write_csv(path, "tau,t,x,y,z,E,px,py,pz,K",
-                                        [traj.tau, traj.x, traj.p, traj.k])
-    write_scan = lambda: cli._write_csv(
-        path, "delta_t_fs,probability,envelope,interference_term",
-        [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference])
-    return {"classical_integrate": (lambda: ev.classical_integrate(
-                start, model, 0.01, EVOLVE_STEPS), EVOLVE_STEPS),
-            "evolve_csv": (write_traj, EVOLVE_STEPS + 1),
-            "scan_csv": (write_scan, SCAN_ROWS)}
-
-
-def evolve_table(packages):
-    table = {label: {} for label in packages}
-    with tempfile.TemporaryDirectory() as tmp:
-        calls = {label: evolve_calls(p, str(Path(tmp) / f"{label}.csv"))
-                 for label, p in packages.items()}
-        for name, unit in (("classical_integrate", "step"), ("evolve_csv", "row"),
-                           ("scan_csv", "row")):
-            count = next(iter(calls.values()))[name][1]
-            best = best_seconds({label: c[name][0] for label, c in calls.items()}, 5, 1)
-            for label, seconds in best.items():
-                table[label][name] = {f"us_per_{unit}": round(seconds * 1e6 / count, 4),
-                                      f"{unit}s": count, "seconds": round(seconds, 5)}
-    return table
-
-
 def quantum_start(package):
     """(fresh packet, dtau) of QUANTUM_CONFIG, the packet built afresh on
     each call of the first."""
@@ -224,11 +207,9 @@ def quantum_start(package):
 
 
 def tau_step_call(package):
-    """One tau step of the quantum sweep from the packet of QUANTUM_CONFIG
-    after one step of its dtau: free_evolve, then mass_moments and
-    time_energy_uncertainty of the new packet, returning the seconds of each
-    call.  The packet has had one whole step, so it carries what a sweep
-    carries from step to step."""
+    """One tau step from the packet of QUANTUM_CONFIG after one step of its
+    dtau, so that it carries what a sweep carries from step to step,
+    returning the seconds of each of its three calls."""
     ev = package.evolution
     fresh, dtau = quantum_start(package)
 
@@ -239,45 +220,15 @@ def tau_step_call(package):
         ev.mass_moments(evolved)
         t2 = perf_counter()
         ev.time_energy_uncertainty(evolved)
-        return evolved, (t1 - t0, t2 - t1, perf_counter() - t2)
+        return evolved, {"free_evolve": t1 - t0, "mass_moments": t2 - t1,
+                         "time_energy_uncertainty": perf_counter() - t2}
 
     packet = step(fresh())[0]
     return lambda: step(packet)[1]
 
 
-def spread(us):
-    """{best, median, q1, q3} of the block times `us`, rounded."""
-    q1, median, q3 = np.percentile(us, [25, 50, 75])
-    return {"best": round(float(np.min(us)), 3), "median": round(float(median), 3),
-            "q1": round(float(q1), 3), "q3": round(float(q3), 3)}
-
-
-def tau_step_table(packages):
-    """µs per tau step and per call of each of its three calls, each the
-    best over 15 alternating blocks of 300 steps, and the median and
-    quartiles of the step over those blocks; the step's own clock reads are
-    part of its total."""
-    calls = {label: tau_step_call(p) for label, p in packages.items()}
-    blocks = {label: [] for label in calls}
-    for _ in range(15):
-        for label, step in calls.items():
-            t0 = perf_counter()
-            parts = [step() for _ in range(300)]
-            blocks[label].append([perf_counter() - t0, *np.sum(parts, axis=0)])
-    keys = ("us_per_step", *(f"{name}_us" for name in TAU_STEP_CALLS))
-    table = {}
-    for label, block in blocks.items():
-        us = np.array(block) * 1e6 / 300
-        table[label] = dict(zip(keys, np.round(us.min(axis=0), 3).tolist()))
-        table[label]["us_per_step_blocks"] = spread(us[:, 0])
-    return table
-
-
 def tau_sweep_call(package):
-    """A sweep of SWEEP_STEPS tau steps from a fresh packet of
-    QUANTUM_CONFIG, each step free_evolve, then mass_moments and
-    time_energy_uncertainty of the new packet, as the benchmark's evolve op
-    makes them."""
+    """A sweep of SWEEP_STEPS tau steps from a fresh packet of QUANTUM_CONFIG."""
     ev = package.evolution
     fresh, dtau = quantum_start(package)
 
@@ -290,112 +241,112 @@ def tau_sweep_call(package):
     return sweep
 
 
-def tau_sweep_table(packages):
-    """µs per step of a whole tau sweep: best, median and quartiles of 9
-    alternating sweeps."""
-    calls = {label: tau_sweep_call(p) for label, p in packages.items()}
-    sweeps = {label: [] for label in calls}
-    for _ in range(9):
-        for label, sweep in calls.items():
-            t0 = perf_counter()
-            sweep()
-            sweeps[label].append((perf_counter() - t0) * 1e6 / SWEEP_STEPS)
-    return {label: {"steps": SWEEP_STEPS, "us_per_step": spread(us)}
-            for label, us in sweeps.items()}
-
-
-def period_calls(package, path):
-    """{name: (callable, what it times)} for the fringe period and the CSV
-    scan of the example config at PERIOD_SAMPLES samples, the CSV going to
-    `path`."""
-    itf, cli = package.interference, package.cli
-    values = cli.load_config(EXAMPLE_CONFIG)
-    emission = itf.EmissionConfig(*(float(values[k]) for k in (
-        "e1_ev", "e2_ev", "t_emit1_fs", "t_emit2_fs", "sigma_t_fs")))
-    scan = itf.scan_interference(emission, float(values["dt_min_fs"]),
-                                 float(values["dt_max_fs"]), PERIOD_SAMPLES)
-    argv = ["interference", "--config", str(EXAMPLE_CONFIG), "--format", "csv",
-            "--samples", str(PERIOD_SAMPLES), "--out", path]
-    return {"period_estimator": (lambda: itf._dtft_period(scan.dt_grid_fs, scan.interference),
-                                 "interference._dtft_period"),
-            "scan_cli_csv": (lambda: cli.main(argv), "shpqm interference --format csv")}
-
-
-def period_table(packages):
-    table = {label: {} for label in packages}
-    with tempfile.TemporaryDirectory() as tmp:
-        calls = {label: period_calls(p, str(Path(tmp) / f"{label}.csv"))
-                 for label, p in packages.items()}
-        for name in ("period_estimator", "scan_cli_csv"):
-            best = best_seconds({label: c[name][0] for label, c in calls.items()}, 5, 1)
-            for label, seconds in best.items():
-                table[label][name] = {"seconds": round(seconds, 5),
-                                      "samples": PERIOD_SAMPLES, "timed": calls[label][name][1]}
-    return table
-
-
-def csv_format_calls(package, path):
-    """{table: (callable, values written)} for `cli._write_csv` of `package`
-    writing each table of `csv_format` to `path`."""
-    cli = package.cli
-    _, _, traj, scan = sample_tables(package)
-    bits = np.random.default_rng(8).integers(0, 2**64, (RANDOM_ROWS, 4), dtype=np.uint64)
-    tables = {"scan": [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference],
-              "trajectory": [traj.tau, traj.x, traj.p, traj.k],
-              "random_bits": [bits.view(np.float64)]}
-    return {name: (lambda c=columns: cli._write_csv(path, "header", c),
-                   np.column_stack(columns).size)
-            for name, columns in tables.items()}
-
-
-def csv_format_table(packages):
-    table = {label: {} for label in packages}
-    with tempfile.TemporaryDirectory() as tmp:
-        calls = {label: csv_format_calls(p, str(Path(tmp) / f"{label}.csv"))
-                 for label, p in packages.items()}
-        for name in ("scan", "trajectory", "random_bits"):
-            best = best_seconds({label: c[name][0] for label, c in calls.items()}, 5, 1)
-            for label, seconds in best.items():
-                count = calls[label][name][1]
-                table[label][name] = {"us_per_value": round(seconds * 1e6 / count, 4),
-                                      "values": count, "seconds": round(seconds, 5)}
-    return table
-
-
-def dispatch_calls(package):
-    """{name: callable} for the N = 1 CLI path of `package`: a wigner query
-    through `cli.main`, the parser as `main` gets it and as built, and one
-    transport op on fixed inputs."""
-    cli, lg, dirac, sl2c = package.cli, package.little_group, package.dirac, package.sl2c
+def transport_call(package, wigner):
+    """The benchmark's N = 1 transport op on fixed inputs: one
+    `induced_transform`, one `transform_pair` with `assemble_spinor` and
+    `sector_norm`, and the wigner query `wigner`."""
+    lg, dirac, sl2c = package.little_group, package.dirac, package.sl2c
     rng = np.random.default_rng(9)
     n = package.minkowski.random_unit_timelike(rng, 1.5)
     center_x, center_p = rng.normal(size=4), rng.normal(size=4)
     spin = np.array([0.6, 0.8j])
     a = sl2c.sl2c_rotation([0.0, 0.6, 0.8], 1.1) @ sl2c.sl2c_boost([0.8, 0.0, 0.6], 0.9)
 
-    def wigner():
-        with contextlib.redirect_stdout(io.StringIO()):
-            return cli.main(WIGNER_ARGV)
-
     def transport():
         lg.induced_transform(lg.InducedPacketState(n, spin, center_x, center_p, 1.0), a)
         pair = dirac.transform_pair(dirac.TwoSpinorPair(spin, spin[::-1], n), a)
         dirac.sector_norm(dirac.assemble_spinor(pair))
         wigner()
-
-    return {"main_wigner": wigner, "build_parser": cli.build_parser,
-            "parser_build": cli.build_parser.__wrapped__,
-            "transport_op": transport}
+    return transport
 
 
-def dispatch_table(packages):
-    table = {label: {} for label in packages}
-    calls = {label: dispatch_calls(p) for label, p in packages.items()}
-    for name in ("main_wigner", "build_parser", "parser_build", "transport_op"):
-        best = best_seconds({label: c[name] for label, c in calls.items()}, 15, 200)
-        for label, seconds in best.items():
-            table[label][name] = {"us_per_call": round(seconds * 1e6, 3)}
-    return table
+def per(unit, count):
+    """(figures, fields) of an entry that does `count` units of work a call."""
+    return {f"us_per_{unit}": ("", 1e6 / count), "seconds": ("", 1.0)}, {f"{unit}s": count}
+
+
+def entries(package, inputs, path):
+    """Yield the timed entries of `package` as (where, callable, figures,
+    fields): `where` is the entry's place in the JSON, `figures` maps each
+    figure's name to (part, scale), the part's seconds per call times scale
+    giving the figure in its unit, and `fields` are fixed values.  Files go
+    to `path`."""
+    ev, itf, cli = package.evolution, package.interference, package.cli
+    for size in SIZES:
+        for name in KERNELS:
+            fn, args = kernel(package, name, *(x[:size] for x in inputs))
+            if size == 1:
+                args = tuple(x[0] for x in args)
+            yield (f"kernels/{name}/N={size}", functools.partial(fn, *args),
+                   {"us_per_call": ("", 1e6), "us_per_sample": ("", 1e6 / size)}, {})
+
+    samples = {}
+    run_all = suite_call(package.verification, samples)
+    run_all()       # fills `samples` with what run_all passes each suite
+    yield ("suites_s", run_all,
+           {**{f"{name}/seconds": (name, 1.0) for name in samples},
+            "run_all/seconds": ("run_all", 1.0),
+            "run_all/minus_suites_seconds": ("minus_suites", 1.0)},
+           {**{f"{name}/samples": count for name, count in samples.items()},
+            "run_all/samples": SUITE_SAMPLES})
+
+    start, model, traj, scan = sample_tables(package)
+    trajectory = [traj.tau, traj.x, traj.p, traj.k]
+    scan_columns = [scan.dt_grid_fs, scan.probability, scan.envelope, scan.interference]
+    yield ("evolve/classical_integrate",
+           lambda: ev.classical_integrate(start, model, 0.01, EVOLVE_STEPS),
+           *per("step", EVOLVE_STEPS))
+    yield ("evolve/evolve_csv",
+           lambda: cli._write_csv(path, "tau,t,x,y,z,E,px,py,pz,K", trajectory),
+           *per("row", EVOLVE_STEPS + 1))
+    yield ("evolve/scan_csv",
+           lambda: cli._write_csv(path, "delta_t_fs,probability,envelope,interference_term",
+                                  scan_columns),
+           *per("row", SCAN_ROWS))
+
+    # us_per_step_blocks repeats us_per_step, for readers of older files
+    yield ("tau_step", tau_step_call(package),
+           {"us_per_step": ("", 1e6), "us_per_step_blocks": ("", 1e6),
+            **{f"{part}_us": (part, 1e6)
+               for part in ("free_evolve", "mass_moments", "time_energy_uncertainty")}}, {})
+    yield ("tau_sweep", tau_sweep_call(package), *per("step", SWEEP_STEPS))
+
+    values = cli.load_config(EXAMPLE_CONFIG)
+    emission = itf.EmissionConfig(*(float(values[k]) for k in (
+        "e1_ev", "e2_ev", "t_emit1_fs", "t_emit2_fs", "sigma_t_fs")))
+    period_scan = itf.scan_interference(emission, float(values["dt_min_fs"]),
+                                        float(values["dt_max_fs"]), PERIOD_SAMPLES)
+    figures, fields = per("sample", PERIOD_SAMPLES)
+    yield ("scan_period/period_estimator",
+           lambda: itf._dtft_period(period_scan.dt_grid_fs, period_scan.interference),
+           figures, {**fields, "timed": "interference._dtft_period"})
+    argv = ["interference", "--config", str(EXAMPLE_CONFIG), "--format", "csv",
+            "--samples", str(PERIOD_SAMPLES), "--out", path]
+    yield ("scan_period/scan_cli_csv", lambda: cli.main(argv),
+           figures, {**fields, "timed": "shpqm interference --format csv"})
+
+    bits = np.random.default_rng(8).integers(0, 2**64, (RANDOM_ROWS, 4), dtype=np.uint64)
+    for name, columns in (("scan", scan_columns), ("trajectory", trajectory),
+                          ("random_bits", [bits.view(np.float64)])):
+        yield (f"csv_format/{name}", functools.partial(cli._write_csv, path, "header", columns),
+               *per("value", np.column_stack(columns).size))
+
+    def wigner():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(WIGNER_ARGV)
+
+    for name, fn in (("main_wigner", wigner), ("build_parser", cli.build_parser),
+                     ("parser_build", cli.build_parser.__wrapped__),
+                     ("transport_op", transport_call(package, wigner))):
+        yield f"cli_dispatch/{name}", fn, {"us_per_call": ("", 1e6)}, {}
+
+
+def put(tree, where, value):
+    """Set tree[a][b]...[z] = value for `where` = "a/b/.../z"."""
+    *parents, leaf = where.split("/")
+    for key in parents:
+        tree = tree.setdefault(key, {})
+    tree[leaf] = value
 
 
 def main(argv=None):
@@ -409,23 +360,24 @@ def main(argv=None):
     checkouts = dict(item.split("=", 1) for item in args.checkouts or [f"change={repo_src}"])
     packages = {label: load(src, f"shpqm_{label}") for label, src in checkouts.items()}
     inputs = kernel_inputs(next(iter(packages.values())), max(SIZES))
-    kernels, suites = kernel_table(packages, inputs), suite_table(packages)
-    evolve, tau_step = evolve_table(packages), tau_step_table(packages)
-    tau_sweep = tau_sweep_table(packages)
-    period, csv_format = period_table(packages), csv_format_table(packages)
-    dispatch = dispatch_table(packages)
     data = {"environment": {
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": np.__version__, "machine": platform.machine(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-        "method": "checkouts loaded side by side; best block, blocks alternating"
-                  " (tau_step and tau_sweep also median and quartiles)"}}
-    for label in packages:
-        data[label] = {"kernels": kernels[label], "suites_s": suites[label],
-                       "evolve": evolve[label], "tau_step": tau_step[label],
-                       "tau_sweep": tau_sweep[label],
-                       "scan_period": period[label], "csv_format": csv_format[label],
-                       "cli_dispatch": dispatch[label]}
+        "method": f"checkouts loaded side by side; {BLOCKS} alternating blocks of"
+                  f" about {BLOCK_SECONDS} s; best, median and quartiles of the blocks"}}
+    with tempfile.TemporaryDirectory() as tmp:
+        timed = zip(*(entries(package, inputs, str(Path(tmp) / f"{label}.csv"))
+                      for label, package in packages.items()))
+        for row in timed:
+            calls = {label: fn for label, (_, fn, _, _) in zip(packages, row)}
+            times = time_blocks(calls, BLOCKS, calls_per_block(calls.values()))
+            for label, (where, _, figures, fields) in zip(packages, row):
+                table = data.setdefault(label, {})
+                for key, (part, scale) in figures.items():
+                    put(table, f"{where}/{key}", summary(times[label][part] * scale))
+                for key, value in fields.items():
+                    put(table, f"{where}/{key}", value)
     Path(args.out).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(data, indent=2, sort_keys=True))
     return 0
