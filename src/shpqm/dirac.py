@@ -275,9 +275,11 @@ def sector_metric(n):
 
 
 def is_sector_hermitian(op, n):
-    """True when eta op = op^dagger eta, to 1e-10, in the n-sector scalar product."""
+    """True when eta op = op^dagger eta, to 1e-10, in the n-sector scalar
+    product; one flag per sample."""
     eta = sector_metric(n)
-    return np.max(np.abs(eta @ op - op.conj().T @ eta)) <= 1e-10
+    dev = np.abs(eta @ op - np.swapaxes(op.conj(), -1, -2) @ eta)
+    return dev.max(axis=(-2, -1)) <= 1e-10
 
 
 @dataclass(frozen=True)
@@ -289,8 +291,14 @@ class TwoSpinorPair:
     n: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=complex))
+        for name in ("psi", "phi"):
+            a = minkowski.complex_array(getattr(self, name), name)
+            if a.shape[-1:] != (2,):
+                raise ValueError(f"{name} must be 2-spinors (last axis 2), got shape {a.shape}")
+            if not np.isfinite(a).all():    # one pass; require names the first bad sample
+                minkowski.require(np.isfinite(a).all(axis=-1),
+                                  lambda i: f"{name} must be finite, got {a[i].tolist()}")
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "n", minkowski.four_vectors(self.n, "n"))
 
 

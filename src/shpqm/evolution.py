@@ -205,10 +205,10 @@ def poisson(f, g, at):
 
 
 class EnergyGrid(NamedTuple):
-    """Facts about a packet's energy axis p^0, sorted: `order` sorts the
-    samples (None when they already are), `e` and `w` are the sorted
-    energies and weights, `root_w` the square roots of w and `step` the
-    uniform spacing.
+    """Facts about a packet's energy axis p^0: `order` sorts the samples
+    (slice(None) when they already are), `root_w` holds the square roots of
+    the sorted weights, `step` the uniform spacing, `de` the spread of p^0
+    under w |a|^2 and `eps` the chirp guard's max |p^0 - E_c|, E_c the mean.
 
     The rest serve the time profile, the DFT of the N samples zero-padded to
     L = TIME_PAD N bins, taken as TIME_PAD N-point transforms: `roots` is
@@ -219,19 +219,17 @@ class EnergyGrid(NamedTuple):
     fftfreq time grid, in that (j, m) order and each twice (for the real and
     the imaginary part), shape (3, 2 L)."""
 
-    order: np.ndarray | None
-    e: np.ndarray
-    w: np.ndarray
+    order: np.ndarray | slice
     root_w: np.ndarray
     step: float
+    de: float
+    eps: float
     roots: np.ndarray
     twiddle: np.ndarray
     moments: np.ndarray
 
 
 TIME_PAD = 8    # the time profile is a DFT zero-padded to TIME_PAD times the grid
-
-DISTRIBUTION_FACTS = ("probability", "_mass_moments", "_energy_moments")
 
 
 @dataclass(frozen=True)
@@ -240,10 +238,10 @@ class MomentumPacket:
 
     momenta has shape (N, 4); amplitudes shape (N,); weights, finite and
     non-negative, are the quadrature weights of the grid: sum(w |a|^2) = 1.
-    The facts of the grid (p.p, the energy grid, the free phase of the last
-    dtau) and of the distribution w |a|^2 (DISTRIBUTION_FACTS) are computed
-    on first use and carried along by free_evolve, whose unit-modulus phase
-    changes neither; _evolved drops the latter.  evolved_tau is the free
+    Its cached facts (p.p, the mass moments, the energy grid, the free phase
+    of the last dtau) are computed on first use and all carried along by
+    free_evolve: they depend on the grid and on w |a|^2 alone, which its
+    unit-modulus phase leaves as they are.  evolved_tau is the free
     evolution applied since the amplitudes were set: 0 when built, whatever tau is.
     """
 
@@ -257,7 +255,7 @@ class MomentumPacket:
 
     def __post_init__(self):
         ps = minkowski.four_vectors(self.momenta, "momenta")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = minkowski.complex_array(self.amplitudes, "amplitudes")
         w = minkowski.real(self.weights, "weights")
         if ps.ndim != 2 or amps.shape != ps.shape[:1] or w.shape != ps.shape[:1]:
             raise ValueError("momenta (N, 4), amplitudes and weights must match the grid")
@@ -291,53 +289,37 @@ class MomentumPacket:
         return np.einsum("ka,ab,kb->k", self.momenta, minkowski.METRIC, self.momenta)
 
     @cached_property
-    def probability(self):
-        """w |a|^2 / sum(w |a|^2) of each sample, in the packet's order; the
-        packet it was computed on hands it down its free evolution."""
-        prob = self.weights * np.abs(self.amplitudes) ** 2
-        return prob / prob.sum()
-
-    @cached_property
     def _mass_moments(self):
-        prob, m2 = self.probability, -self.p_dot_p
+        prob = self.weights * np.abs(self.amplitudes) ** 2
+        prob, m2 = prob / prob.sum(), -self.p_dot_p
         mean = float(prob @ m2)
         return mean, float(prob @ (m2 - mean) ** 2)
 
     @cached_property
-    def _energy_moments(self):
-        """(mean, spread, max |p^0 - mean|) of p^0, summed in the energy grid's order."""
-        grid = self.energy_grid
-        if grid.order is None:
-            prob = self.probability
-        else:   # sorted, then normalised: the sum runs in the grid's order
-            prob = grid.w * np.abs(self.amplitudes[grid.order]) ** 2
-            prob = prob / prob.sum()
-        e = grid.e
-        e_mean = float(prob @ e)
-        return (e_mean, float(np.sqrt(prob @ (e - e_mean) ** 2)),
-                max(e[-1] - e_mean, e_mean - e[0]))
-
-    @cached_property
     def energy_grid(self):
-        """The EnergyGrid of the p^0 axis; raises ValueError unless the
-        energies are at least 2 and uniformly spaced."""
+        """The EnergyGrid of the p^0 axis, summed in sorted order; raises
+        ValueError unless the energies are at least 2 and uniformly spaced."""
         e = self.momenta[:, 0]
         if len(e) < 2:
             raise ValueError("time profile needs at least 2 energy samples")
-        order = None if np.all(e[:-1] <= e[1:]) else np.argsort(e)
-        if order is not None:
-            e = e[order]
+        order = slice(None) if np.all(e[:-1] <= e[1:]) else np.argsort(e)
+        e = e[order]
         gaps = np.diff(e)
         step = float(e[1] - e[0])
         if not (step > 0 and np.ptp(gaps) <= 1e-9 * np.max(np.abs(gaps))):
             raise ValueError("time profile needs a uniform energy grid")
-        w = self.weights if order is None else self.weights[order]
+        w = self.weights[order]
+        prob = w * np.abs(self.amplitudes[order]) ** 2
+        prob = prob / prob.sum()
+        e_mean = float(prob @ e)
+        de = float(np.sqrt(prob @ (e - e_mean) ** 2))
         size = TIME_PAD * len(e)
         roots = np.exp(-2j * np.pi / size * np.arange(size))
         twiddle = roots[np.outer(np.arange(TIME_PAD), np.arange(len(e)))]
         t = (np.fft.fftfreq(size, d=step) * 2 * np.pi).reshape(-1, TIME_PAD).T
         moments = np.repeat(np.stack((np.ones_like(t), t, t * t)).reshape(3, -1), 2, axis=1)
-        return EnergyGrid(order, e, w, np.sqrt(w), step, roots, twiddle, moments)
+        return EnergyGrid(order, np.sqrt(w), step, de, max(e[-1] - e_mean, e_mean - e[0]),
+                          roots, twiddle, moments)
 
     def _free_phase(self, dtau):
         """exp(-i p.p dtau / 2M) of each sample; raises ValueError when it is
@@ -359,17 +341,6 @@ class MomentumPacket:
             raise ValueError(f"free evolution phase is not finite for dtau = {dtau!r}")
         self.__dict__["_phase"] = key, phase
         return phase
-
-    def _evolved(self, amplitudes, dtau):
-        """This packet evolved by `dtau` to new amplitudes of the same norm,
-        built without validation; it keeps the cached facts that depend on
-        the grid alone and drops those of the distribution."""
-        packet = object.__new__(type(self))
-        packet.__dict__.update(self.__dict__, amplitudes=amplitudes, tau=self.tau + dtau,
-                               evolved_tau=self.evolved_tau + dtau)
-        for name in DISTRIBUTION_FACTS:
-            packet.__dict__.pop(name, None)
-        return packet
 
     @classmethod
     def gaussian_energy_axis(cls, e_center, e_width, spatial_p, mass_param,
@@ -402,19 +373,20 @@ class MomentumPacket:
 def free_evolve(packet, dtau):
     """Multiply each amplitude by exp(-i (p.p) dtau / 2M).
 
-    The phase has unit modulus, so the packet keeps its norm and is not
-    validated again, and keeps w |a|^2: it gets what `packet` has computed of
-    DISTRIBUTION_FACTS.  Raises ValueError when the phase is not finite.
+    The phase has unit modulus, so the packet keeps its norm and w |a|^2: it
+    is not validated again and keeps every fact `packet` has cached.  Raises
+    ValueError when the phase is not finite.
     """
-    child = packet._evolved(packet.amplitudes * packet._free_phase(dtau), dtau)
-    child.__dict__.update((name, packet.__dict__[name])
-                          for name in DISTRIBUTION_FACTS if name in packet.__dict__)
+    phase = packet._free_phase(dtau)
+    child = object.__new__(type(packet))
+    child.__dict__.update(packet.__dict__, amplitudes=packet.amplitudes * phase,
+                          tau=packet.tau + dtau, evolved_tau=packet.evolved_tau + dtau)
     return child
 
 
 def mass_moments(packet):
-    """Mean and variance of the invariant mass squared -p.p; computed once,
-    they are carried along free evolution, which conserves them exactly."""
+    """Mean and variance of the invariant mass squared -p.p; cached, and so,
+    as every cached fact, kept by free evolution, which conserves them exactly."""
     return packet._mass_moments
 
 
@@ -439,13 +411,11 @@ def time_energy_uncertainty(packet):
     window and give a wrong spread.
     """
     grid = packet.energy_grid
-    _, de, eps = packet._energy_moments
-    chirp_step = eps * abs(packet.evolved_tau) * grid.step / packet.mass_param
+    chirp_step = grid.eps * abs(packet.evolved_tau) * grid.step / packet.mass_param
     if not chirp_step <= np.pi:
         raise ValueError(f"energy grid undersamples the evolution phase after tau ="
                          f" {packet.evolved_tau!r}: {chirp_step:.3e} rad per sample > pi")
-    amps = packet.amplitudes if grid.order is None else packet.amplitudes[grid.order]
-    y = amps * grid.root_w
+    y = packet.amplitudes[grid.order] * grid.root_w
     # the profile pt of L bins has its circular mean at bin c, the angle of
     # sum_k pt_k exp(2 pi i k / L) = L sum_n y_n conj(y_(n-1)); y times
     # exp(-2 pi i c n / L) moves that bin to t = 0
@@ -455,4 +425,4 @@ def time_energy_uncertainty(packet):
     total, t_sum, t2_sum = grid.moments @ (v * v).ravel()
     t_mean = t_sum / total
     dt = float(np.sqrt(t2_sum / total - t_mean * t_mean))
-    return dt, de, dt * de
+    return dt, grid.de, dt * grid.de

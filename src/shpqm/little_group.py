@@ -91,10 +91,10 @@ class InducedPacketState:
 
     def __post_init__(self):
         minkowski.check_unit_timelike_future(self.n)
-        spin = np.asarray(self.spin, dtype=complex)
+        spin = minkowski.complex_array(self.spin, "spin coefficients")
         if spin.shape != (2,):
             raise ValueError("spin coefficients must have length 2")
-        if abs(np.linalg.norm(spin) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(spin) - 1.0) <= 1e-10:
             raise ValueError("spin coefficients must be normalized")
         minkowski.positive(self.width, "width")
         for name in ("center_x", "center_p"):

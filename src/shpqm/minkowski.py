@@ -69,6 +69,14 @@ def real(v, name):
     return np.asarray(a, dtype=float)
 
 
+def complex_array(v, name):
+    """v as a complex array; raises ValueError unless its dtype is numeric."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numbers, got dtype {a.dtype}")
+    return np.asarray(a, dtype=complex)
+
+
 def _four(v, name):
     a = real(v, name)
     if a.shape[-1:] != (4,):

@@ -127,10 +127,10 @@ class SpinState:
     tau: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = minkowski.complex_array(self.coefficients, "spin coefficients")
         if c.shape != (_two_j(self.j) + 1,):
             raise ValueError("coefficient vector length must be 2j+1")
-        if abs(np.linalg.norm(c) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(c) - 1.0) <= 1e-10:
             raise ValueError("spin coefficients must be normalized")
         minkowski.finite(self.tau, "tau")
         object.__setattr__(self, "coefficients", c)
@@ -139,8 +139,12 @@ class SpinState:
 
 def spin_half(up_amp, down_amp, n=None, tau=0.0):
     n = minkowski.N0 if n is None else n
-    c = np.array([down_amp, up_amp], dtype=complex)  # index order m = -1/2, +1/2
-    return SpinState(0.5, c / np.linalg.norm(c), n, tau)
+    c = minkowski.complex_array([down_amp, up_amp], "spin_half amplitudes")  # m = -1/2, +1/2
+    norm = np.linalg.norm(c)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"spin_half amplitudes must be finite and not both 0,"
+                         f" got {up_amp!r}, {down_amp!r}")
+    return SpinState(0.5, c / norm, n, tau)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,12 @@ def _transport(a, n):
     return np.concatenate([lam.reshape(lead + (16,)), n_new, d.reshape(lead + (4,))], axis=-1)
 
 
+def _sector_hermitian(v, n):
+    # k_l is sector-Hermitian and i k_t is not: one True and one False flag
+    flags = [dirac.is_sector_hermitian(op, n) for op in (dirac.k_l(v, n), 1j * dirac.k_t(v, n))]
+    return np.stack(flags, axis=-1).astype(float)
+
+
 def _rotation(v, n):
     return sl2c.sl2c_rotation(v[..., 1:], n[..., 0])
 
@@ -86,6 +92,7 @@ KERNELS = [
     (_assemble, ("psi", "phi", "n")),
     (_sector_norm, ("psi", "phi", "n")),
     (_transform_pair, ("psi", "phi", "n", "a")),
+    (_sector_hermitian, ("v", "n")),
     (_rotation, ("v", "n")),
     (_boost, ("v", "n")),
 ]

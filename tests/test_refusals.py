@@ -156,6 +156,19 @@ REFUSALS = {
                              "charge must be a finite real number, got 1j"),
     "emission-t2-complex": (lambda: TAKES_SCALAR["EmissionConfig.t_emit2_fs"](0.6 + 1j),
                             "t_emit2_fs must be a finite real number, got (0.6+1j)"),
+    # NaN coefficients used to pass the norm check, and (0, 0) to divide by zero
+    "spin-state-nan": (lambda: sc.SpinState(0.5, [np.nan, np.nan], N0), "must be normalized"),
+    "induced-spin-nan": (lambda: lg.InducedPacketState(
+        N0, [np.nan, 0.0], np.zeros(4), np.zeros(4)), "must be normalized"),
+    "spin-half-zero": (lambda: sc.spin_half(0, 0),
+                       "spin_half amplitudes must be finite and not both 0, got 0, 0"),
+    "spin-state-str": (lambda: sc.SpinState(0.5, ["1", "0"], N0),
+                       "spin coefficients must be numbers, got dtype <U1"),
+    # a NaN pair gave a NaN sector norm, a 3-spinor a matmul error later on
+    "pair-psi-nan": (lambda: dirac.TwoSpinorPair([np.nan, 0.0], [0.0, 1.0], N0),
+                     "psi must be finite"),
+    "pair-phi-3": (lambda: dirac.TwoSpinorPair([1.0, 0.0], [1.0, 0.0, 0.0], N0),
+                   "phi must be 2-spinors (last axis 2), got shape (3,)"),
     # n0^2 overflows: numpy's overflow warning used to come before the refusal
     "unit-n-overflow": (lambda: mk.check_unit_timelike_future([1e200, 0.0, 0.0, 0.0]),
                         "expected unit future-timelike vector"),
@@ -211,7 +224,7 @@ _SPOILED_ENTRY = st.tuples(_UNIT_N, st.integers(0, 3),
 
 def _spoil(case):
     n, i, value = case
-    n = n.copy()
+    n = np.array(n)
     n[i] = value
     return n
 
@@ -263,4 +276,53 @@ def test_malformed_scalar_is_refused_by_every_constructor(name, x):
         with pytest.raises(ValueError) as info:
             TAKES_SCALAR[name](x)
     assert "must be a finite real number" in str(info.value), str(info.value)
+    assert "\n" not in str(info.value), str(info.value)
+
+
+def _spoiled(k):
+    """k complex numbers of which one is NaN or inf."""
+    entries = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=k, max_size=k)
+    bad = st.sampled_from([np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
+    return st.tuples(entries, st.integers(0, k - 1), bad).map(_spoil)
+
+
+def _wrong_length(k):
+    return st.integers(0, k + 2).filter(lambda m: m != k).flatmap(
+        lambda m: st.lists(st.complex_numbers(max_magnitude=1.0), min_size=m, max_size=m))
+
+
+def _malformed(k):
+    """Vectors that should hold k complex numbers: one NaN or inf entry, the
+    wrong length, a str, and the zero vector."""
+    return _spoiled(k) | _wrong_length(k) | st.text(max_size=6) | st.just(np.zeros(k))
+
+
+# Every entry point that takes spin coefficients, a 2-spinor or packet
+# amplitudes.  A zero psi or phi is a valid half of a pair and is not drawn.
+TAKES_COEFFICIENTS = {
+    "SpinState": (lambda c: sc.SpinState(0.5, c, N0), _malformed(2)),
+    "SpinState-spin-1": (lambda c: sc.SpinState(1.0, c, N0), _malformed(3)),
+    "spin_half": (lambda c: sc.spin_half(*c), _spoiled(2) | st.just(np.zeros(2))
+                  | st.tuples(st.text(max_size=6), st.just(1.0))),
+    "InducedPacketState": (lambda c: lg.InducedPacketState(
+        N0, c, np.zeros(4), np.zeros(4)), _malformed(2)),
+    "TwoSpinorPair.psi": (lambda c: dirac.TwoSpinorPair(c, [0.0, 1.0], N0),
+                          _spoiled(2) | _wrong_length(2) | st.text(max_size=6)),
+    "TwoSpinorPair.phi": (lambda c: dirac.TwoSpinorPair([1.0, 0.0], c, N0),
+                          _spoiled(2) | _wrong_length(2) | st.text(max_size=6)),
+    "MomentumPacket.amplitudes": (lambda c: ev.MomentumPacket(
+        PACKET.momenta, c, PACKET.weights, 1.0, N0), _malformed(len(PACKET.amplitudes))),
+}
+
+
+@pytest.mark.parametrize("name", TAKES_COEFFICIENTS)
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_malformed_coefficients_are_refused_by_every_entry_point(name, data):
+    call, malformed = TAKES_COEFFICIENTS[name]
+    c = data.draw(malformed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, TypeError)) as info:
+            call(c)
     assert "\n" not in str(info.value), str(info.value)
