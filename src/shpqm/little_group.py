@@ -94,8 +94,7 @@ class InducedPacketState:
         spin = minkowski.complex_array(self.spin, "spin coefficients")
         if spin.shape != (2,):
             raise ValueError("spin coefficients must have length 2")
-        if not abs(np.linalg.norm(spin) - 1.0) <= 1e-10:
-            raise ValueError("spin coefficients must be normalized")
+        minkowski.unit_norm(spin, "spin coefficients")
         minkowski.positive(self.width, "width")
         for name in ("center_x", "center_p"):
             object.__setattr__(self, name, minkowski.four_vectors(getattr(self, name), name))

@@ -77,6 +77,15 @@ def complex_array(v, name):
     return np.asarray(a, dtype=complex)
 
 
+def unit_norm(c, name, axis=None):
+    """Raise ValueError, naming the first bad sample, unless each vector of c
+    (all of c when axis is None) has norm 1 within 1e-10; a norm that
+    overflows, or meets an inf entry, is refused without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(c, axis=axis)
+    require(abs(norm - 1.0) <= 1e-10, lambda i: f"{name} must be normalized")
+
+
 def _four(v, name):
     a = real(v, name)
     if a.shape[-1:] != (4,):

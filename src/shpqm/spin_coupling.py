@@ -51,8 +51,6 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tbig_j, tbig_m):
     """
     if tm1 + tm2 != tbig_m:
         return 0.0
-    if not (abs(tj1 - tj2) <= tbig_j <= tj1 + tj2) or (tj1 + tj2 - tbig_j) % 2 != 0:
-        return 0.0
 
     def fact(twice):
         if twice % 2 != 0 or twice < 0:
@@ -86,10 +84,11 @@ def _cg_doubled(tj1, tm1, tj2, tm2, tbig_j, tbig_m):
 
 
 def _check_triangle(j1, j2, big_j):
-    """Raise unless coupling spins j1 and j2 can give total spin J."""
+    """Doubled (j1, j2, J); raises unless spins j1 and j2 couple to total spin J."""
     tj1, tj2, tbj = _two_j(j1), _two_j(j2), _two_j(big_j)
     if not (abs(tj1 - tj2) <= tbj <= tj1 + tj2) or (tj1 + tj2 + tbj) % 2 != 0:
         raise ValueError(f"triangle rule violated for ({j1}, {j2}, {big_j})")
+    return tj1, tj2, tbj
 
 
 def cg(j1, m1, j2, m2, big_j, big_m):
@@ -101,20 +100,35 @@ def cg(j1, m1, j2, m2, big_j, big_m):
     return _cg_doubled(tj1, tm1, tj2, tm2, tbj, tbm)
 
 
-def m_values(j):
-    tj = _two_j(j)
-    return [(-tj + 2 * k) / 2.0 for k in range(tj + 1)]
+@lru_cache(maxsize=None)
+def _coupled_blocks(tj1, tj2):
+    """The coupled basis of spins j1, j2 from doubled quantum numbers: for each
+    2J, a read-only (2J+1, 2j1+1, 2j2+1) block of <j1 m1; j2 m2 | J M>."""
+    blocks = {}
+    for tbj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+        block = np.zeros((tbj + 1, tj1 + 1, tj2 + 1))
+        for i, k in np.ndindex(tj1 + 1, tj2 + 1):
+            tm1, tm2 = 2 * i - tj1, 2 * k - tj2
+            if abs(tm1 + tm2) <= tbj:
+                block[(tm1 + tm2 + tbj) // 2, i, k] = _cg_doubled(
+                    tj1, tm1, tj2, tm2, tbj, tm1 + tm2)
+        block.flags.writeable = False
+        blocks[tbj] = block
+    return blocks
+
+
+def coupled_basis(j1, j2):
+    """Rows |J M>, J ascending then M ascending, over the raveled (m1, m2)."""
+    blocks = _coupled_blocks(_two_j(j1), _two_j(j2)).values()
+    return np.concatenate([block.reshape(len(block), -1) for block in blocks])
 
 
 def cg_matrix(j1, j2, big_j, big_m):
-    """Coefficient matrix over (m1, m2) of the coupled state |J M>."""
-    _check_triangle(j1, j2, big_j)
-    out = np.zeros((_two_j(j1) + 1, _two_j(j2) + 1))
-    for i, m1 in enumerate(m_values(j1)):
-        for k, m2 in enumerate(m_values(j2)):
-            if abs(m1 + m2 - big_m) < 1e-9:
-                out[i, k] = cg(j1, m1, j2, m2, big_j, big_m)
-    return out
+    """Coefficient matrix over (m1, m2) of the coupled state |J M>, a read-only
+    row of the cached coupled basis; raises on a bad J or M."""
+    tj1, tj2, tbj = _check_triangle(j1, j2, big_j)
+    tbm = _validate_jm(big_j, big_m)[1]
+    return _coupled_blocks(tj1, tj2)[tbj][(tbm + tbj) // 2]
 
 
 @dataclass(frozen=True)
@@ -130,8 +144,7 @@ class SpinState:
         c = minkowski.complex_array(self.coefficients, "spin coefficients")
         if c.shape != (_two_j(self.j) + 1,):
             raise ValueError("coefficient vector length must be 2j+1")
-        if not abs(np.linalg.norm(c) - 1.0) <= 1e-10:
-            raise ValueError("spin coefficients must be normalized")
+        minkowski.unit_norm(c, "spin coefficients")
         minkowski.finite(self.tau, "tau")
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "n", minkowski.check_unit_timelike_future(self.n))
@@ -140,11 +153,15 @@ class SpinState:
 def spin_half(up_amp, down_amp, n=None, tau=0.0):
     n = minkowski.N0 if n is None else n
     c = minkowski.complex_array([down_amp, up_amp], "spin_half amplitudes")  # m = -1/2, +1/2
-    norm = np.linalg.norm(c)
-    if not 0 < norm < np.inf:
+    # scaled by the largest real or imaginary part first, as real numbers: the
+    # norm of c, or a complex division by a subnormal scale, could overflow
+    parts = c.view(float)
+    scale = np.abs(parts).max()
+    if not 0 < scale < np.inf:
         raise ValueError(f"spin_half amplitudes must be finite and not both 0,"
                          f" got {up_amp!r}, {down_amp!r}")
-    return SpinState(0.5, c / norm, n, tau)
+    c = (parts / scale).view(complex)
+    return SpinState(0.5, c / np.linalg.norm(c), n, tau)
 
 
 @dataclass(frozen=True)
@@ -162,12 +179,10 @@ class TwoBodySpinState:
     symmetry_tag: str = "none"
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
+        c = minkowski.complex_array(self.coefficients, "two-body coefficients")
         if c.shape[-2:] != (_two_j(self.j1) + 1, _two_j(self.j2) + 1):
             raise ValueError("coefficient matrix shape must be (2j1+1, 2j2+1)")
-        norm = np.linalg.norm(c, axis=(-2, -1))
-        minkowski.require(abs(norm - 1.0) <= 1e-10,
-                          lambda i: "two-body coefficients must be normalized")
+        minkowski.unit_norm(c, "two-body coefficients", axis=(-2, -1))
         if self.symmetry_tag not in ("none", "symmetric", "antisymmetric"):
             raise ValueError(f"unknown symmetry tag {self.symmetry_tag!r}")
         if self.symmetry_tag != "none":
@@ -243,17 +258,12 @@ def exchange(state):
 
 
 def total_spin_decompose(state):
-    """Squared overlaps with each coupled-J subspace; weights sum to 1."""
-    weights = {}
-    tj1, tj2 = _two_j(state.j1), _two_j(state.j2)
-    for tbj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-        big_j = tbj / 2.0
-        w = 0.0
-        for big_m in m_values(big_j):
-            basis = cg_matrix(state.j1, state.j2, big_j, big_m)
-            w += abs(np.einsum("ik,ik->", basis, state.coefficients)) ** 2
-        weights[big_j] = w
-    return weights
+    """Squared overlaps with each coupled-J subspace, {J: weight}, summing to 1;
+    batch-first: a state with leading sample axes has one weight per sample."""
+    blocks = _coupled_blocks(_two_j(state.j1), _two_j(state.j2))
+    amps = {tbj / 2.0: np.einsum("Mik,...ik->...M", block, state.coefficients)
+            for tbj, block in blocks.items()}
+    return {big_j: (abs(amp) ** 2).sum(axis=-1) for big_j, amp in amps.items()}
 
 
 def rotate_two(state, d):
@@ -292,13 +302,10 @@ def couple_sequence(states, j_targets):
     tensor = np.eye(_two_j(j_acc) + 1, dtype=complex)  # (M, m1)
     for big_j, nxt in zip(j_targets, states[1:]):
         # out[M, ..., m2] = sum over m_acc of <j_acc m_acc; j m2 | J M> tensor[m_acc, ...]
-        out = np.stack([
-            np.moveaxis(np.tensordot(cg_matrix(j_acc, nxt.j, big_j, big_m), tensor,
-                                     axes=([0], [0])), 0, -1)
-            for big_m in m_values(big_j)])
-        j_acc, tensor = big_j, out
+        tj1, tj2, tbj = _check_triangle(j_acc, nxt.j, big_j)
+        out = np.tensordot(_coupled_blocks(tj1, tj2)[tbj], tensor, axes=([1], [0]))
+        j_acc, tensor = big_j, np.moveaxis(out, 1, -1)
     # contract the open m indices with the individual state coefficients
-    result = tensor
     for state in states:
-        result = np.tensordot(result, state.coefficients, axes=([1], [0]))
-    return j_acc, result  # amplitudes over final M
+        tensor = np.tensordot(tensor, state.coefficients, axes=([1], [0]))
+    return j_acc, tensor  # amplitudes over final M

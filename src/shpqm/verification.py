@@ -316,17 +316,11 @@ def norm_suite(seed=42, samples=1000):
 
 
 def coupling_suite(seed=42, samples=200):
-    """Clebsch-Gordan orthogonality and singlet invariance."""
+    """Orthogonality of four whole coupled bases, and singlet invariance."""
     dev_orth = 0.0
     for j1, j2 in ((0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (1.5, 1.0)):
-        cols = []
-        bj = abs(j1 - j2)
-        while bj <= j1 + j2 + 1e-9:
-            for bm in spin_coupling.m_values(bj):
-                cols.append(spin_coupling.cg_matrix(j1, j2, bj, bm).ravel())
-            bj += 1.0
-        u = np.array(cols)
-        dev_orth = max(dev_orth, _mdev(u @ u.T - np.eye(len(cols))))
+        u = spin_coupling.coupled_basis(j1, j2)
+        dev_orth = max(dev_orth, _mdev(u @ u.T - np.eye(len(u))))
 
     def deviations(n_axis, n_w, *element):
         n, a = minkowski.rest_boosted(n_axis, n_w), _element(*element)

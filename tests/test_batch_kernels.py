@@ -4,7 +4,7 @@ single calls, and a check on a batch names the first bad sample."""
 import numpy as np
 import pytest
 
-from shpqm import dirac, little_group as lg, minkowski as mk, sl2c
+from shpqm import dirac, little_group as lg, minkowski as mk, sl2c, spin_coupling as sc
 
 N = 1000
 BAD = 617          # the sample each corruption test spoils
@@ -23,8 +23,10 @@ def batch():
     d = lg.wigner_d(a, n)
     timelike = n + 0.1 * v * np.array([0.0, 1.0, 1.0, 1.0])
     timelike[:, 0] += 1.0
+    two_body = rng.normal(size=(N, 2, 2, 2)) @ [1.0, 1.0j]
+    two_body /= np.linalg.norm(two_body, axis=(-2, -1))[:, None, None]
     return {"a": a, "n": n, "v": v, "psi": psi, "phi": phi, "lam": lam, "d": d,
-            "timelike": timelike}
+            "timelike": timelike, "two_body": two_body}
 
 
 def _assemble(psi, phi, n):
@@ -50,6 +52,12 @@ def _sector_hermitian(v, n):
     # k_l is sector-Hermitian and i k_t is not: one True and one False flag
     flags = [dirac.is_sector_hermitian(op, n) for op in (dirac.k_l(v, n), 1j * dirac.k_t(v, n))]
     return np.stack(flags, axis=-1).astype(float)
+
+
+def _total_spin(two_body):
+    # the J = 0 and J = 1 weights of two spin-1/2 particles
+    weights = sc.total_spin_decompose(sc.TwoBodySpinState(0.5, 0.5, two_body, mk.N0))
+    return np.stack([weights[0.0], weights[1.0]], axis=-1)
 
 
 def _rotation(v, n):
@@ -93,6 +101,7 @@ KERNELS = [
     (_sector_norm, ("psi", "phi", "n")),
     (_transform_pair, ("psi", "phi", "n", "a")),
     (_sector_hermitian, ("v", "n")),
+    (_total_spin, ("two_body",)),
     (_rotation, ("v", "n")),
     (_boost, ("v", "n")),
 ]

@@ -101,6 +101,14 @@ REFUSALS = {
         "not antisymmetric"),
     "couple-no-component": (lambda: sc.couple_two(UP, UP, 0.0, 0.0),
                             "no (J=0.0, M=0.0) component"),
+    # an M that is not one of -J..J used to give a zero matrix, and couple_two
+    # to report a missing component
+    "cg-matrix-m-0.3": (lambda: sc.cg_matrix(0.5, 0.5, 1.0, 0.3),
+                        "invalid magnetic number m=0.3 for j=1.0"),
+    "cg-matrix-m-2": (lambda: sc.cg_matrix(0.5, 0.5, 1.0, 2.0),
+                      "invalid magnetic number m=2.0 for j=1.0"),
+    "couple-m-0.5": (lambda: sc.couple_two(UP, UP, 1, 0.5),
+                     "invalid magnetic number m=0.5 for j=1"),
     "symmetrize-sign-2": (lambda: sc.symmetrize(UP, DOWN, 2), "sign must be +1 or -1"),
     "symmetrize-different-spins": (lambda: sc.symmetrize(UP, SPIN_ONE, 1),
                                    "requires identical spins"),
@@ -286,6 +294,19 @@ def _spoiled(k):
     return st.tuples(entries, st.integers(0, k - 1), bad).map(_spoil)
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _extreme(k):
+    """k finite complex numbers whose norm overflows or underflows as the sum
+    of squares: one entry of huge magnitude, or every entry tiny."""
+    entries = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=k, max_size=k)
+    huge = st.sampled_from([1e200, -1e300j, _FLOAT_MAX, complex(-_FLOAT_MAX, _FLOAT_MAX)])
+    tiny = st.sampled_from([1e-200, 5e-324])
+    return (st.tuples(entries, st.integers(0, k - 1), huge).map(_spoil)
+            | st.tuples(entries, tiny).map(lambda case: np.multiply(*case)))
+
+
 def _wrong_length(k):
     return st.integers(0, k + 2).filter(lambda m: m != k).flatmap(
         lambda m: st.lists(st.complex_numbers(max_magnitude=1.0), min_size=m, max_size=m))
@@ -298,14 +319,19 @@ def _malformed(k):
 
 
 # Every entry point that takes spin coefficients, a 2-spinor or packet
-# amplitudes.  A zero psi or phi is a valid half of a pair and is not drawn.
+# amplitudes.  A zero psi or phi is a valid half of a pair and is not drawn;
+# nor are extreme magnitudes where any finite value is valid (psi, phi,
+# spin_half's pair).  Packet amplitudes are not drawn extreme either: the
+# packet's norm check squares them and still overflows with a warning.
 TAKES_COEFFICIENTS = {
-    "SpinState": (lambda c: sc.SpinState(0.5, c, N0), _malformed(2)),
-    "SpinState-spin-1": (lambda c: sc.SpinState(1.0, c, N0), _malformed(3)),
+    "SpinState": (lambda c: sc.SpinState(0.5, c, N0), _malformed(2) | _extreme(2)),
+    "SpinState-spin-1": (lambda c: sc.SpinState(1.0, c, N0), _malformed(3) | _extreme(3)),
+    "TwoBodySpinState": (lambda c: sc.TwoBodySpinState(0.5, 0.5, np.reshape(c, (2, 2)), N0),
+                         _spoiled(4) | _extreme(4) | st.just(np.zeros(4))),
     "spin_half": (lambda c: sc.spin_half(*c), _spoiled(2) | st.just(np.zeros(2))
                   | st.tuples(st.text(max_size=6), st.just(1.0))),
     "InducedPacketState": (lambda c: lg.InducedPacketState(
-        N0, c, np.zeros(4), np.zeros(4)), _malformed(2)),
+        N0, c, np.zeros(4), np.zeros(4)), _malformed(2) | _extreme(2)),
     "TwoSpinorPair.psi": (lambda c: dirac.TwoSpinorPair(c, [0.0, 1.0], N0),
                           _spoiled(2) | _wrong_length(2) | st.text(max_size=6)),
     "TwoSpinorPair.phi": (lambda c: dirac.TwoSpinorPair([1.0, 0.0], c, N0),

@@ -1,5 +1,7 @@
 """Tests for Clebsch-Gordan coupling on a common foliation fiber."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_cg_selection_rules():
 
 def angular_momentum_matrices(j):
     dim = int(round(2 * j)) + 1
-    ms = np.array(sc.m_values(j))
+    ms = np.arange(-j, j + 1)
     jz = np.diag(ms)
     jp = np.zeros((dim, dim))
     for k in range(dim - 1):
@@ -39,39 +41,43 @@ def angular_momentum_matrices(j):
     return jz, jp
 
 
+def basis_labels(j1, j2):
+    """(J, M) of each row of coupled_basis: J ascending, then M ascending."""
+    return [(bj, bm) for bj in np.arange(abs(j1 - j2), j1 + j2 + 1)
+            for bm in np.arange(-bj, bj + 1)]
+
+
+PAIRS = ((0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (1.5, 1.0), (1.5, 2.0), (2.0, 2.0))
+
+
 def test_cg_against_j_squared_diagonalization():
-    """Oracle: coupled states from simultaneous J^2 and Jz eigenvectors."""
-    for j1, j2 in ((0.5, 0.5), (1.0, 0.5), (1.0, 1.0)):
+    """Oracle: every row of the coupled basis is a simultaneous J^2 and Jz
+    eigenvector with the (J, M) of its place in the basis order."""
+    for j1, j2 in PAIRS:
         jz1, jp1 = angular_momentum_matrices(j1)
         jz2, jp2 = angular_momentum_matrices(j2)
         d1, d2 = jz1.shape[0], jz2.shape[0]
         jz = np.kron(jz1, np.eye(d2)) + np.kron(np.eye(d1), jz2)
         jp = np.kron(jp1, np.eye(d2)) + np.kron(np.eye(d1), jp2)
         j2op = jp @ jp.T + jz @ jz - jz
-        bj = abs(j1 - j2)
-        while bj <= j1 + j2 + 1e-9:
-            for bm in sc.m_values(bj):
-                target = sc.cg_matrix(j1, j2, bj, bm).ravel()
-                # project onto the simultaneous eigenspace of J^2 and Jz
-                proj = target.copy()
-                resid_j2 = j2op @ target - bj * (bj + 1) * target
-                resid_jz = jz @ target - bm * target
-                assert np.max(np.abs(resid_j2)) < 1e-10
-                assert np.max(np.abs(resid_jz)) < 1e-10
-                assert np.linalg.norm(proj) == pytest.approx(1.0, abs=1e-12)
-            bj += 1.0
+        basis = sc.coupled_basis(j1, j2)
+        labels = basis_labels(j1, j2)
+        assert basis.shape == (len(labels), d1 * d2) == (d1 * d2, d1 * d2)
+        for row, (bj, bm) in zip(basis, labels):
+            assert np.max(np.abs(j2op @ row - bj * (bj + 1) * row)) < 1e-10
+            assert np.max(np.abs(jz @ row - bm * row)) < 1e-10
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cg_matrix_orthogonality():
-    for j1, j2 in ((0.5, 0.5), (1.0, 0.5), (1.5, 1.0)):
-        cols = []
-        bj = abs(j1 - j2)
-        while bj <= j1 + j2 + 1e-9:
-            for bm in sc.m_values(bj):
-                cols.append(sc.cg_matrix(j1, j2, bj, bm).ravel())
-            bj += 1.0
-        u = np.array(cols)
-        assert np.max(np.abs(u @ u.T - np.eye(len(cols)))) < 1e-12
+    for j1, j2 in PAIRS:
+        u = sc.coupled_basis(j1, j2)
+        assert np.max(np.abs(u @ u.T - np.eye(len(u)))) < 1e-12
+        # cg_matrix reads its row of the same cached table, which nobody can write
+        for row, (bj, bm) in zip(u, basis_labels(j1, j2)):
+            block = sc.cg_matrix(j1, j2, bj, bm)
+            assert np.array_equal(block.ravel(), row)
+            assert not block.flags.writeable
 
 
 def test_couple_two_stretched_and_singlet():
@@ -187,6 +193,22 @@ def test_spin_factor_time_independent():
     assert not hasattr(s, "t1")
     assert not hasattr(s, "t2")
     assert s.coefficients.shape == (2, 2)
+
+
+def test_spin_half_takes_any_finite_magnitude():
+    # the amplitudes are scaled before the norm is taken, so it neither
+    # overflows nor underflows: the state depends on their ratio alone
+    rng = np.random.default_rng(4)
+    for up, down in rng.uniform(-1.0, 1.0, (20, 2, 2)) @ [1.0, 1.0j]:
+        for scale in (1e200, 1e300, 1e-200, 1e-300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                state = sc.spin_half(up * scale, down * scale)
+            assert np.max(np.abs(state.coefficients
+                                 - sc.spin_half(up, down).coefficients)) < 1e-15
+    assert np.allclose(sc.spin_half(1e200, 1e200).coefficients, [2 ** -0.5] * 2,
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(sc.spin_half(1e-200, 0).coefficients, [0.0, 1.0])
 
 
 def test_couple_sequence_stretched():
