@@ -53,16 +53,29 @@ ID4 = np.eye(4, dtype=complex)
 CONVENTION_FLAGS = ("gamma_dot_n_squared_plus_one", "gamma5_squared_plus_one")
 
 
+def _table(c):
+    """Read-only real table of complex coefficients c, one row per monomial:
+    the real and imaginary parts of each entry, interleaved."""
+    table = np.ascontiguousarray(c, dtype=complex).reshape(len(c), -1).view(float)
+    table.setflags(write=False)
+    return table
+
+
+def _operator(monomials, table, shape):
+    """An operator that is a polynomial in n and p, as one real product: its
+    monomials (..., rows) @ table, viewed as complex matrices of `shape`."""
+    out = monomials @ table
+    return out.view(complex).reshape(out.shape[:-1] + shape)
+
+
 def gamma_dot(v):
     """gamma.v = gamma^mu v_mu (covariant contraction)."""
-    return np.einsum("...m,mab->...ab", minkowski.lower(v), GAMMA)
+    return _operator(minkowski.lower(v), _GAMMA_TABLE, (4, 4))
 
 
 _SIGMA_ALL = np.stack([[0.25j * (GAMMA[m] @ GAMMA[n] - GAMMA[n] @ GAMMA[m])
                         for n in range(4)] for m in range(4)])
 _SIGMA_ALL.setflags(write=False)
-# K^mu = Sigma^{mu nu} n_nu as one matrix product: row nu holds Sigma^{. nu}
-_SIGMA_BY_NU = _SIGMA_ALL.transpose(1, 0, 2, 3).reshape(4, 64)
 
 
 # The six (mu, nu) with mu < nu; an antisymmetric pair of indices is stored
@@ -77,6 +90,17 @@ _SIGMA_PAIRS = _SIGMA_ALL[PAIRS]
 for _frozen in (*PAIRS, PAIR_OF, PAIR_SIGN, _SIGMA_PAIRS):
     _frozen.setflags(write=False)
 
+_GAMMA_TABLE = _table(GAMMA)
+_K_TABLE = _table(_SIGMA_ALL.transpose(1, 0, 2, 3))    # K^mu = Sigma^{mu nu} n_nu: row nu
+_HELICITY_TABLE = _table(2.0j * GAMMA5 @ _SIGMA_ALL.reshape(16, 4, 4))     # row (mu, nu)
+# Sigma_n^{mu nu} = Sigma^{mu nu} + g_rr (Sigma^{mu r} n^nu - Sigma^{nu r} n^mu) n^r
+# over PAIRS: rows n^r n^c, then the constant Sigma^{mu nu}
+_K_N = np.einsum("r,mrab,cn->rcmnab", np.diag(minkowski.METRIC), _SIGMA_ALL, np.eye(4))
+_SIGMA_N_TABLE = _table(np.concatenate([
+    (_K_N - _K_N.swapaxes(2, 3))[:, :, PAIRS[0], PAIRS[1]].reshape(16, 6, 4, 4),
+    _SIGMA_PAIRS[None]]))
+del _K_N
+
 
 def sigma(mu, nu):
     """Spin generator (i/4) [gamma^mu, gamma^nu]."""
@@ -85,8 +109,7 @@ def sigma(mu, nu):
 
 def k_all(n):
     """All four K^mu stacked, shape (..., 4, 4, 4)."""
-    lowered = minkowski.lower(n)
-    return (lowered @ _SIGMA_BY_NU).reshape(lowered.shape[:-1] + (4, 4, 4))
+    return _operator(minkowski.lower(n), _K_TABLE, (4, 4, 4))
 
 
 def projector_pi(n):
@@ -114,10 +137,9 @@ def sigma_n_pairs(n):
     """Sigma_n^{mu nu} = Sigma^{mu nu} + K^mu n^nu - K^nu n^mu over PAIRS,
     shape (..., 6, 4, 4): the six independent generators."""
     n = np.asarray(n, dtype=float)
-    k = k_all(n)
-    mu, nu = PAIRS
-    return (_SIGMA_PAIRS + k[..., mu, :, :] * n[..., nu, None, None]
-            - k[..., nu, :, :] * n[..., mu, None, None])
+    monomials = np.ones(n.shape[:-1] + (17,))
+    monomials[..., :16] = (n[..., :, None] * n[..., None, :]).reshape(n.shape[:-1] + (16,))
+    return _operator(monomials, _SIGMA_N_TABLE, (6, 4, 4))
 
 
 def sigma_n_all(n):
@@ -142,9 +164,10 @@ def second_compound(lam):
             - lam[..., l_row, n_col] * lam[..., s_row, m_col])
 
 
-def _p_dot_k(p, n):
-    """p.K = K^mu p_mu."""
-    return np.einsum("...mab,...m->...ab", k_all(n), minkowski.lower(p))
+def _helicity_numerator(p, n):
+    """2i gamma5 (p.K) = 2i gamma5 Sigma^{mu nu} p_mu n_nu."""
+    pn = minkowski.lower(p)[..., :, None] * minkowski.lower(n)[..., None, :]
+    return _operator(pn.reshape(pn.shape[:-2] + (16,)), _HELICITY_TABLE, (4, 4))
 
 
 def k_l(p, n):
@@ -154,7 +177,7 @@ def k_l(p, n):
 
 def k_t(p, n):
     """Transverse part, -2i gamma5 (p.K)(gamma.n)."""
-    return -2.0j * GAMMA5 @ _p_dot_k(p, n) @ gamma_dot(n)
+    return -_helicity_numerator(p, n) @ gamma_dot(n)
 
 
 def k_l_symmetrized(p, n):
@@ -264,7 +287,7 @@ def helicity_operator(p, n):
     """The operator inside the helicity projection, 2i gamma5 K.p / sqrt(p^2+(p.n)^2)."""
     pn = minkowski.inner(p, n)
     norm2 = minkowski.inner(p, p) + pn * pn
-    return 2.0j * GAMMA5 @ _p_dot_k(p, n) / np.sqrt(norm2)[..., None, None]
+    return _helicity_numerator(p, n) / np.sqrt(norm2)[..., None, None]
 
 
 def sector_metric(n):
@@ -290,14 +313,15 @@ class TwoSpinorPair:
     phi: np.ndarray
     n: np.ndarray
 
+    @np.errstate(over="ignore")     # the sector norm squares the entries
     def __post_init__(self):
         for name in ("psi", "phi"):
             a = minkowski.complex_array(getattr(self, name), name)
             if a.shape[-1:] != (2,):
                 raise ValueError(f"{name} must be 2-spinors (last axis 2), got shape {a.shape}")
-            if not np.isfinite(a).all():    # one pass; require names the first bad sample
-                minkowski.require(np.isfinite(a).all(axis=-1),
-                                  lambda i: f"{name} must be finite, got {a[i].tolist()}")
+            norm2 = (a.real * a.real + a.imag * a.imag).sum(axis=-1)
+            minkowski.require(np.isfinite(norm2), lambda i: (
+                f"{name} must be finite, with a finite squared norm, got {a[i].tolist()}"))
             object.__setattr__(self, name, a)
         object.__setattr__(self, "n", minkowski.four_vectors(self.n, "n"))
 
@@ -342,12 +366,13 @@ def sector_norm(spinor):
 
 
 def s_lambda(a):
-    """4x4 spinor representation S(Lambda) of SL(2,C) elements."""
+    """4x4 spinor representation S(Lambda) of SL(2,C) elements a:
+    ASSEMBLY diag(b, a) ASSEMBLY^dagger = (1/2)[[a+b, a-b], [a-b, a+b]], b = second_rep(a)."""
     bar = sl2c.second_rep(a)
-    blockdiag = np.zeros(bar.shape[:-2] + (4, 4), dtype=complex)
-    blockdiag[..., :2, :2] = bar
-    blockdiag[..., 2:, 2:] = a
-    return ASSEMBLY @ blockdiag @ ASSEMBLY.conj().T
+    out = np.empty(bar.shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = out[..., 2:, 2:] = 0.5 * (bar + a)
+    out[..., :2, 2:] = out[..., 2:, :2] = 0.5 * (a - bar)
+    return out
 
 
 def transform_pair(pair, a):

@@ -268,8 +268,9 @@ class MomentumPacket:
             raise ValueError(f"amplitudes must be finite, got {amps[bad[0]]} at index {bad[0]}")
         minkowski.positive(self.mass_param, "mass parameter")
         minkowski.finite(self.tau, "tau")
-        if not abs(self.norm_squared_of(amps, w) - 1.0) <= 1e-8:
-            raise ValueError("packet must be normalized to 1 within 1e-8")
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge amplitude gives inf or NaN
+            if not abs(self.norm_squared_of(amps, w) - 1.0) <= 1e-8:
+                raise ValueError("packet must be normalized to 1 within 1e-8")
         object.__setattr__(self, "momenta", ps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weights", w)

@@ -240,7 +240,10 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     # carried back by Lambda^-1 wedge Lambda^-1, is Sigma_n
     lam = sl2c.spinor_map(a)
     s = dirac.s_lambda(a)
-    conj = np.linalg.inv(s)[:, None] @ dirac.sigma_n_pairs(minkowski.moved(lam, n)) @ s[:, None]
+    # S^-1 [X_1 ... X_6] with the X_k side by side, then [S^-1 X_k] stacked, times S
+    x = dirac.sigma_n_pairs(minkowski.moved(lam, n)).transpose(0, 2, 1, 3).reshape(rows, 4, 24)
+    left = (np.linalg.inv(s) @ x).reshape(rows, 4, 6, 4).transpose(0, 2, 1, 3)
+    conj = left.reshape(rows, 24, 4) @ s
     back = dirac.second_compound(minkowski.inverse(lam)) @ conj.reshape(rows, 6, 16)
     dev["covariance"] = _sample_mdev(back - pairs)
     # projections: idempotent, mutually orthogonal, complete by pair; only

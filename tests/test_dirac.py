@@ -333,3 +333,54 @@ def test_sigma_n_covariance():
         conj = np.einsum("ab,mnbc,cd->mnad", s_inv, dr.sigma_n_all(n_new), s)
         back = np.einsum("mnad,lm,sn->lsad", conj, lam_inv, lam_inv)
         assert mdev(back - dr.sigma_n_all(n)) < 1e-9
+
+
+def _defining_forms(p, n, a):
+    """The table-built operators by their defining formulas: einsum and @
+    over GAMMA and the Sigma^{mu nu}, and S(Lambda) through ASSEMBLY."""
+    nl = mk.lower(n)
+    gn = np.einsum("...m,mab->...ab", nl, dr.GAMMA)
+    k = np.einsum("...r,mrab->...mab", nl, dr._SIGMA_ALL)
+    pk = np.einsum("...mab,...m->...ab", k, mk.lower(p))
+    mu, nu = dr.PAIRS
+    pairs = (dr._SIGMA_ALL[mu, nu] + k[..., mu, :, :] * n[..., nu, None, None]
+             - k[..., nu, :, :] * n[..., mu, None, None])
+    pn = mk.inner(p, n)
+    bar = sl2c.second_rep(a)
+    blockdiag = np.zeros(bar.shape[:-2] + (4, 4), dtype=complex)
+    blockdiag[..., :2, :2], blockdiag[..., 2:, 2:] = bar, a
+    return {"gamma_dot": gn, "k_all": k, "k_t": -2.0j * dr.GAMMA5 @ pk @ gn,
+            "helicity_operator": 2.0j * dr.GAMMA5 @ pk
+            / np.sqrt(mk.inner(p, p) + pn * pn)[..., None, None],
+            "sigma_n_pairs": pairs,
+            "s_lambda": dr.ASSEMBLY @ blockdiag @ dr.ASSEMBLY.conj().T}
+
+
+TABLE_BUILT = {
+    "gamma_dot": lambda p, n, a: dr.gamma_dot(n),
+    "k_all": lambda p, n, a: dr.k_all(n),
+    "k_t": lambda p, n, a: dr.k_t(p, n),
+    "helicity_operator": lambda p, n, a: dr.helicity_operator(p, n),
+    "sigma_n_pairs": lambda p, n, a: dr.sigma_n_pairs(n),
+    "s_lambda": lambda p, n, a: dr.s_lambda(a),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_BUILT)
+def test_table_built_operators_equal_their_defining_formulas(name):
+    rng = np.random.default_rng(17)
+    n = mk.rest_boosted(rng.normal(size=(300, 3)), rng.uniform(0.0, 3.0, 300))
+    p = rng.normal(scale=2.0, size=(300, 4))
+    a = np.array([sl2c.random_sl2c(rng, 2.0) for _ in range(300)])
+    for args in ((p, n, a), (p[0], n[0], a[0]), (p[:1], n[:1], a[:1])):
+        got, want = TABLE_BUILT[name](*args), _defining_forms(*args)[name]
+        assert got.shape == want.shape and got.dtype == complex
+        assert mdev(got - want) <= 1e-14 * mdev(want)
+
+
+def test_operator_tables_are_read_only():
+    tables = [dr._GAMMA_TABLE, dr._K_TABLE, dr._HELICITY_TABLE, dr._SIGMA_N_TABLE]
+    for table in tables:
+        assert table.dtype == float and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0

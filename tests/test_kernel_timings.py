@@ -1,6 +1,7 @@
 """tools/kernel_timings.py on fake callables and fake suites: its blocks
 alternate between checkouts, its summaries are ordered, and it clocks every
-verification suite inside run_all's own call, restoring the suites after."""
+verification suite inside run_all's own call, restoring the suites after.
+On the package's own kernels: each kernel entry is timed as one part."""
 
 import importlib.util
 from pathlib import Path
@@ -9,6 +10,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+import shpqm.cli  # imports every module of the package, as kernel_timings.load does
 from shpqm import verification
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "kernel_timings.py"
@@ -69,3 +71,11 @@ def test_suites_are_restored_when_one_raises(fake_suites, monkeypatch):
     with pytest.raises(RuntimeError, match="suite failed"):
         kt.suite_call(verification, {})()
     assert verification.SUITES == before
+
+
+def test_every_kernel_entry_is_timed_as_one_part(tmp_path):
+    entries = kt.entries(shpqm, kt.kernel_inputs(shpqm, 3), str(tmp_path / "out.csv"))
+    for _ in range(len(kt.SIZES) * len(kt.KERNELS)):
+        where, fn, _, _ = next(entries)
+        assert where.startswith("kernels/")
+        assert set(kt.time_blocks({"change": fn}, blocks=1, number=1)["change"]) == {""}

@@ -177,6 +177,12 @@ REFUSALS = {
                      "psi must be finite"),
     "pair-phi-3": (lambda: dirac.TwoSpinorPair([1.0, 0.0], [1.0, 0.0, 0.0], N0),
                    "phi must be 2-spinors (last axis 2), got shape (3,)"),
+    # squares that overflow: numpy's overflow warning used to come, not a refusal
+    "pair-phi-huge": (lambda: dirac.TwoSpinorPair([1.0, 0.0], [1e200, 0.0], N0),
+                      "phi must be finite, with a finite squared norm, got [(1e+200+0j), 0j]"),
+    "packet-amplitude-huge": (lambda: ev.MomentumPacket(
+        PACKET.momenta, np.where(np.arange(8) == 2, 1e200, PACKET.amplitudes),
+        PACKET.weights, 1.0, N0), "packet must be normalized to 1 within 1e-8"),
     # n0^2 overflows: numpy's overflow warning used to come before the refusal
     "unit-n-overflow": (lambda: mk.check_unit_timelike_future([1e200, 0.0, 0.0, 0.0]),
                         "expected unit future-timelike vector"),
@@ -287,24 +293,30 @@ def test_malformed_scalar_is_refused_by_every_constructor(name, x):
     assert "\n" not in str(info.value), str(info.value)
 
 
+def _entries(k):
+    return st.lists(st.complex_numbers(max_magnitude=1.0), min_size=k, max_size=k)
+
+
 def _spoiled(k):
     """k complex numbers of which one is NaN or inf."""
-    entries = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=k, max_size=k)
     bad = st.sampled_from([np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
-    return st.tuples(entries, st.integers(0, k - 1), bad).map(_spoil)
+    return st.tuples(_entries(k), st.integers(0, k - 1), bad).map(_spoil)
 
 
 _FLOAT_MAX = np.finfo(float).max
 
 
+def _huge(k):
+    """k finite complex numbers of which one has a square that overflows."""
+    huge = st.sampled_from([1e200, -1e300j, _FLOAT_MAX, complex(-_FLOAT_MAX, _FLOAT_MAX)])
+    return st.tuples(_entries(k), st.integers(0, k - 1), huge).map(_spoil)
+
+
 def _extreme(k):
     """k finite complex numbers whose norm overflows or underflows as the sum
     of squares: one entry of huge magnitude, or every entry tiny."""
-    entries = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=k, max_size=k)
-    huge = st.sampled_from([1e200, -1e300j, _FLOAT_MAX, complex(-_FLOAT_MAX, _FLOAT_MAX)])
     tiny = st.sampled_from([1e-200, 5e-324])
-    return (st.tuples(entries, st.integers(0, k - 1), huge).map(_spoil)
-            | st.tuples(entries, tiny).map(lambda case: np.multiply(*case)))
+    return _huge(k) | st.tuples(_entries(k), tiny).map(lambda case: np.multiply(*case))
 
 
 def _wrong_length(k):
@@ -319,10 +331,10 @@ def _malformed(k):
 
 
 # Every entry point that takes spin coefficients, a 2-spinor or packet
-# amplitudes.  A zero psi or phi is a valid half of a pair and is not drawn;
-# nor are extreme magnitudes where any finite value is valid (psi, phi,
-# spin_half's pair).  Packet amplitudes are not drawn extreme either: the
-# packet's norm check squares them and still overflows with a warning.
+# amplitudes.  A zero psi or phi is a valid half of a pair and is not drawn,
+# nor are tiny entries of psi and phi, which are valid too; a huge entry is
+# drawn, since the sector norm squares it.  spin_half's pair is not drawn
+# extreme: it rescales any finite pair before it normalises.
 TAKES_COEFFICIENTS = {
     "SpinState": (lambda c: sc.SpinState(0.5, c, N0), _malformed(2) | _extreme(2)),
     "SpinState-spin-1": (lambda c: sc.SpinState(1.0, c, N0), _malformed(3) | _extreme(3)),
@@ -333,11 +345,12 @@ TAKES_COEFFICIENTS = {
     "InducedPacketState": (lambda c: lg.InducedPacketState(
         N0, c, np.zeros(4), np.zeros(4)), _malformed(2) | _extreme(2)),
     "TwoSpinorPair.psi": (lambda c: dirac.TwoSpinorPair(c, [0.0, 1.0], N0),
-                          _spoiled(2) | _wrong_length(2) | st.text(max_size=6)),
+                          _spoiled(2) | _wrong_length(2) | st.text(max_size=6) | _huge(2)),
     "TwoSpinorPair.phi": (lambda c: dirac.TwoSpinorPair([1.0, 0.0], c, N0),
-                          _spoiled(2) | _wrong_length(2) | st.text(max_size=6)),
+                          _spoiled(2) | _wrong_length(2) | st.text(max_size=6) | _huge(2)),
     "MomentumPacket.amplitudes": (lambda c: ev.MomentumPacket(
-        PACKET.momenta, c, PACKET.weights, 1.0, N0), _malformed(len(PACKET.amplitudes))),
+        PACKET.momenta, c, PACKET.weights, 1.0, N0),
+        _malformed(len(PACKET.amplitudes)) | _extreme(len(PACKET.amplitudes))),
 }
 
 

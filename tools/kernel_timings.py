@@ -19,7 +19,8 @@ same four figures.
 The sections of each checkout's JSON:
 - `kernels`: one call on N = 1, 100 and 10,000 samples (a single input at
   N = 1, one batched call otherwise) of `spinor_map`, `canonical_boost`,
-  `wigner_d`, `transport`, `sigma_n_pairs`, `sigma_n_all` and `s_lambda`.
+  `wigner_d`, `transport`, `sigma_n_pairs`, `sigma_n_all`, `s_lambda`,
+  `gamma_dot`, `k_t`, `helicity_operator` and `projections`.
 - `suites_s`: `verification.run_all` at 1000 samples, with each entry of
   `verification.SUITES` clocked inside that same call, and `run_all` less
   the sum of its suites.
@@ -76,7 +77,8 @@ QUANTUM_CONFIG = CONFIGS / "evolve_quantum.cfg"
 WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_pairs", "dirac.sigma_n_all",
-           "dirac.s_lambda")
+           "dirac.s_lambda", "dirac.gamma_dot", "dirac.k_t", "dirac.helicity_operator",
+           "dirac.projections")
 
 
 def load(src, alias):
@@ -137,20 +139,27 @@ def summary(values):
 
 
 def kernel_inputs(package, count, seed=0):
-    """`count` SL(2,C) elements and unit timelike vectors, stacked."""
+    """`count` SL(2,C) elements, unit timelike vectors and four-momenta, stacked."""
     rng = np.random.default_rng(seed)
     a = np.array([package.sl2c.random_sl2c(rng, 1.0) for _ in range(count)])
     n = np.array([package.minkowski.random_unit_timelike(rng, 1.5) for _ in range(count)])
-    return a, n
+    return a, n, rng.normal(scale=2.0, size=(count, 4))
 
 
-def kernel(package, name, a, n):
-    """A kernel of `package` with its arguments for the inputs a, n."""
+def kernel(package, name, a, n, p):
+    """A kernel of `package` with its arguments for the inputs a, n, p."""
     module, fn = name.split(".")
     args = {"spinor_map": (a,), "canonical_boost": (n,), "wigner_d": (a, n),
             "transport": (a, n), "sigma_n_pairs": (n,), "sigma_n_all": (n,),
-            "s_lambda": (a,)}[fn]
+            "s_lambda": (a,), "gamma_dot": (n,), "k_t": (p, n),
+            "helicity_operator": (p, n), "projections": (p, n)}[fn]
     return getattr(getattr(package, module), fn), args
+
+
+def dropped(fn, *args):
+    """Call fn, dropping its result: time_blocks reads a dict as clocked
+    parts, and `projections` returns one."""
+    fn(*args)
 
 
 def suite_call(verification, samples):
@@ -277,7 +286,7 @@ def entries(package, inputs, path):
             fn, args = kernel(package, name, *(x[:size] for x in inputs))
             if size == 1:
                 args = tuple(x[0] for x in args)
-            yield (f"kernels/{name}/N={size}", functools.partial(fn, *args),
+            yield (f"kernels/{name}/N={size}", functools.partial(dropped, fn, *args),
                    {"us_per_call": ("", 1e6), "us_per_sample": ("", 1e6 / size)}, {})
 
     samples = {}
