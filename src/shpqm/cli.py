@@ -305,14 +305,15 @@ def _format17(values, columns):
 
 
 def _write_csv(path, header, columns):
-    """Write equal-length columns under `header`, every value as fmt(x).
+    """Write equal-length columns, or the columns of one 2-d array, which is
+    not copied, under `header`, every value as fmt(x).
 
     A block of rows at a time goes through `_format17`; a block it cannot
     decide is %-formatted.  A block holds at most 4 CSV_BLOCK_ROWS values,
     which bounds the memory the kernel (about 120 bytes a value) or the
     Python floats take at once.
     """
-    table = np.column_stack(columns)
+    table = columns if isinstance(columns, np.ndarray) else np.column_stack(columns)
     width = table.shape[1]
     rows = CSV_BLOCK_ROWS * 4 // max(4, width)
     row = ",".join(["%.17g"] * width) + "\n"
@@ -421,20 +422,18 @@ def cmd_wigner(args):
 def cmd_interference(args):
     cfg = load_config(args.config)
     samples = _row_count(cfg, "samples", default=4001, flag=args.samples)
-    emission = interference.EmissionConfig(
-        e1_ev=cfg_get(cfg, "e1_ev"),
-        e2_ev=cfg_get(cfg, "e2_ev"),
-        t_emit1_fs=cfg_get(cfg, "t_emit1_fs"),
-        t_emit2_fs=cfg_get(cfg, "t_emit2_fs"),
-        sigma_t_fs=cfg_get(cfg, "sigma_t_fs"),
-    )
+    emission = interference.EmissionConfig(*(cfg_get(cfg, key) for key in (
+        "e1_ev", "e2_ev", "t_emit1_fs", "t_emit2_fs", "sigma_t_fs")))
     dt_range = cfg_get(cfg, "dt_min_fs"), cfg_get(cfg, "dt_max_fs")
     _refuse_unread(cfg)
+    # The CSV table first: a scan repeated in one process then reuses the block
+    # the last table freed, before the scan's own arrays can split it.
+    table = np.empty((samples, 4)) if args.format == "csv" else None
     result = interference.scan_interference(emission, *dt_range, samples)
     if args.format == "csv":
         _write_csv(args.out, "delta_t_fs,probability,envelope,interference_term",
-                   [result.dt_grid_fs, result.probability, result.envelope,
-                    result.interference])
+                   np.stack([result.dt_grid_fs, result.probability, result.envelope,
+                             result.interference], axis=1, out=table))
     else:   # the period is estimated here, when read, before --out is opened
         _write_json(args.out, {
             "schema_version": SCHEMA_VERSION,

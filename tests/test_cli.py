@@ -430,6 +430,15 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     assert len(got) == len(want) and bad[:1] == []
 
 
+def test_csv_writer_takes_a_table_as_its_columns(tmp_path):
+    # the interference scan hands its preallocated (n, 4) table to _write_csv
+    table = np.random.default_rng(4).normal(size=(cli.CSV_BLOCK_ROWS + 7, 4))
+    by_column, by_table = tmp_path / "columns.csv", tmp_path / "table.csv"
+    cli._write_csv(str(by_column), "a,b,c,d", list(table.T))
+    cli._write_csv(str(by_table), "a,b,c,d", table)
+    assert by_table.read_bytes() == by_column.read_bytes()
+
+
 # -- the %.17g kernel of _write_csv, value by value -------------------------
 
 def written_as_format(tmp_path, values, columns=1):
