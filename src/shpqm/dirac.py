@@ -50,6 +50,9 @@ ASSEMBLY.setflags(write=False)
 
 ID4 = np.eye(4, dtype=complex)
 
+_GAMMA0_ROW_SIGNS = GAMMA[0].diagonal().real[:, None]       # gamma^0 = diag(1, 1, -1, -1)
+_GAMMA0_ROW_SIGNS.setflags(write=False)
+
 CONVENTION_FLAGS = ("gamma_dot_n_squared_plus_one", "gamma5_squared_plus_one")
 
 
@@ -292,9 +295,10 @@ def helicity_operator(p, n):
 
 def sector_metric(n):
     """eta with <psi|phi>_n = psi^dagger eta phi: -+ gamma^0 (gamma.n) for n in
-    the future/past light cone.  Reduces to the identity at the rest frame."""
+    the future/past light cone.  Reduces to the identity at the rest frame.
+    gamma^0 is diagonal, so its product is a sign on each row of gamma.n."""
     sign = 1.0 - 2.0 * (minkowski.components(n)[0] > 0)
-    return np.asarray(sign)[..., None, None] * (GAMMA[0] @ gamma_dot(n))
+    return np.asarray(sign)[..., None, None] * _GAMMA0_ROW_SIGNS * gamma_dot(n)
 
 
 def is_sector_hermitian(op, n):

@@ -40,7 +40,7 @@ def wigner_d(a, n):
     Satisfies the cocycle D(A1 A2, n) = D(A1, n) D(A2, Lambda1^{-1} n).
     a (..., 2, 2) and n (..., 4) broadcast over their leading sample axes.
     """
-    m = sl2c.inv(sl2c.check_sl2c(a)) @ sl2c.canonical_boost(n)
+    m = sl2c.product(sl2c.inv(sl2c.check_sl2c(a)), sl2c.canonical_boost(n))
     return np.swapaxes(_unitary_factor(m).conj(), -1, -2)
 
 
@@ -67,13 +67,16 @@ def momentum_wigner_d(a, p, m):
     minkowski.moved builds a label.  a (..., 2, 2) and p (..., 4) broadcast
     over their leading sample axes.  Each p must be on shell: p^0 equal to
     E = sqrt(m^2 + |p|^2) within MASS_SHELL_TOL relative to p^0 (-p.p is
-    not formed: it cancels terms of size (p^0)^2)."""
+    not formed: it cancels terms of size (p^0)^2).  A p that is not finite,
+    or whose E overflows, is off shell, refused without a numpy warning."""
     minkowski.positive(m, "mass")
-    p = minkowski.real(p, "p")
-    label = p / m
-    label[..., 0] = np.sqrt(1.0 + (label[..., 1:] ** 2).sum(axis=-1))
-    p0, energy = p[..., 0], m * label[..., 0]
-    minkowski.require(np.isfinite(p0) & (abs(p0 - energy) <= MASS_SHELL_TOL * p0),
+    p = minkowski.real_four_vectors(p, "p")
+    with np.errstate(over="ignore", invalid="ignore"):
+        label = p / m
+        label[..., 0] = np.sqrt(1.0 + (label[..., 1:] ** 2).sum(axis=-1))
+        p0, energy = p[..., 0], m * label[..., 0]
+        on_shell = np.isfinite(p0) & (abs(p0 - energy) <= MASS_SHELL_TOL * p0)
+    minkowski.require(on_shell,
                       lambda i: f"momentum off shell: p^0 = {float(p0[i])!r}, "
                                 f"sqrt(m^2 + |p|^2) = {float(energy[i])!r}")
     return wigner_d(a, label)

@@ -86,7 +86,9 @@ def unit_norm(c, name, axis=None):
     require(abs(norm - 1.0) <= 1e-10, lambda i: f"{name} must be normalized")
 
 
-def _four(v, name):
+def real_four_vectors(v, name):
+    """v as a float (..., 4) array; raises ValueError unless v is real with
+    last axis 4.  NaN and inf pass, for a caller whose own test refuses them."""
     a = real(v, name)
     if a.shape[-1:] != (4,):
         raise ValueError(f"{name} must be four-vectors (last axis 4), got shape {a.shape}")
@@ -96,7 +98,7 @@ def _four(v, name):
 def four_vectors(v, name):
     """v as a float (..., 4) array; raises ValueError, naming `name` and the
     first bad sample, unless v is real with last axis 4 and finite entries."""
-    a = _four(v, name)
+    a = real_four_vectors(v, name)
     if not np.isfinite(a).all():
         require(np.isfinite(a).all(axis=-1),
                 lambda i: f"{name} must be finite, got {a[i].tolist()}")
@@ -193,7 +195,7 @@ def _not_unit_timelike_future(n):
 def check_unit_timelike_future(n):
     """Return n as a float array; raise unless every sample is unit
     future-timelike."""
-    n = _four(n, "n")   # the unit-norm test refuses NaN and inf
+    n = real_four_vectors(n, "n")   # the unit-norm test refuses NaN and inf
     require(is_unit_timelike_future(n), lambda i: _not_unit_timelike_future(n[i]))
     return n
 

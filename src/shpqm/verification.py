@@ -161,8 +161,14 @@ STREAMS = {
 
 
 def _element(rot_axis, boost_axis, angle, rapidity):
-    """The elements drawn by _ELEMENT_STREAMS."""
+    """The elements drawn by _ELEMENT_STREAMS.  A complex `@`: the norm and
+    coupling reports depend on its round-off, and sl2c.product's differs."""
     return sl2c.sl2c_rotation(rot_axis, angle) @ sl2c.sl2c_boost(boost_axis, rapidity)
+
+
+def _commutator(x, y):
+    """[x, y] = x y - y x of complex matrix stacks."""
+    return sl2c.product(x, y) - sl2c.product(y, x)
 
 
 def _per_sample(seed, samples, streams, evaluate):
@@ -196,13 +202,13 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     eye = np.eye(4)
     pn, pp = minkowski.inner(p, n), minkowski.inner(p, p)
     kl, kt = dirac.k_l(p, n), dirac.k_t(p, n)
-    klkl, ktkt = kl @ kl, kt @ kt
+    klkl, ktkt = sl2c.product(kl, kl), sl2c.product(kt, kt)
     dev = {}
     dev["k_squares"] = np.maximum.reduce([
         _sample_mdev(klkl - (pn**2)[:, None, None] * eye),
         _sample_mdev(ktkt - (pp + pn**2)[:, None, None] * eye),
         _sample_mdev(ktkt - klkl - pp[:, None, None] * eye)])
-    dev["k_commute_free"] = _sample_mdev(kt @ kl - kl @ kt)
+    dev["k_commute_free"] = _sample_mdev(_commutator(kt, kl))
     nl = minkowski.lower(n)
     kal = dirac.k_all(n)
     rows = len(n)
@@ -213,28 +219,33 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
         return (dirac.PAIR_SIGN[i, j][:, None] * pair).reshape(rows, 4, 4)
 
     dev["k_n_orthogonal"] = _sample_mdev(np.einsum("...mab,...m->...ab", kal, nl))
+    # a real matrix times the float view of complex ones gives the same floats
+    # as the complex product, at a real product's cost
     dev["sigma_n_n_orthogonal"] = _sample_mdev(
-        (nl @ _FIRST_INDEX).reshape(rows, 4, 6) @ pairs)
+        ((nl @ _FIRST_INDEX).reshape(rows, 4, 6) @ pairs.view(float)).view(complex))
     gm, gn = dirac.gamma_n(mu, n), dirac.gamma_n(nu, n)
     s_mn = sigma_at(mu, nu)
-    dev["sigma_n_projected_commutator"] = _sample_mdev(s_mn - 0.25j * (gm @ gn - gn @ gm))
+    dev["sigma_n_projected_commutator"] = _sample_mdev(s_mn - 0.25j * _commutator(gm, gn))
     pi = dirac.projector_pi(n)
 
     def pi_at(i, j):
         return pi[idx, i, j][:, None, None]
 
     k_mu, k_nu, k_la = kal[idx, mu], kal[idx, nu], kal[idx, la]
-    dev["kk_commutator"] = _sample_mdev(k_mu @ k_nu - k_nu @ k_mu + 1j * s_mn)
+    dev["kk_commutator"] = _sample_mdev(_commutator(k_mu, k_nu) + 1j * s_mn)
     dev["sigma_k_commutator"] = _sample_mdev(
-        s_mn @ k_la - k_la @ s_mn + 1j * (pi_at(nu, la) * k_mu - pi_at(mu, la) * k_nu))
+        _commutator(s_mn, k_la) + 1j * (pi_at(nu, la) * k_mu - pi_at(mu, la) * k_nu))
     s_ls = sigma_at(ls, sg)
-    comm = s_mn @ s_ls - s_ls @ s_mn
-    closed = -1j * (pi_at(nu, ls) * sigma_at(mu, sg) + pi_at(mu, sg) * sigma_at(nu, ls)
-                    - pi_at(mu, ls) * sigma_at(nu, sg) - pi_at(nu, sg) * sigma_at(mu, ls))
+    s_mu_sg, s_nu_ls, s_nu_sg, s_mu_ls = (
+        sigma_at(mu, sg), sigma_at(nu, ls), sigma_at(nu, sg), sigma_at(mu, ls))
+    comm = _commutator(s_mn, s_ls)
+    closed = -1j * (pi_at(nu, ls) * s_mu_sg + pi_at(mu, sg) * s_nu_ls
+                    - pi_at(mu, ls) * s_nu_sg - pi_at(nu, sg) * s_mu_ls)
     dev["sigma_sigma_commutator"] = _sample_mdev(comm - closed)
-    # a commonly quoted variant of the closure with two signs flipped
-    alt = -1j * (pi_at(nu, ls) * sigma_at(mu, sg) + pi_at(sg, mu) * sigma_at(ls, nu)
-                 - pi_at(mu, ls) * sigma_at(nu, sg) - pi_at(sg, nu) * sigma_at(ls, mu))
+    # a commonly quoted variant of the closure with two signs flipped; its
+    # Sigma_n^{ls nu} and Sigma_n^{ls mu} are the exact negations of those above
+    alt = -1j * (pi_at(nu, ls) * s_mu_sg + pi_at(sg, mu) * -s_nu_ls
+                 - pi_at(mu, ls) * s_nu_sg - pi_at(sg, nu) * -s_mu_ls)
     dev["sigma_sigma_commutator_quoted_variant"] = _sample_mdev(comm - alt)
     # covariance under a random group element: S^-1 Sigma_{n'} S, n' = Lambda n,
     # carried back by Lambda^-1 wedge Lambda^-1, is Sigma_n
@@ -243,8 +254,9 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
     # S^-1 [X_1 ... X_6] with the X_k side by side, then [S^-1 X_k] stacked, times S
     x = dirac.sigma_n_pairs(minkowski.moved(lam, n)).transpose(0, 2, 1, 3).reshape(rows, 4, 24)
     left = (np.linalg.inv(s) @ x).reshape(rows, 4, 6, 4).transpose(0, 2, 1, 3)
-    conj = left.reshape(rows, 24, 4) @ s
-    back = dirac.second_compound(minkowski.inverse(lam)) @ conj.reshape(rows, 6, 16)
+    conj = sl2c.product(left.reshape(rows, 24, 4), s)
+    back = (dirac.second_compound(minkowski.inverse(lam))
+            @ conj.view(float).reshape(rows, 6, 32)).view(complex)
     dev["covariance"] = _sample_mdev(back - pairs)
     # projections: idempotent, mutually orthogonal, complete by pair; only
     # on samples away from p.n = 0 and p^2 + (p.n)^2 = 0
@@ -254,8 +266,8 @@ def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
         proj = dirac.projections(p[away], n[away])
         dev["projections"][away] = np.maximum.reduce([
             _sample_mdev(x) for plus, minus in proj.values()
-            for x in (plus @ plus - plus, minus @ minus - minus, plus @ minus,
-                      plus + minus - eye)])
+            for x in (sl2c.product(plus, plus) - plus, sl2c.product(minus, minus) - minus,
+                      sl2c.product(plus, minus), plus + minus - eye)])
     return dev
 
 
@@ -273,14 +285,15 @@ def little_group_suite(seed=42, samples=1000):
         a1, a2 = _element(*rest[0:4]), _element(*rest[4:8])
         axis, w = np.eye(3)[rest[8]], rest[9]      # collinear boosts along x, y or z
         d = little_group.wigner_d(a1, n)
-        su2 = np.maximum(_sample_mdev(d @ np.swapaxes(d.conj(), -1, -2) - np.eye(2)),
+        su2 = np.maximum(_sample_mdev(sl2c.product(d, np.swapaxes(d.conj(), -1, -2))
+                                      - np.eye(2)),
                          abs(sl2c.det(d) - 1.0))
         lam1 = sl2c.spinor_map(a1)
         n_back = minkowski.moved(minkowski.inverse(lam1), n)
-        lhs = little_group.wigner_d(a1 @ a2, n)
-        rhs = d @ little_group.wigner_d(a2, n_back)
+        lhs = little_group.wigner_d(sl2c.product(a1, a2), n)
+        rhs = sl2c.product(d, little_group.wigner_d(a2, n_back))
         # collinear boosts compose without rotation at the rest fiber
-        b = sl2c.sl2c_boost(axis, w[:, 0]) @ sl2c.sl2c_boost(axis, w[:, 1])
+        b = sl2c.product(sl2c.sl2c_boost(axis, w[:, 0]), sl2c.sl2c_boost(axis, w[:, 1]))
         d_b = little_group.transport(b, minkowski.N0)[2]
         return {"wigner_su2": su2, "wigner_cocycle": _sample_mdev(lhs - rhs),
                 "collinear_boosts": _sample_mdev(d_b - np.eye(2))}

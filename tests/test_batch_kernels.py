@@ -77,6 +77,7 @@ KERNELS = [
     (sl2c.inv, ("a",)),
     (sl2c.second_rep, ("a",)),
     (sl2c.det, ("a",)),
+    (sl2c.product, ("a", "d")),
     (mk.check_proper_lorentz, ("lam",)),
     (mk.unit_timelike, ("timelike",)),
     (mk.moved, ("lam", "n")),
@@ -124,6 +125,40 @@ def test_batch_broadcasts_a_single_operand(batch):
                        rtol=0, atol=1e-14)
     assert np.allclose(lg.wigner_d(a[7], n), [lg.wigner_d(a[7], y) for y in n],
                        rtol=0, atol=1e-14)
+
+
+def _assert_product_equals_matmul(a, b):
+    # within 1e-15 of the size of the terms each entry sums
+    want = a @ b
+    got = sl2c.product(a, b)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("left, right", [
+    ((N, 2, 2), (N, 2, 2)), ((N, 4, 4), (N, 4, 4)), ((N, 24, 4), (N, 4, 4)),
+    ((2, 2), (N, 2, 2)), ((N, 4, 4), (4, 4)), ((4, 4), (4, 4)), ((3, N, 2, 2), (N, 2, 2))])
+def test_product_equals_matmul(left, right):
+    rng = np.random.default_rng(17)
+    _assert_product_equals_matmul(_complex(rng, *left), _complex(rng, *right))
+
+
+def test_product_takes_non_contiguous_operands(batch):
+    a, d = batch["a"], batch["d"]
+    gather = np.random.default_rng(19).integers(0, N, N)
+    operands = {
+        "adjoint view": np.swapaxes(d.conj(), -1, -2),    # d @ d^dagger in verify
+        "fancy gather": a[gather, ::-1],
+        "slice": a[::-1, :, ::-1],
+        "contiguous": d,
+    }
+    for x in operands.values():
+        for y in operands.values():
+            _assert_product_equals_matmul(x, y)
 
 
 def _spoiled(x, value_at_bad):

@@ -237,9 +237,10 @@ _SPOILED_ENTRY = st.tuples(_UNIT_N, st.integers(0, 3),
 
 
 def _spoil(case):
+    """A copy of the array with its flat entry i set to value."""
     n, i, value = case
     n = np.array(n)
-    n[i] = value
+    n.flat[i] = value
     return n
 
 
@@ -257,17 +258,84 @@ MALFORMED_N = st.one_of(
 )
 
 
+def _assert_refused(call, x):
+    """call(x) raises a ValueError or TypeError with a one-line message, and
+    no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, TypeError)) as info:
+            call(x)
+    assert "\n" not in str(info.value), str(info.value)
+
+
 @pytest.mark.parametrize("name", TAKES_N)
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(n=MALFORMED_N)
 def test_malformed_n_is_refused_by_every_entry_point(name, n):
     if n is None and name in N_DEFAULTS_TO_REST:
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises((ValueError, TypeError)) as info:
-            TAKES_N[name](n)
-    assert "\n" not in str(info.value), str(info.value)
+    _assert_refused(TAKES_N[name], n)
+
+
+# Every public entry point that takes an SL(2,C) element and checks it
+# (through sl2c.check_sl2c).
+TAKES_ELEMENT = {
+    "spinor_map": sl2c.spinor_map,
+    "second_rep": sl2c.second_rep,
+    "s_lambda": dirac.s_lambda,
+    "wigner_d": lambda a: lg.wigner_d(a, N0),
+    "transport": lambda a: lg.transport(a, N0),
+}
+_ELEMENT = st.builds(lambda rot, angle, boost, w: sl2c.sl2c_rotation(rot, angle)
+                     @ sl2c.sl2c_boost(boost, w),
+                     st.sampled_from("xyz"), st.floats(0.0, 6.3),
+                     st.sampled_from("xyz"), st.floats(0.0, 3.0))
+
+
+@np.errstate(over="ignore", invalid="ignore")     # a huge scale may give inf entries
+def _scaled(case):
+    a, scale = case
+    return scale * a
+
+
+_FLOAT_MAX = np.finfo(float).max
+
+MALFORMED_ELEMENT = st.one_of(
+    # a NaN or inf entry
+    st.tuples(_ELEMENT, st.integers(0, 3), st.sampled_from(
+        [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, -np.inf)])).map(
+        _spoil),
+    # not 2x2, single and batched
+    st.sampled_from([(3, 3), (2, 3), (3, 2), (1, 1), (2,), (4,), (5, 3, 3), (0,)]).map(
+        lambda shape: np.ones(shape, dtype=complex)),
+    # det != 1: a scaled element, a singular one, det = -1
+    st.tuples(_ELEMENT, st.floats(0.5, 0.99) | st.floats(1.01, 1e3)).map(_scaled),
+    st.just(np.zeros((2, 2))),
+    _ELEMENT.map(lambda a: 1j * a),
+    # a determinant, or its tolerance max(1, max|a|)^2, that overflows
+    st.tuples(_ELEMENT, st.sampled_from([1e160, 1e200, _FLOAT_MAX])).map(_scaled),
+    st.sampled_from([1e160, 1e200, _FLOAT_MAX]).map(lambda x: np.diag([x, 1.0])),
+)
+
+
+@pytest.mark.parametrize("name", TAKES_ELEMENT)
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(a=MALFORMED_ELEMENT)
+def test_malformed_element_is_refused_by_every_entry_point(name, a):
+    _assert_refused(TAKES_ELEMENT[name], a)
+
+
+# four-momenta of unit mass: malformed as n is, or off shell (p^0 scaled,
+# zero or negative)
+MALFORMED_P = MALFORMED_N | st.tuples(
+    _UNIT_N, st.sampled_from([-1.0, 0.0, 0.5, 0.999, 1.001, 2.0])).map(
+    lambda case: case[0] * [case[1], 1.0, 1.0, 1.0])
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(p=MALFORMED_P)
+def test_malformed_momentum_is_refused_by_momentum_wigner_d(p):
+    _assert_refused(lambda p: lg.momentum_wigner_d(I2, p, 1.0), p)
 
 
 MALFORMED_SCALAR = st.one_of(
@@ -301,9 +369,6 @@ def _spoiled(k):
     """k complex numbers of which one is NaN or inf."""
     bad = st.sampled_from([np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
     return st.tuples(_entries(k), st.integers(0, k - 1), bad).map(_spoil)
-
-
-_FLOAT_MAX = np.finfo(float).max
 
 
 def _huge(k):
@@ -359,9 +424,4 @@ TAKES_COEFFICIENTS = {
 @hypothesis.given(data=st.data())
 def test_malformed_coefficients_are_refused_by_every_entry_point(name, data):
     call, malformed = TAKES_COEFFICIENTS[name]
-    c = data.draw(malformed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises((ValueError, TypeError)) as info:
-            call(c)
-    assert "\n" not in str(info.value), str(info.value)
+    _assert_refused(call, data.draw(malformed))

@@ -20,7 +20,8 @@ The sections of each checkout's JSON:
 - `kernels`: one call on N = 1, 100 and 10,000 samples (a single input at
   N = 1, one batched call otherwise) of `spinor_map`, `canonical_boost`,
   `wigner_d`, `transport`, `sigma_n_pairs`, `sigma_n_all`, `s_lambda`,
-  `gamma_dot`, `k_t`, `helicity_operator` and `projections`.
+  `gamma_dot`, `k_t`, `helicity_operator`, `projections` and
+  `sector_metric`.
 - `suites_s`: `verification.run_all` at 1000 samples, with each entry of
   `verification.SUITES` clocked inside that same call, and `run_all` less
   the sum of its suites.
@@ -78,7 +79,7 @@ WIGNER_ARGV = ["wigner", "--boost1", "x:1.3", "--boost2", "y:2.2"]
 KERNELS = ("sl2c.spinor_map", "sl2c.canonical_boost", "little_group.wigner_d",
            "little_group.transport", "dirac.sigma_n_pairs", "dirac.sigma_n_all",
            "dirac.s_lambda", "dirac.gamma_dot", "dirac.k_t", "dirac.helicity_operator",
-           "dirac.projections")
+           "dirac.projections", "dirac.sector_metric")
 
 
 def load(src, alias):
@@ -152,7 +153,7 @@ def kernel(package, name, a, n, p):
     args = {"spinor_map": (a,), "canonical_boost": (n,), "wigner_d": (a, n),
             "transport": (a, n), "sigma_n_pairs": (n,), "sigma_n_all": (n,),
             "s_lambda": (a,), "gamma_dot": (n,), "k_t": (p, n),
-            "helicity_operator": (p, n), "projections": (p, n)}[fn]
+            "helicity_operator": (p, n), "projections": (p, n), "sector_metric": (n,)}[fn]
     return getattr(getattr(package, module), fn), args
 
 
