@@ -131,11 +131,6 @@ def gamma_n(mu, n):
     return GAMMA[mu] + n_mu[..., None] * gamma_dot(n)
 
 
-def sigma_n(mu, nu, n):
-    """Covariant Pauli matrix Sigma_n^{mu nu} = Sigma^{mu nu} + K^mu n^nu - K^nu n^mu."""
-    return sigma_n_all(n)[..., mu, nu, :, :]
-
-
 def sigma_n_pairs(n):
     """Sigma_n^{mu nu} = Sigma^{mu nu} + K^mu n^nu - K^nu n^mu over PAIRS,
     shape (..., 6, 4, 4): the six independent generators."""

@@ -1,10 +1,9 @@
 """Classical and quantum evolution in the invariant parameter tau.
 
 Classical side: Hamilton equations for K = p.p / 2M (+ optional invariant
-potential V(x.x)) integrated with fixed-step RK4, plus a finite-difference
-Poisson bracket.  Quantum side: momentum-space packets evolved by the free
-phase exp(-i p.p dtau / 2M), with mass moments and the time-energy
-uncertainty product.
+potential V(x.x)) integrated with fixed-step RK4.  Quantum side:
+momentum-space packets evolved by the free phase exp(-i p.p dtau / 2M),
+with mass moments and the time-energy uncertainty product.
 """
 
 from __future__ import annotations
@@ -176,32 +175,6 @@ def classical_integrate(state, model, dtau, steps):
     if not np.isfinite(k).all():
         raise ValueError("hamiltonian must be finite")
     return Trajectory(tau, x, p, k)
-
-
-def poisson(f, g, at):
-    """Central-difference Poisson bracket {f, g} at a phase point.
-
-    f and g are callables of (x, p) with x, p contravariant four-vectors;
-    the bracket is sum_mu (df/dx^mu dg/dp_mu - df/dp^mu dg/dx_mu) with the
-    index placement handled through the metric.
-    """
-    z = np.concatenate((at.x, at.p))
-    h = np.repeat([1e-5 * max(np.max(np.abs(at.x)), 1.0),
-                   1e-5 * max(np.max(np.abs(at.p)), 1.0)], 4)
-
-    def grad(func):
-        out = np.zeros(8)
-        for i in range(8):
-            dz = np.zeros(8)
-            dz[i] = h[i]
-            up, down = z + dz, z - dz
-            out[i] = (func(up[:4], up[4:]) - func(down[:4], down[4:])) / (2 * h[i])
-        return out  # d/dx^mu, then d/dp^mu
-
-    df, dg = grad(f), grad(g)
-    # dg/dp_mu = g^{mu nu} dg/dp^nu; contraction pairs x^mu with p_mu
-    metric = minkowski.METRIC
-    return float(df[:4] @ metric @ dg[4:] - df[4:] @ metric @ dg[:4])
 
 
 class EnergyGrid(NamedTuple):

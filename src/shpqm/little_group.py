@@ -67,8 +67,9 @@ def momentum_wigner_d(a, p, m):
     minkowski.moved builds a label.  a (..., 2, 2) and p (..., 4) broadcast
     over their leading sample axes.  Each p must be on shell: p^0 equal to
     E = sqrt(m^2 + |p|^2) within MASS_SHELL_TOL relative to p^0 (-p.p is
-    not formed: it cancels terms of size (p^0)^2).  A p that is not finite,
-    or whose E overflows, is off shell, refused without a numpy warning."""
+    not formed: it cancels terms of size (p^0)^2).  A p that is not finite
+    is off shell, and a finite p whose E overflows is refused as an overflow
+    of its label, both without a numpy warning."""
     minkowski.positive(m, "mass")
     p = minkowski.real_four_vectors(p, "p")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -76,9 +77,10 @@ def momentum_wigner_d(a, p, m):
         label[..., 0] = np.sqrt(1.0 + (label[..., 1:] ** 2).sum(axis=-1))
         p0, energy = p[..., 0], m * label[..., 0]
         on_shell = np.isfinite(p0) & (abs(p0 - energy) <= MASS_SHELL_TOL * p0)
-    minkowski.require(on_shell,
-                      lambda i: f"momentum off shell: p^0 = {float(p0[i])!r}, "
-                                f"sqrt(m^2 + |p|^2) = {float(energy[i])!r}")
+    minkowski.require(on_shell, lambda i: (
+        f"label of p overflows: sqrt(1 + |p/m|^2) is inf for p = {p[i].tolist()}, m = {m!r}"
+        if np.isinf(energy[i]) and np.isfinite(p[i]).all() else
+        f"momentum off shell: p^0 = {float(p0[i])!r}, sqrt(m^2 + |p|^2) = {float(energy[i])!r}"))
     return wigner_d(a, label)
 
 

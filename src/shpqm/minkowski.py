@@ -12,7 +12,6 @@ same code.  Checks hold per sample and name the first failing one.
 
 from __future__ import annotations
 
-import enum
 import numbers
 
 import numpy as np
@@ -28,19 +27,11 @@ N0 = np.array([1.0, 0.0, 0.0, 0.0])
 N0.setflags(write=False)
 
 LORENTZ_TOL = 1e-12
-LIGHTLIKE_TOL = 1e-12
 UNIT_TIMELIKE_TOL = 1e-9
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]),
          "y": np.array([0.0, 1.0, 0.0]),
          "z": np.array([0.0, 0.0, 1.0])}
-
-
-class CausalClass(enum.Enum):
-    TIMELIKE_FUTURE = "timelike-future"
-    TIMELIKE_PAST = "timelike-past"
-    SPACELIKE = "spacelike"
-    LIGHTLIKE = "lightlike"
 
 
 def four_vector(t, x=0.0, y=0.0, z=0.0):
@@ -161,20 +152,6 @@ def lower(v):
     return np.asarray(v, dtype=float) * _SIGNS
 
 
-def classify(v):
-    """Causal class of v; lightlike within 1e-12 relative to max component^2.
-
-    The zero vector is classified as lightlike.  Single vectors only.
-    """
-    s = inner(v, v)
-    scale = float(np.max(np.abs(v))) ** 2
-    if abs(s) <= LIGHTLIKE_TOL * scale or scale == 0.0:
-        return CausalClass.LIGHTLIKE
-    if s < 0.0:
-        return CausalClass.TIMELIKE_FUTURE if v[0] > 0 else CausalClass.TIMELIKE_PAST
-    return CausalClass.SPACELIKE
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def is_unit_timelike_future(n):
     """Per sample: n0 > 0 and n.n = -1 within UNIT_TIMELIKE_TOL relative to max(1, n0^2),
@@ -290,7 +267,3 @@ def random_unit_timelike(rng, max_rapidity=3.0):
     """Random unit future-timelike vector, n = boost applied to N0."""
     axis = rng.normal(size=3)
     return rest_boosted(axis, rng.uniform(0.0, max_rapidity))
-
-
-def random_four_vector(rng, scale=1.0):
-    return rng.normal(scale=scale, size=4)

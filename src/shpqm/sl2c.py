@@ -107,11 +107,6 @@ def hermitian_form(v):
     return _pauli_combination(np.asarray(v, dtype=float))
 
 
-def vector_from_form(x):
-    """Inverse of hermitian_form: v^mu = (1/2) tr(sigma_mu X)."""
-    return 0.5 * np.einsum("mab,...ba->...m", PAULI, x).real
-
-
 def spinor_map(a):
     """Vector-level Lorentz matrix of an SL(2,C) element,
     Lambda^mu_nu = (1/2) tr(sigma_mu A sigma_nu A^dagger); validated as proper

@@ -29,6 +29,7 @@ class PauliExclusionError(ValueError):
 
 
 def _two_j(j):
+    minkowski.finite(j, "spin")
     tj = int(round(2 * j))
     if tj < 0 or abs(2 * j - tj) > 1e-9:
         raise ValueError(f"not a half-integer spin: {j!r}")
@@ -36,6 +37,7 @@ def _two_j(j):
 
 
 def _validate_jm(j, m):
+    minkowski.finite(m, "magnetic number")
     tj, tm = _two_j(j), int(round(2 * m))
     if abs(2 * m - tm) > 1e-9 or abs(tm) > tj or (tj - tm) % 2 != 0:
         raise ValueError(f"invalid magnetic number m={m!r} for j={j!r}")

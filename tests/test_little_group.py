@@ -10,7 +10,7 @@ from shpqm import cli, little_group as lg, minkowski as mk, sl2c
 
 
 def unit(v):
-    return v / np.sqrt(-mk.dot(v, v))
+    return v / np.sqrt(-mk.inner(v, v))
 
 
 def test_wigner_d_is_su2():
@@ -255,10 +255,12 @@ def test_momentum_wigner_d_at_large_rapidity_and_off_shell():
             p = n * [p0_scale, 1.0, 1.0, 1.0]
             with pytest.raises(ValueError, match="momentum off shell"):
                 lg.momentum_wigner_d(a, p, 1.0)
-    for p in (-mk.rest_boosted("x", 0.3), [np.inf, 0.0, 0.0, 0.0], [1e300, 1e300, 0.0, 0.0],
+    for p in (-mk.rest_boosted("x", 0.3), [np.inf, 0.0, 0.0, 0.0],
               [np.nan, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="momentum off shell"):
             lg.momentum_wigner_d(a, p, 1.0)
+    with pytest.raises(ValueError, match="label of p overflows"):
+        lg.momentum_wigner_d(a, [1e300, 1e300, 0.0, 0.0], 1.0)
 
 
 def test_momentum_wigner_d_batch_equals_the_per_sample_loop():
@@ -289,8 +291,8 @@ def test_induced_transform_moves_labels_and_spin():
         state = lg.InducedPacketState(
             n=n,
             spin=_random_spinor(rng),
-            center_x=mk.random_four_vector(rng, 1.0),
-            center_p=mk.random_four_vector(rng, 1.0),
+            center_x=rng.normal(scale=1.0, size=4),
+            center_p=rng.normal(scale=1.0, size=4),
             width=1.0)
         a = sl2c.random_sl2c(rng)
         lam = sl2c.spinor_map(a)
@@ -307,8 +309,8 @@ def test_induced_transform_composes():
         state = lg.InducedPacketState(
             n=mk.random_unit_timelike(rng),
             spin=_random_spinor(rng),
-            center_x=mk.random_four_vector(rng, 1.0),
-            center_p=mk.random_four_vector(rng, 1.0),
+            center_x=rng.normal(scale=1.0, size=4),
+            center_p=rng.normal(scale=1.0, size=4),
             width=1.0)
         a1, a2 = sl2c.random_sl2c(rng), sl2c.random_sl2c(rng)
         once = lg.induced_transform(state, a1 @ a2)

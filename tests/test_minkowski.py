@@ -14,16 +14,8 @@ def test_metric_signature():
 def test_dot_and_lower():
     a = mk.four_vector(2.0, 1.0, 0.0, 0.0)
     b = mk.four_vector(1.0, 1.0, 1.0, 1.0)
-    assert mk.dot(a, b) == pytest.approx(-2.0 + 1.0)
+    assert mk.inner(a, b) == pytest.approx(-2.0 + 1.0)
     assert np.allclose(mk.lower(a), [-2.0, 1.0, 0.0, 0.0])
-
-
-def test_classify():
-    assert mk.classify(mk.four_vector(1, 0, 0, 0)) is mk.CausalClass.TIMELIKE_FUTURE
-    assert mk.classify(mk.four_vector(-1, 0, 0, 0)) is mk.CausalClass.TIMELIKE_PAST
-    assert mk.classify(mk.four_vector(0, 1, 0, 0)) is mk.CausalClass.SPACELIKE
-    assert mk.classify(mk.four_vector(1, 1, 0, 0)) is mk.CausalClass.LIGHTLIKE
-    assert mk.classify(np.zeros(4)) is mk.CausalClass.LIGHTLIKE
 
 
 def test_unit_timelike_checks():
@@ -61,10 +53,10 @@ def test_dot_invariance_under_random_lorentz():
     rng = np.random.default_rng(3)
     for _ in range(100):
         lam = sl2c.spinor_map(sl2c.random_sl2c(rng, 3.0))
-        a = mk.random_four_vector(rng, 2.0)
-        b = mk.random_four_vector(rng, 2.0)
-        assert mk.dot(mk.apply(lam, a), mk.apply(lam, b)) == pytest.approx(
-            mk.dot(a, b), abs=1e-10)
+        a = rng.normal(scale=2.0, size=4)
+        b = rng.normal(scale=2.0, size=4)
+        assert mk.inner(mk.apply(lam, a), mk.apply(lam, b)) == pytest.approx(
+            mk.inner(a, b), abs=1e-10)
 
 
 def test_pure_boost_reaches_target():
@@ -82,5 +74,5 @@ def test_random_unit_timelike_is_unit():
     rng = np.random.default_rng(5)
     for _ in range(100):
         n = mk.random_unit_timelike(rng)
-        assert mk.dot(n, n) == pytest.approx(-1.0, abs=1e-12)
+        assert mk.inner(n, n) == pytest.approx(-1.0, abs=1e-12)
         assert n[0] > 0

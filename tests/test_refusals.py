@@ -186,6 +186,10 @@ REFUSALS = {
     # n0^2 overflows: numpy's overflow warning used to come before the refusal
     "unit-n-overflow": (lambda: mk.check_unit_timelike_future([1e200, 0.0, 0.0, 0.0]),
                         "expected unit future-timelike vector"),
+    # on shell to rounding, but sqrt(m^2 + |p|^2) overflows: this used to be
+    # refused as off shell
+    "momentum-label-overflow": (lambda: lg.momentum_wigner_d(I2, [1e200, 1e200, 0.0, 0.0], 1.0),
+                                "label of p overflows: sqrt(1 + |p/m|^2) is inf"),
     **TAU_REFUSALS,
 }
 
@@ -260,12 +264,13 @@ MALFORMED_N = st.one_of(
 
 def _assert_refused(call, x):
     """call(x) raises a ValueError or TypeError with a one-line message, and
-    no numpy warning on the way."""
+    no numpy warning on the way; returns the message."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises((ValueError, TypeError)) as info:
             call(x)
     assert "\n" not in str(info.value), str(info.value)
+    return str(info.value)
 
 
 @pytest.mark.parametrize("name", TAKES_N)
@@ -425,3 +430,34 @@ TAKES_COEFFICIENTS = {
 def test_malformed_coefficients_are_refused_by_every_entry_point(name, data):
     call, malformed = TAKES_COEFFICIENTS[name]
     _assert_refused(call, data.draw(malformed))
+
+
+# Every argument that is a spin j or a magnetic number m; the others hold a
+# valid value.  An infinite one used to raise OverflowError, a NaN one
+# "cannot convert float NaN to integer".
+TAKES_SPIN = {
+    "SpinState.j": lambda x: sc.SpinState(x, [1.0, 0.0], N0),
+    "TwoBodySpinState.j1": lambda x: sc.TwoBodySpinState(x, 0.5, HALF_HALF, N0),
+    "TwoBodySpinState.j2": lambda x: sc.TwoBodySpinState(0.5, x, HALF_HALF, N0),
+    "cg.j1": lambda x: sc.cg(x, 0.5, 0.5, 0.5, 1.0, 1.0),
+    "cg.m1": lambda x: sc.cg(0.5, x, 0.5, 0.5, 1.0, 1.0),
+    "cg.j2": lambda x: sc.cg(0.5, 0.5, x, 0.5, 1.0, 1.0),
+    "cg.m2": lambda x: sc.cg(0.5, 0.5, 0.5, x, 1.0, 1.0),
+    "cg.J": lambda x: sc.cg(0.5, 0.5, 0.5, 0.5, x, 1.0),
+    "cg.M": lambda x: sc.cg(0.5, 0.5, 0.5, 0.5, 1.0, x),
+    "cg_matrix.J": lambda x: sc.cg_matrix(0.5, 0.5, x, 0.0),
+    "cg_matrix.M": lambda x: sc.cg_matrix(0.5, 0.5, 1.0, x),
+    "coupled_basis.j1": lambda x: sc.coupled_basis(x, 0.5),
+    "coupled_basis.j2": lambda x: sc.coupled_basis(0.5, x),
+}
+# -1.5 is no spin, and no magnetic number of the spins 1/2 and 1 above
+BAD_SPIN = {"nan": np.nan, "inf": np.inf, "complex": 0.5j, "str": "0.5",
+            "negative": -1.5, "not-half-integer": 0.3}
+
+
+@pytest.mark.parametrize("kind", BAD_SPIN)
+@pytest.mark.parametrize("name", TAKES_SPIN)
+def test_malformed_spin_is_refused_by_every_entry_point(name, kind):
+    x = BAD_SPIN[kind]
+    message = _assert_refused(TAKES_SPIN[name], x)
+    assert repr(x) in message, message

@@ -10,7 +10,7 @@ from shpqm import spin_coupling as sc
 
 
 def unit(v):
-    return v / np.sqrt(-mk.dot(v, v))
+    return v / np.sqrt(-mk.inner(v, v))
 
 
 def test_cg_singlet_values():
