@@ -126,8 +126,14 @@ def axis_vector(axis):
 
 def inner(a, b):
     """Invariant product -a0*b0 + a.b (spatial) over the last axis of
-    (..., 4) arrays."""
-    return (np.asarray(a, dtype=float) * b) @ _SIGNS
+    (..., 4) arrays.  A (1, 4) batch is summed as the first of two rows:
+    numpy sends a one-row product to dot, which rounds its sum in another
+    order than the gemv of a longer batch, and a row's product should not
+    depend on how many rows it was computed with."""
+    prod = np.asarray(a, dtype=float) * b
+    if prod.shape[:-1] == (1,):
+        return (np.concatenate((prod, prod)) @ _SIGNS)[:1]
+    return prod @ _SIGNS
 
 
 dot = inner     # a second name, which the benchmark's tracer self-test patches

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import dirac, little_group, minkowski, sl2c, spin_coupling
 
-# Samples drawn and evaluated together: bounds the (chunk, 6, 4, 4)
-# temporaries of the operator suite to a few hundred kB.
-CHUNK = 200
+# Samples drawn and evaluated together.  The operator suite's traced peak
+# is about 6 kB per sample, 2.9 MiB on a chunk of 500 (numpy 2.4); fewer
+# samples a chunk cost more calls, more a larger heap.
+CHUNK = 500
 
 # sum_m n_m Sigma^{m nu} = ((n_lower @ _FIRST_INDEX) @ pairs)[nu]
 _FIRST_INDEX = (dirac.PAIR_SIGN[..., None] * np.eye(6)[dirac.PAIR_OF]).reshape(4, 24)
@@ -194,77 +195,119 @@ def _per_sample(seed, samples, streams, evaluate):
 
 
 def _operator_deviations(n_axis, n_w, p, mu_nu, la, ls_sg, *element):
-    """Per-sample deviations of the operator identities on one chunk."""
+    """Per-sample deviations of the operator identities on one chunk.  Each
+    family of identities has a helper of its own, whose temporaries are freed
+    once it has reduced them to deviations."""
     n = minkowski.rest_boosted(n_axis, n_w)
-    a = _element(*element)
-    (mu, nu), (ls, sg) = mu_nu.T, ls_sg.T
-    idx = np.arange(len(n))
-    eye = np.eye(4)
     pn, pp = minkowski.inner(p, n), minkowski.inner(p, p)
+    pairs = dirac.sigma_n_pairs(n).reshape(len(n), 6, 16)
+    pi = dirac.projector_pi(n)
+    return {**_k_deviations(p, n, pn, pp),
+            **_sigma_deviations(n, pairs, pi, mu_nu, ls_sg),
+            **_k_sigma_deviations(n, pairs, pi, mu_nu, la),
+            "covariance": _covariance_deviation(n, pairs, _element(*element)),
+            "projections": _projection_deviation(p, n, pn, pp)}
+
+
+def _sigma_at(pairs, i, j):
+    """Sigma_n^{ij} of each sample at its own indices, from its six pairs."""
+    rows = len(pairs)
+    pair = pairs[np.arange(rows), dirac.PAIR_OF[i, j]]
+    return (dirac.PAIR_SIGN[i, j][:, None] * pair).reshape(rows, 4, 4)
+
+
+def _pi_at(pi, i, j):
+    """pi^{ij} of each sample at its own indices, shaped to scale a matrix."""
+    return pi[np.arange(len(pi)), i, j][:, None, None]
+
+
+def _k_deviations(p, n, pn, pp):
+    """The squares of K_L and K_T, and their free-case commutator."""
+    eye = np.eye(4)
     kl, kt = dirac.k_l(p, n), dirac.k_t(p, n)
     klkl, ktkt = sl2c.product(kl, kl), sl2c.product(kt, kt)
-    dev = {}
-    dev["k_squares"] = np.maximum.reduce([
-        _sample_mdev(klkl - (pn**2)[:, None, None] * eye),
-        _sample_mdev(ktkt - (pp + pn**2)[:, None, None] * eye),
-        _sample_mdev(ktkt - klkl - pp[:, None, None] * eye)])
-    dev["k_commute_free"] = _sample_mdev(_commutator(kt, kl))
-    nl = minkowski.lower(n)
-    kal = dirac.k_all(n)
+    return {"k_squares": np.maximum.reduce([
+                _sample_mdev(klkl - (pn**2)[:, None, None] * eye),
+                _sample_mdev(ktkt - (pp + pn**2)[:, None, None] * eye),
+                _sample_mdev(ktkt - klkl - pp[:, None, None] * eye)]),
+            "k_commute_free": _sample_mdev(_commutator(kt, kl))}
+
+
+def _sigma_deviations(n, pairs, pi, mu_nu, ls_sg):
+    """The algebra of Sigma_n at the drawn indices (mu, nu) and (ls, sg):
+    orthogonal to n, the projected gamma commutator, and the closure, with
+    the quoted variant of the closure."""
+    (mu, nu), (ls, sg) = mu_nu.T, ls_sg.T
     rows = len(n)
-    pairs = dirac.sigma_n_pairs(n).reshape(rows, 6, 16)
-
-    def sigma_at(i, j):
-        pair = pairs[idx, dirac.PAIR_OF[i, j]]
-        return (dirac.PAIR_SIGN[i, j][:, None] * pair).reshape(rows, 4, 4)
-
-    dev["k_n_orthogonal"] = _sample_mdev(np.einsum("...mab,...m->...ab", kal, nl))
-    # a real matrix times the float view of complex ones gives the same floats
-    # as the complex product, at a real product's cost
-    dev["sigma_n_n_orthogonal"] = _sample_mdev(
-        ((nl @ _FIRST_INDEX).reshape(rows, 4, 6) @ pairs.view(float)).view(complex))
-    gm, gn = dirac.gamma_n(mu, n), dirac.gamma_n(nu, n)
-    s_mn = sigma_at(mu, nu)
-    dev["sigma_n_projected_commutator"] = _sample_mdev(s_mn - 0.25j * _commutator(gm, gn))
-    pi = dirac.projector_pi(n)
-
-    def pi_at(i, j):
-        return pi[idx, i, j][:, None, None]
-
-    k_mu, k_nu, k_la = kal[idx, mu], kal[idx, nu], kal[idx, la]
-    dev["kk_commutator"] = _sample_mdev(_commutator(k_mu, k_nu) + 1j * s_mn)
-    dev["sigma_k_commutator"] = _sample_mdev(
-        _commutator(s_mn, k_la) + 1j * (pi_at(nu, la) * k_mu - pi_at(mu, la) * k_nu))
-    s_ls = sigma_at(ls, sg)
+    s_mn = _sigma_at(pairs, mu, nu)
+    dev = {
+        # a real matrix times the float view of complex ones gives the same
+        # floats as the complex product, at a real product's cost
+        "sigma_n_n_orthogonal": _sample_mdev(
+            ((minkowski.lower(n) @ _FIRST_INDEX).reshape(rows, 4, 6)
+             @ pairs.view(float)).view(complex)),
+        "sigma_n_projected_commutator": _sample_mdev(
+            s_mn - 0.25j * _commutator(dirac.gamma_n(mu, n), dirac.gamma_n(nu, n)))}
     s_mu_sg, s_nu_ls, s_nu_sg, s_mu_ls = (
-        sigma_at(mu, sg), sigma_at(nu, ls), sigma_at(nu, sg), sigma_at(mu, ls))
-    comm = _commutator(s_mn, s_ls)
-    closed = -1j * (pi_at(nu, ls) * s_mu_sg + pi_at(mu, sg) * s_nu_ls
-                    - pi_at(mu, ls) * s_nu_sg - pi_at(nu, sg) * s_mu_ls)
+        _sigma_at(pairs, mu, sg), _sigma_at(pairs, nu, ls),
+        _sigma_at(pairs, nu, sg), _sigma_at(pairs, mu, ls))
+    comm = _commutator(s_mn, _sigma_at(pairs, ls, sg))
+    closed = -1j * (_pi_at(pi, nu, ls) * s_mu_sg + _pi_at(pi, mu, sg) * s_nu_ls
+                    - _pi_at(pi, mu, ls) * s_nu_sg - _pi_at(pi, nu, sg) * s_mu_ls)
     dev["sigma_sigma_commutator"] = _sample_mdev(comm - closed)
     # a commonly quoted variant of the closure with two signs flipped; its
     # Sigma_n^{ls nu} and Sigma_n^{ls mu} are the exact negations of those above
-    alt = -1j * (pi_at(nu, ls) * s_mu_sg + pi_at(sg, mu) * -s_nu_ls
-                 - pi_at(mu, ls) * s_nu_sg - pi_at(sg, nu) * -s_mu_ls)
+    alt = -1j * (_pi_at(pi, nu, ls) * s_mu_sg + _pi_at(pi, sg, mu) * -s_nu_ls
+                 - _pi_at(pi, mu, ls) * s_nu_sg - _pi_at(pi, sg, nu) * -s_mu_ls)
     dev["sigma_sigma_commutator_quoted_variant"] = _sample_mdev(comm - alt)
-    # covariance under a random group element: S^-1 Sigma_{n'} S, n' = Lambda n,
-    # carried back by Lambda^-1 wedge Lambda^-1, is Sigma_n
+    return dev
+
+
+def _k_sigma_deviations(n, pairs, pi, mu_nu, la):
+    """K at the drawn indices mu, nu and la: orthogonal to n, and the
+    closures of [K, K] and [Sigma_n, K]."""
+    mu, nu = mu_nu.T
+    idx = np.arange(len(n))
+    kal = dirac.k_all(n)
+    dev = {"k_n_orthogonal": _sample_mdev(
+        np.einsum("...mab,...m->...ab", kal, minkowski.lower(n)))}
+    k_mu, k_nu, k_la = kal[idx, mu], kal[idx, nu], kal[idx, la]
+    s_mn = _sigma_at(pairs, mu, nu)
+    dev["kk_commutator"] = _sample_mdev(_commutator(k_mu, k_nu) + 1j * s_mn)
+    dev["sigma_k_commutator"] = _sample_mdev(
+        _commutator(s_mn, k_la)
+        + 1j * (_pi_at(pi, nu, la) * k_mu - _pi_at(pi, mu, la) * k_nu))
+    return dev
+
+
+def _covariance_deviation(n, pairs, a):
+    """Covariance under the group element a: S^-1 Sigma_{n'} S, n' = Lambda n,
+    carried back by Lambda^-1 wedge Lambda^-1, is Sigma_n."""
+    rows = len(n)
     lam = sl2c.spinor_map(a)
     s = dirac.s_lambda(a)
-    # S^-1 [X_1 ... X_6] with the X_k side by side, then [S^-1 X_k] stacked, times S
-    x = dirac.sigma_n_pairs(minkowski.moved(lam, n)).transpose(0, 2, 1, 3).reshape(rows, 4, 24)
-    left = (np.linalg.inv(s) @ x).reshape(rows, 4, 6, 4).transpose(0, 2, 1, 3)
-    conj = sl2c.product(left.reshape(rows, 24, 4), s)
-    back = (dirac.second_compound(minkowski.inverse(lam))
-            @ conj.view(float).reshape(rows, 6, 32)).view(complex)
-    dev["covariance"] = _sample_mdev(back - pairs)
-    # projections: idempotent, mutually orthogonal, complete by pair; only
-    # on samples away from p.n = 0 and p^2 + (p.n)^2 = 0
+    # S^-1 [X_1 ... X_6] with the X_k side by side, then [S^-1 X_k] stacked,
+    # times S, then carried back.  One statement a stage: each frees the
+    # arrays of the last
+    x = (np.linalg.inv(s)
+         @ dirac.sigma_n_pairs(minkowski.moved(lam, n)).transpose(0, 2, 1, 3).reshape(rows, 4, 24)
+         ).reshape(rows, 4, 6, 4).transpose(0, 2, 1, 3).reshape(rows, 24, 4)
+    x = sl2c.product(x, s)
+    x = (dirac.second_compound(minkowski.inverse(lam))
+         @ x.view(float).reshape(rows, 6, 32)).view(complex)
+    x -= pairs
+    return _sample_mdev(x)
+
+
+def _projection_deviation(p, n, pn, pp):
+    """The projection pairs idempotent, mutually orthogonal and complete by
+    pair; only on samples away from p.n = 0 and p^2 + (p.n)^2 = 0."""
+    eye = np.eye(4)
     away = (abs(pn) > 0.2) & (pp + pn**2 > 0.2)
-    dev["projections"] = np.zeros(len(n))
+    dev = np.zeros(len(n))
     if away.any():
         proj = dirac.projections(p[away], n[away])
-        dev["projections"][away] = np.maximum.reduce([
+        dev[away] = np.maximum.reduce([
             _sample_mdev(x) for plus, minus in proj.values()
             for x in (sl2c.product(plus, plus) - plus, sl2c.product(minus, minus) - minus,
                       sl2c.product(plus, minus), plus + minus - eye)])

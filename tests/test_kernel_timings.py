@@ -1,9 +1,11 @@
 """tools/kernel_timings.py on fake callables and fake suites: its blocks
-alternate between checkouts, its summaries are ordered, and it clocks every
-verification suite inside run_all's own call, restoring the suites after.
-On the package's own kernels: each kernel entry is timed as one part."""
+alternate between checkouts, its summaries are ordered, and it clocks and
+traces every verification suite inside run_all's own call, restoring the
+suites after.  On the package's own kernels: each kernel entry is timed as
+one part, and suites_mem gives every suite's peak and run_all's faults."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import hypothesis
@@ -62,15 +64,53 @@ def test_every_suite_is_clocked_inside_run_all(fake_suites):
     assert verification.SUITES == fake_suites
 
 
-def test_suites_are_restored_when_one_raises(fake_suites, monkeypatch):
+def _raise_in_a_suite(monkeypatch, run):
     def broken(**kwargs):
         raise RuntimeError("suite failed")
 
     monkeypatch.setitem(verification.SUITES, "norm", broken)
     before = dict(verification.SUITES)
     with pytest.raises(RuntimeError, match="suite failed"):
-        kt.suite_call(verification, {})()
+        run(verification)
     assert verification.SUITES == before
+
+
+def test_suites_are_restored_when_one_raises(fake_suites, monkeypatch):
+    _raise_in_a_suite(monkeypatch, lambda vf: kt.suite_call(vf, {})())
+
+
+def test_tracing_stops_and_suites_are_restored_when_one_raises(fake_suites, monkeypatch):
+    _raise_in_a_suite(monkeypatch, kt.suite_peaks)
+    assert not tracemalloc.is_tracing()
+
+
+def test_each_suite_is_traced_apart(fake_suites, monkeypatch):
+    # a suite that holds 1 MiB reads at least that; the others, next to nothing
+    def holds(**kwargs):
+        block = bytearray(2**20)
+        return [len(block)]
+
+    monkeypatch.setitem(verification.SUITES, "norm", holds)
+    before = dict(verification.SUITES)
+    peaks = kt.suite_peaks(verification)
+    assert set(peaks) == set(verification.SUITES)
+    assert peaks["norm"] >= 2**20
+    assert all(peak < 2**16 for name, peak in peaks.items() if name != "norm")
+    assert verification.SUITES == before and not tracemalloc.is_tracing()
+
+
+def test_suites_mem_has_every_suite_and_the_faults_of_run_all(monkeypatch):
+    monkeypatch.setattr(kt, "BLOCKS", 3)
+    monkeypatch.setattr(kt, "SUITE_SAMPLES", 50)
+    before = dict(verification.SUITES)
+    section = kt.suites_mem({"parent": shpqm, "change": shpqm})["change"]
+    assert {key for key in section if key.endswith("/peak_mib")} == {
+        f"{name}/peak_mib" for name in verification.SUITES}
+    assert section["operator_algebra/peak_mib"] > 0
+    faults = section["run_all/minflt"]
+    assert list(faults) == ["best", "median", "q1", "q3"] and faults["best"] >= 0
+    assert section["samples"] == 50
+    assert verification.SUITES == before and not tracemalloc.is_tracing()
 
 
 def test_every_kernel_entry_is_timed_as_one_part(tmp_path):

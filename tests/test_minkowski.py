@@ -18,6 +18,17 @@ def test_dot_and_lower():
     assert np.allclose(mk.lower(a), [-2.0, 1.0, 0.0, 0.0])
 
 
+def test_inner_of_a_row_does_not_depend_on_the_batch_length():
+    # numpy's one-row product (dot) rounds otherwise than a longer batch's
+    # (gemv); each row of a batch of 1, 2, 3 or 7 equals its row of the whole
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2000, 4)), rng.normal(size=(2000, 4))
+    whole = mk.inner(a, b)
+    for rows in (1, 2, 3, 7):
+        parts = [mk.inner(a[i:i + rows], b[i:i + rows]) for i in range(0, 2000, rows)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), rows
+
+
 def test_unit_timelike_checks():
     mk.check_unit_timelike_future(mk.N0)
     with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Tests of the verification suites' reports and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from shpqm import cli, dirac, minkowski, sl2c, verification as vf
 
 SAMPLED = ("operator_algebra", "little_group", "norm", "coupling")
+CHUNK = vf.CHUNK
 
 
 @pytest.mark.parametrize("suite", SAMPLED)
@@ -66,6 +69,34 @@ def test_verify_json_is_byte_identical_on_two_runs(tmp_path):
                          "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("samples", [75, 2 * vf.CHUNK + 7])
+def test_report_does_not_depend_on_the_chunking(monkeypatch, samples):
+    # every suite's report, to the bit (a float's repr round-trips it), is the
+    # same for samples evaluated one, 7, 200 or CHUNK at a time; chunks of one
+    # row and partial last chunks included
+    def report(chunk):
+        monkeypatch.setattr(vf, "CHUNK", chunk)
+        return {suite: [repr(r.to_dict()) for r in results]
+                for suite, results in vf.run_all(seed=42, samples=samples).items()}
+
+    reference = report(CHUNK)
+    for chunk in (1, 7, 200):
+        assert report(chunk) == reference, chunk
+
+
+def test_operator_suite_peak_memory_per_sample():
+    # tracemalloc peak of one chunk of the operator suite: 6,140 bytes a
+    # sample at CHUNK = 500 with numpy 2.4.6 (x86_64); 25 % more fails
+    vf.operator_algebra_suite(42, vf.CHUNK)
+    tracemalloc.start()
+    try:
+        vf.operator_algebra_suite(42, vf.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / vf.CHUNK <= 1.25 * 6140
 
 
 def test_suites_reject_an_empty_sample():

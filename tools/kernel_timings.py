@@ -25,6 +25,11 @@ The sections of each checkout's JSON:
 - `suites_s`: `verification.run_all` at 1000 samples, with each entry of
   `verification.SUITES` clocked inside that same call, and `run_all` less
   the sum of its suites.
+- `suites_mem`: each suite's tracemalloc peak (MiB) inside one `run_all`
+  call at 1000 samples, and the minor page faults (`ru_minflt`) of a
+  `run_all` call over BLOCKS calls, measured first, before anything is
+  timed.  The faults are the heap growth a chunk of samples faults back in
+  after glibc has returned the freed top of the heap to the system.
 - `evolve`: `classical_integrate` over 20,000 free steps, and the CLI's CSV
   writer on that trajectory and on a 100,001-row interference scan.
 - `tau_step`: one tau step of the sweep of `configs/evolve_quantum.cfg`
@@ -55,8 +60,10 @@ import io
 import json
 import os
 import platform
+import resource
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -163,33 +170,90 @@ def dropped(fn, *args):
     fn(*args)
 
 
+@contextlib.contextmanager
+def wrapped_suites(verification, wrap):
+    """Each entry of `verification.SUITES` replaced by wrap(name, suite),
+    and restored on leaving, also when the body raises."""
+    originals = dict(verification.SUITES)
+    verification.SUITES.update({name: wrap(name, fn) for name, fn in originals.items()})
+    try:
+        yield
+    finally:
+        verification.SUITES.update(originals)
+
+
 def suite_call(verification, samples):
     """A call of `verification.run_all` that returns {suite: seconds} for each
     entry of `verification.SUITES`, clocked inside that call, with "run_all"
     and "minus_suites" (run_all less the sum of its suites).  Each suite's
-    `samples` argument goes into `samples`.  The suites are wrapped in place
-    for the call and restored after it, also when one raises."""
-    def clocked(name, fn, clock):
-        def suite(*args, **kwargs):
-            samples[name] = kwargs.get("samples", 0)
-            t0 = perf_counter()
-            result = fn(*args, **kwargs)
-            clock[name] = perf_counter() - t0
-            return result
-        return suite
+    `samples` argument goes into `samples`."""
+    def clocked(clock):
+        def wrap(name, fn):
+            def suite(*args, **kwargs):
+                samples[name] = kwargs.get("samples", 0)
+                t0 = perf_counter()
+                result = fn(*args, **kwargs)
+                clock[name] = perf_counter() - t0
+                return result
+            return suite
+        return wrap
 
     def call():
-        clock, originals = {}, dict(verification.SUITES)
-        verification.SUITES.update(
-            {name: clocked(name, fn, clock) for name, fn in originals.items()})
-        try:
+        clock = {}
+        with wrapped_suites(verification, clocked(clock)):
             t0 = perf_counter()
             verification.run_all(SUITE_SEED, SUITE_SAMPLES)
             clock["run_all"] = perf_counter() - t0
-        finally:
-            verification.SUITES.update(originals)
-        return {**clock, "minus_suites": clock["run_all"] - sum(clock[n] for n in originals)}
+        suites = sum(clock[name] for name in verification.SUITES)
+        return {**clock, "minus_suites": clock["run_all"] - suites}
     return call
+
+
+def suite_peaks(verification):
+    """{suite: bytes}: the tracemalloc peak of each entry of
+    `verification.SUITES` above what was traced when it started, inside one
+    `run_all` call at SUITE_SAMPLES."""
+    peaks = {}
+
+    def traced(name, fn):
+        def suite(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            return result
+        return suite
+
+    with wrapped_suites(verification, traced):
+        tracemalloc.start()
+        try:
+            verification.run_all(SUITE_SEED, SUITE_SAMPLES)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def suites_mem(packages):
+    """{label: suites_mem section}: each suite's traced peak in MiB, and the
+    minor page faults of a `run_all` call at SUITE_SAMPLES, with tracing off,
+    over BLOCKS calls, the labels' calls alternating.  Measured before any
+    timed entry: the faults depend on the heap the process has had, and a
+    large array freed earlier raises glibc's trim threshold."""
+    calls = {label: functools.partial(package.verification.run_all, SUITE_SEED, SUITE_SAMPLES)
+             for label, package in packages.items()}
+    for fn in calls.values():
+        fn()
+    faults = {label: [] for label in calls}
+    for _ in range(BLOCKS):
+        for label, fn in calls.items():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            fn()
+            faults[label].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return {label: {**{f"{name}/peak_mib": round(peak / 2**20, 3) for name, peak in
+                       suite_peaks(package.verification).items()},
+                    "run_all/minflt": summary(faults[label]),
+                    "samples": SUITE_SAMPLES}
+            for label, package in packages.items()}
 
 
 def sample_tables(package):
@@ -376,6 +440,8 @@ def main(argv=None):
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
         "method": f"checkouts loaded side by side; {BLOCKS} alternating blocks of"
                   f" about {BLOCK_SECONDS} s; best, median and quartiles of the blocks"}}
+    for label, section in suites_mem(packages).items():
+        data.setdefault(label, {})["suites_mem"] = section
     with tempfile.TemporaryDirectory() as tmp:
         timed = zip(*(entries(package, inputs, str(Path(tmp) / f"{label}.csv"))
                       for label, package in packages.items()))
